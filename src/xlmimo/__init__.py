@@ -63,9 +63,7 @@ from .channel import (  # noqa: E402
     vr_aaf,
 )
 from .metrics import (  # noqa: E402
-    EmpiricalCDF,
     PathTrack,
-    PowerDelayProfile,
     avg_spatial_correlation,
     channel_gain_db,
     cvm_distance,

@@ -18,8 +18,6 @@ from .errors import GeometryError
 from .geometry import ArrayGeometry, SPEED_OF_LIGHT, direction_vector
 from .nearfield import (
     AntennaPattern,
-    PathRecord,
-    Stationarity,
     WavefrontModel,
     build_a_tensor,
     expand_path,
@@ -153,6 +151,11 @@ def random_visibility_interval(
     return start, start + length
 
 
+def _vr_column(num_elements: int, rng: np.random.Generator) -> np.ndarray:
+    """One binary column with a random visibility interval."""
+    return vr_aaf(num_elements, random_visibility_interval(num_elements, rng))
+
+
 def build_variant_aaf(
     paths,
     num_elements: int,
@@ -165,38 +168,23 @@ def build_variant_aaf(
 
     ``*-ss`` variants return ones; ``*-sns`` variants generate correlated
     factors per non-stationary path; ``vr`` replaces generation with binary
-    visibility intervals per non-stationary path.  Fixed per-path ``aaf``
-    overrides are honored in all variants except ``*-ss``.
+    visibility intervals per non-stationary path.  Both draw their columns
+    in the loop of ``build_aaf_matrix``, so fixed per-path ``aaf`` overrides
+    and per-path random streams behave alike in all variants except
+    ``*-ss``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     paths = list(paths)
     if variant.endswith("-ss"):
         return np.ones((int(num_elements), len(paths)))
-    if variant == "vr":
-        out = np.ones((int(num_elements), len(paths)))
-        for l, path in enumerate(paths):
-            if path.aaf is not None:
-                if path.aaf.size != int(num_elements):
-                    raise ValueError(
-                        f"path {l}: fixed aaf length {path.aaf.size} != "
-                        f"num_elements {num_elements}"
-                    )
-                out[:, l] = path.aaf
-            elif path.stationarity is Stationarity.NON_STATIONARY:
-                if seed is None:
-                    raise ValueError(
-                        "seed is required for visibility-interval generation"
-                    )
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(seed, spawn_key=(*stream_key, l))
-                )
-                out[:, l] = vr_aaf(
-                    num_elements, random_visibility_interval(int(num_elements), rng)
-                )
-        return out
     return build_aaf_matrix(
-        paths, num_elements, params=params, seed=seed, stream_key=stream_key
+        paths,
+        num_elements,
+        params=params,
+        seed=seed,
+        stream_key=stream_key,
+        draw=_vr_column if variant == "vr" else None,
     )
 
 

@@ -429,9 +429,16 @@ def _load_channels(args) -> list:
     return loaded
 
 
+_PATH_METRICS = ("gain", "kfactor", "delay-spread", "spatial-correlation")
+
+
 def _read_pathtable(directory: str):
-    """Per-user amplitude/delay/aaf/alpha matrices from pathtable.csv."""
-    import csv as _csv
+    """Per-user amplitude/delay/aaf/alpha matrices from pathtable.csv.
+
+    Every user shares the element count; each user's rows must cover every
+    (path, element) pair exactly once, in any order.
+    """
+    import warnings
 
     import numpy as np
 
@@ -441,44 +448,54 @@ def _read_pathtable(directory: str):
             f"{table_path} not found: per-path metrics need the synthesize "
             f"output directory"
         )
-    rows = []
+    names = ("ue", "path", "element", "alpha_ref", "aaf", "amplitude", "delay_s")
     with open(table_path, newline="") as fh:
-        for row in _csv.DictReader(fh):
-            rows.append(
-                (
-                    int(row["ue"]),
-                    int(row["path"]),
-                    int(row["element"]),
-                    float(row["alpha_ref"]),
-                    float(row["aaf"]),
-                    float(row["amplitude"]),
-                    float(row["delay_s"]),
-                )
-            )
-    if not rows:
+        header = fh.readline().strip().split(",")
+        try:
+            columns = [header.index(name) for name in names]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body is reported below
+                data = np.loadtxt(fh, delimiter=",", usecols=columns, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{table_path}: {exc}") from exc
+    if data.shape[0] == 0:
         raise ConfigError(f"{table_path}: empty table")
-    num_ues = max(r[0] for r in rows) + 1
+    rows = data.shape[0]
+    index = data[:, :3]
+    if not np.all((index >= 0) & (index < rows) & (index == np.floor(index))):
+        raise ConfigError(f"{table_path}: invalid ue/path/element index")
+    ue, path, element = index.astype(int).T
+    num_elements = int(element.max()) + 1
+    num_paths = np.zeros(int(ue.max()) + 1, dtype=int)
+    np.maximum.at(num_paths, ue, path + 1)
+    bounds = np.concatenate([[0], np.cumsum(num_paths * num_elements)])
+    slot = bounds[ue] + path * num_elements + element
+    if (
+        bounds[-1] != rows
+        or np.any(num_paths == 0)
+        or np.any(np.bincount(slot, minlength=rows) != 1)
+    ):
+        raise ConfigError(
+            f"{table_path}: rows must cover every (ue, path, element) exactly "
+            f"once for {num_elements} elements"
+        )
+    ordered = np.empty_like(data[:, 3:])
+    ordered[slot] = data[:, 3:]
     out = []
-    for ue in range(num_ues):
-        ue_rows = [r for r in rows if r[0] == ue]
-        num_paths = max(r[1] for r in ue_rows) + 1
-        num_elements = max(r[2] for r in ue_rows) + 1
-        amplitude = np.zeros((num_elements, num_paths))
-        delay = np.zeros((num_elements, num_paths))
-        aaf = np.zeros((num_elements, num_paths))
-        alpha = np.zeros(num_paths)
-        for _, l, m, alpha_ref, aaf_v, amp, dl in ue_rows:
-            amplitude[m, l] = amp
-            delay[m, l] = dl
-            aaf[m, l] = aaf_v
-            alpha[l] = alpha_ref
+    for lo, hi, paths in zip(bounds[:-1], bounds[1:], num_paths):
+        # (paths, elements, field) -> per-field (elements, paths) matrices
+        block = ordered[lo:hi].reshape(paths, num_elements, 4)
+        aaf, amplitude, delay = (
+            np.ascontiguousarray(block[:, :, i].T) for i in (1, 2, 3)
+        )
+        alpha = block[:, 0, 0].copy()  # alpha_ref repeats on every element
         out.append(
             {"amplitude": amplitude, "delay": delay, "aaf": aaf, "alpha": alpha}
         )
     return out
 
 
-def _metric_samples(label, tensor, directory, metrics, args):
+def _metric_samples(label, tensor, tables, metrics, args):
     """Sample vectors per metric for one channel; None for curve metrics."""
     import numpy as np
 
@@ -500,50 +517,42 @@ def _metric_samples(label, tensor, directory, metrics, args):
             samples["capacity"] = capacity
         if "demmel" in metrics:
             samples["demmel"] = demmel
-    if any(m in metrics for m in ("gain", "kfactor", "delay-spread")):
-        tables = _read_pathtable(directory)
-        if "gain" in metrics:
-            samples["gain"] = np.concatenate(
-                [mx.path_gain_db(t["amplitude"]) for t in tables]
-            )
-        if "kfactor" in metrics:
-            samples["kfactor"] = np.concatenate(
-                [mx.rician_k_db(t["amplitude"]) for t in tables]
-            )
-        if "delay-spread" in metrics:
-            samples["delay-spread"] = np.concatenate(
-                [
-                    mx.rms_delay_spread(t["amplitude"] ** 2, t["delay"])
-                    for t in tables
-                ]
-            )
+    if "gain" in metrics:
+        samples["gain"] = np.concatenate(
+            [mx.path_gain_db(t["amplitude"]) for t in tables]
+        )
+    if "kfactor" in metrics:
+        samples["kfactor"] = np.concatenate(
+            [mx.rician_k_db(t["amplitude"]) for t in tables]
+        )
+    if "delay-spread" in metrics:
+        samples["delay-spread"] = np.concatenate(
+            [mx.rms_delay_spread(t["amplitude"] ** 2, t["delay"]) for t in tables]
+        )
     return samples
 
 
-def _spatial_correlation_curve(directory, max_lag):
+def _spatial_correlation_curve(tables, max_lag):
     import numpy as np
 
     from . import metrics as mx
-    from .errors import NumericError as _NumericError
 
-    tables = _read_pathtable(directory)
     num_paths = tables[0]["aaf"].shape[1]
     if num_paths < 2:
         raise ConfigError(
             f"spatial-correlation needs at least two paths per user, got {num_paths}"
         )
     num_elements = tables[0]["aaf"].shape[0]
-    lags = range(1, min(int(max_lag), num_elements - 1) + 1)
+    matrices = [mx.sns_amplitude_matrix(t["aaf"], t["alpha"]) for t in tables]
     curve = []
-    for lag in lags:
+    for lag in range(1, min(int(max_lag), num_elements - 1) + 1):
         values = []
-        for t in tables:
-            matrix = mx.sns_amplitude_matrix(t["aaf"], t["alpha"])
+        for matrix in matrices:
             try:
                 values.append(mx.avg_spatial_correlation(matrix, lag))
-            except _NumericError:
+            except NumericError:
                 values.append(float("nan"))
-        curve.append([lag, float(np.nanmean(values)) if values else float("nan")])
+        curve.append([lag, float(np.nanmean(values))])
     return curve
 
 
@@ -581,11 +590,14 @@ def _evaluate_channels(args, write_per_channel: bool) -> int:
     all_samples = {}
     summary_rows = []
     for label, tensor, _meta, directory in loaded:
-        samples = _metric_samples(label, tensor, directory, metrics, args)
+        tables = None
+        if any(m in _PATH_METRICS for m in metrics):
+            tables = _read_pathtable(directory)
+        samples = _metric_samples(label, tensor, tables, metrics, args)
         all_samples[label] = samples
         for metric in metrics:
             if metric == "spatial-correlation":
-                curve = _spatial_correlation_curve(directory, args.max_lag)
+                curve = _spatial_correlation_curve(tables, args.max_lag)
                 if write_per_channel:
                     write_table(
                         os.path.join(out, f"{label}_spatial_correlation.csv"),

@@ -292,48 +292,6 @@ def cvm_distance(a, b) -> float:
     return float(scale * np.sum((f_a - f_b) ** 2))
 
 
-@dataclass
-class EmpiricalCDF:
-    """Empirical distribution function of a sample."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 1 or s.size == 0:
-            raise ValueError("samples must be a non-empty 1-D array")
-        self.samples = np.sort(s)
-
-    def __call__(self, x):
-        """Fraction of samples <= x."""
-        return np.searchsorted(self.samples, x, side="right") / self.samples.size
-
-
-@dataclass
-class PowerDelayProfile:
-    """Per-element power over a shared delay grid."""
-
-    delays: np.ndarray  # seconds, (T,)
-    powers: np.ndarray  # linear power, (M, T)
-
-    def __post_init__(self):
-        self.delays = np.asarray(self.delays, dtype=float)
-        self.powers = np.asarray(self.powers, dtype=float)
-        if self.delays.ndim != 1 or self.powers.ndim != 2:
-            raise ValueError("delays must be (T,), powers (M, T)")
-        if self.powers.shape[1] != self.delays.size:
-            raise ValueError(
-                f"powers delay axis {self.powers.shape[1]} != delays "
-                f"{self.delays.size}"
-            )
-        if np.any(self.powers < 0.0):
-            raise ValueError("powers must be >= 0")
-
-    @classmethod
-    def from_cir(cls, cir, delays) -> "PowerDelayProfile":
-        return cls(delays=delays, powers=np.abs(np.asarray(cir)) ** 2)
-
-
 def impulse_response(values, grid: FrequencyGrid):
     """Delay-domain response via inverse DFT along the frequency axis.
 

@@ -93,11 +93,9 @@ def _case2() -> dict:
 def _case3(line_azimuth_rad: float = 0.8726646259971648) -> dict:
     """Multi-user pool on a radial line of increasing range (default 50 deg)."""
     offsets = [0.0, 0.5, 1.0, 1.5, 2.0, 2.8, 3.3, 3.8, 4.3, 4.8, 5.3, 5.8]
-    direction = np.array(
-        [math.cos(line_azimuth_rad), math.sin(line_azimuth_rad), 0.0]
-    )
+    direction = (math.cos(line_azimuth_rad), math.sin(line_azimuth_rad), 0.0)
     start = 1.5
-    ues = [list((start + off) * direction) for off in offsets]
+    ues = [[(start + off) * c for c in direction] for off in offsets]
     return {
         "format_version": FORMAT_VERSION,
         "name": "case3",

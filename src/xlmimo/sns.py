@@ -6,7 +6,10 @@ so each path carries a per-element amplitude attenuation factor in [0, 1].
 This module generates such factors statistically: Beta-distributed
 marginals coupled to an exponentially correlated Gaussian copula by rank
 matching, with hyper-parameters (Beta shape p, correlation decay d_corr)
-drawn from fitted distributions.
+drawn from fitted distributions.  The latent Gaussian has covariance
+``exp(-d_corr * |i - j|)``, which is exactly a first-order autoregressive
+(AR(1)) process with coefficient ``exp(-d_corr)``; it is sampled by that
+recursion in O(M), with no M x M matrix.
 
 Correlation lags are in element-index units throughout; ``d_corr`` is the
 exponential decay rate per element.
@@ -14,19 +17,16 @@ exponential decay rate per element.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+import scipy.signal
 import scipy.stats
 
 from .errors import NumericError
 from .nearfield import PathRecord, Stationarity
-
-# Cholesky factors are memoized only up to this size (memory cap).
-_CACHE_MAX_ELEMENTS = 2048
 
 
 @dataclass
@@ -206,35 +206,19 @@ def sample_aaf_params(params: AAFStatParams, rng: np.random.Generator):
     return p, float(q), d_corr
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_cholesky(num_elements: int, d_corr: float) -> np.ndarray:
-    idx = np.arange(num_elements, dtype=float)
-    sigma = np.exp(-d_corr * np.abs(idx[:, None] - idx[None, :]))
-    return np.linalg.cholesky(sigma)
-
-
-def _cholesky_factor(num_elements: int, d_corr: float) -> np.ndarray:
-    try:
-        if num_elements <= _CACHE_MAX_ELEMENTS:
-            return _cached_cholesky(num_elements, d_corr)
-        return _cached_cholesky.__wrapped__(num_elements, d_corr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"correlation matrix not positive definite "
-            f"(M={num_elements}, d_corr={d_corr})"
-        ) from exc
-
-
 def generate_aaf(
     num_elements: int, p: float, q: float, d_corr: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Generate one spatially correlated attenuation-factor sequence.
 
     Rank matching: M independent Beta(p, q) draws are reordered by the ranks
-    of a zero-mean Gaussian vector with covariance ``exp(-d_corr * |i - j|)``
-    (sampled as ``L @ z`` from the covariance's Cholesky factor ``L``).  The
-    output therefore has exactly the Beta draws as values and Spearman
-    correlation 1 with the Gaussian vector.
+    of a zero-mean Gaussian vector with covariance ``exp(-d_corr * |i - j|)``.
+    That vector is sampled by the AR(1) recursion ``y_0 = z_0``,
+    ``y_i = rho * y_(i-1) + sqrt(1 - rho**2) * z_i`` with
+    ``rho = exp(-d_corr)``, the closed form of ``L @ z`` for the
+    covariance's Cholesky factor ``L``, at O(M) cost.  The output therefore
+    has exactly the Beta draws as values and Spearman correlation 1 with the
+    Gaussian vector.
 
     Consumes ``rng.beta(p, q, num_elements)`` first, then
     ``rng.standard_normal(num_elements)``; callers relying on reproducing
@@ -258,8 +242,9 @@ def generate_aaf(
             raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     x = rng.beta(p, q, size=num_elements)
-    factor = _cholesky_factor(num_elements, float(d_corr))
-    y = factor @ rng.standard_normal(num_elements)
+    z = rng.standard_normal(num_elements)
+    z[1:] *= np.sqrt(-np.expm1(-2.0 * d_corr))
+    y = scipy.signal.lfilter([1.0], [1.0, -np.exp(-d_corr)], z)
     ranks = np.empty(num_elements, dtype=int)
     ranks[np.argsort(y, kind="stable")] = np.arange(num_elements)
     return np.sort(x)[ranks]
@@ -322,14 +307,15 @@ def build_aaf_matrix(
     params: AAFStatParams = None,
     seed: int = None,
     stream_key: tuple = (),
+    draw=None,
 ) -> np.ndarray:
     """Per-element attenuation factors for a path list, shape (M, L).
 
     Stationary paths get all-ones columns.  Non-stationary paths use their
-    fixed ``aaf`` override when present, otherwise a statistically generated
-    sequence with hyper-parameters drawn per path.  Each generated column
-    uses an independent random stream derived from ``(seed, *stream_key,
-    path_index)``, so results do not depend on path evaluation order.
+    fixed ``aaf`` override when present, otherwise a column from ``draw``.
+    Each drawn column uses an independent random stream derived from
+    ``(seed, *stream_key, path_index)``, so results do not depend on path
+    evaluation order.
 
     Parameters
     ----------
@@ -337,11 +323,16 @@ def build_aaf_matrix(
     num_elements : int
         Array size M.
     params : AAFStatParams, optional
-        Hyper-parameter distributions; defaults to the fitted values.
+        Hyper-parameter distributions of the default draw; defaults to the
+        fitted values.
     seed : int, optional
-        Root seed; required when any column needs statistical generation.
+        Root seed; required when any column is drawn.
     stream_key : tuple of int
         Extra stream-derivation key (e.g. the user index).
+    draw : callable, optional
+        ``draw(num_elements, rng)`` returns one column of shape (M,).  The
+        default is the statistical generator: hyper-parameters from
+        ``sample_aaf_params``, then a sequence from ``generate_aaf``.
     """
     paths = list(paths)
     num_elements = int(num_elements)
@@ -349,8 +340,13 @@ def build_aaf_matrix(
         raise ValueError(f"num_elements must be >= 1, got {num_elements}")
     if not paths:
         raise ValueError("paths must be non-empty")
-    if params is None:
-        params = AAFStatParams()
+    if draw is None:
+        if params is None:
+            params = AAFStatParams()
+
+        def draw(m, rng):
+            p, q, d_corr = sample_aaf_params(params, rng)
+            return generate_aaf(m, p, q, d_corr, rng)
 
     out = np.ones((num_elements, len(paths)))
     for l, path in enumerate(paths):
@@ -370,6 +366,5 @@ def build_aaf_matrix(
             rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(*stream_key, l))
             )
-            p, q, d_corr = sample_aaf_params(params, rng)
-            out[:, l] = generate_aaf(num_elements, p, q, d_corr, rng)
+            out[:, l] = draw(num_elements, rng)
     return out

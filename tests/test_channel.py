@@ -145,6 +145,20 @@ class TestBuildVariantAAF:
         assert on.size >= 1
         assert np.array_equal(on, np.arange(on[0], on[-1] + 1))  # contiguous
 
+    def test_vr_matches_per_column_stream_recomputation(self):
+        paths = [
+            los_path(stationarity=Stationarity.NON_STATIONARY),
+            los_path(stationarity=Stationarity.STATIONARY),
+            los_path(stationarity=Stationarity.NON_STATIONARY),
+        ]
+        m, seed, key = 97, 13, (2,)
+        out = build_variant_aaf(paths, m, "vr", seed=seed, stream_key=key)
+        want = np.ones((m, 3))
+        for l in (0, 2):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, l)))
+            want[:, l] = vr_aaf(m, random_visibility_interval(m, rng))
+        assert np.array_equal(out, want)
+
     def test_fixed_override_honored(self):
         aaf = np.linspace(0.2, 1.0, 16)
         paths = [los_path(stationarity=Stationarity.NON_STATIONARY, aaf=aaf)]

@@ -395,6 +395,87 @@ class TestEvaluateCommand:
         )
         assert code == 2
 
+    def test_pathtable_parsed_once_per_channel(self, synthesized, tmp_path, monkeypatch):
+        import xlmimo.cli as cli
+
+        calls = []
+        original = cli._read_pathtable
+        monkeypatch.setattr(
+            cli, "_read_pathtable", lambda d: calls.append(d) or original(d)
+        )
+        nf, ff = synthesized
+        code = main(
+            [
+                "evaluate", "--channel", str(nf / "channel"),
+                "--channel", str(ff / "channel"), "--out", str(tmp_path / "o"),
+                "--metrics", "gain,kfactor,delay-spread,spatial-correlation",
+                "--max-lag", "3",
+            ]
+        )
+        assert code == 0
+        assert sorted(calls) == sorted([str(nf), str(ff)])
+
+    def test_pathtable_matches_row_loop_reference(self, synthesized):
+        import xlmimo.cli as cli
+
+        nf, _ = synthesized
+        tables = cli._read_pathtable(str(nf))
+        rows = read_rows(nf / "pathtable.csv")
+        assert sum(t["amplitude"].size for t in tables) == len(rows)
+        for r in rows:
+            t = tables[int(r["ue"])]
+            l, m = int(r["path"]), int(r["element"])
+            assert t["amplitude"][m, l] == float(r["amplitude"])
+            assert t["delay"][m, l] == float(r["delay_s"])
+            assert t["aaf"][m, l] == float(r["aaf"])
+            assert t["alpha"][l] == float(r["alpha_ref"])
+
+    @staticmethod
+    def _copy_with_table(nf, dest, edit):
+        dest.mkdir()
+        for suffix in (".bin", ".json"):
+            (dest / f"channel{suffix}").write_bytes(
+                (nf / f"channel{suffix}").read_bytes()
+            )
+        header, *rows = (nf / "pathtable.csv").read_text().splitlines(keepends=True)
+        (dest / "pathtable.csv").write_text(header + "".join(edit(rows)))
+
+    def test_pathtable_rows_in_any_order(self, synthesized, tmp_path):
+        nf, _ = synthesized
+        self._copy_with_table(nf, tmp_path / "shuffled", lambda rows: rows[::-1])
+        argv = ["--metrics", "gain,spatial-correlation", "--max-lag", "3"]
+        for name, src in (("a", nf), ("b", tmp_path / "shuffled")):
+            out = tmp_path / name
+            assert main(
+                ["evaluate", "--channel", str(src / "channel"), "--out", str(out)]
+                + argv
+            ) == 0
+        for fn in (
+            "channel_nf-ss_gain_samples.csv",
+            "channel_nf-ss_spatial_correlation.csv",
+        ):
+            assert (tmp_path / "a" / fn).read_bytes() == (tmp_path / "b" / fn).read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: rows[:5] + rows[6:],  # missing row
+            lambda rows: rows + rows[-1:],  # duplicated row
+        ],
+        ids=["missing", "duplicate"],
+    )
+    def test_pathtable_gaps_rejected(self, synthesized, tmp_path, capsys, edit):
+        nf, _ = synthesized
+        self._copy_with_table(nf, tmp_path / "gap", edit)
+        code = main(
+            [
+                "evaluate", "--channel", str(tmp_path / "gap" / "channel"),
+                "--out", str(tmp_path / "o"), "--metrics", "gain",
+            ]
+        )
+        assert code == 2
+        assert "exactly once" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, synthesized, tmp_path):
         nf, _ = synthesized
         argv = [

@@ -6,8 +6,6 @@ from numpy.testing import assert_allclose
 from xlmimo.channel import FrequencyGrid
 from xlmimo.errors import NumericError
 from xlmimo.metrics import (
-    EmpiricalCDF,
-    PowerDelayProfile,
     avg_spatial_correlation,
     channel_gain_db,
     cvm_distance,
@@ -305,20 +303,6 @@ class TestCvmDistance:
             cvm_distance([1.0], [np.inf])
 
 
-class TestEmpiricalCDF:
-    def test_step_values(self):
-        cdf = EmpiricalCDF([3.0, 1.0, 2.0])
-        assert cdf(0.5) == 0.0
-        assert cdf(1.0) == pytest.approx(1 / 3)
-        assert cdf(2.5) == pytest.approx(2 / 3)
-        assert cdf(3.0) == 1.0
-        assert_allclose(cdf(np.array([1.5, 9.0])), [1 / 3, 1.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EmpiricalCDF([])
-
-
 class TestImpulseResponse:
     def test_single_on_bin_path_recovers_exactly(self):
         grid = FrequencyGrid(90e9, 110e9, 64)
@@ -344,20 +328,6 @@ class TestImpulseResponse:
         grid = FrequencyGrid(90e9, 110e9, 8)
         with pytest.raises(ValueError):
             impulse_response(np.ones((1, 4), dtype=complex), grid)
-
-
-class TestPowerDelayProfile:
-    def test_from_cir(self):
-        cir = np.array([[1.0 + 1j, 0.5]])
-        pdp = PowerDelayProfile.from_cir(cir, np.array([0.0, 1e-9]))
-        assert_allclose(pdp.powers, [[2.0, 0.25]])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PowerDelayProfile(delays=np.array([0.0, 1e-9]),
-                              powers=np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            PowerDelayProfile(delays=np.array([0.0]), powers=-np.ones((1, 1)))
 
 
 class SyntheticCIR:

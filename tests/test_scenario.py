@@ -8,6 +8,7 @@ from xlmimo.errors import ConfigError, GeometryError
 from xlmimo.geometry import SPEED_OF_LIGHT, ArrayGeometry, Plane
 from xlmimo.nearfield import Stationarity, WavefrontModel
 from xlmimo.channel import FrequencyGrid
+from xlmimo.serialization import read_yaml, write_yaml
 from xlmimo.scenario import (
     FORMAT_VERSION,
     build_aaf_params,
@@ -44,6 +45,13 @@ class TestPresets:
             cfg = validate_config(preset(name))
             assert cfg["format_version"] == FORMAT_VERSION
             assert cfg["name"] == name
+
+    def test_every_preset_round_trips_through_yaml(self, tmp_path):
+        for name in preset_names():
+            path = tmp_path / f"{name}.yaml"
+            write_yaml(path, preset(name))
+            cfg = validate_config(read_yaml(path))
+            assert cfg == validate_config(preset(name))
 
     def test_preset_returns_fresh_copies(self):
         a = preset("case2")

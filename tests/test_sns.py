@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xlmimo.errors import NumericError
@@ -241,6 +245,45 @@ class TestGenerateAAF:
         for s in (s1, s2):
             assert s.shape == (4096,)
             assert np.all((s >= 0.0) & (s <= 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 600),
+        d=st.floats(1e-4, 10.0),
+        p=st.floats(0.05, 20.0),
+        q=st.floats(0.05, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ranks_match_cholesky_reference(self, m, d, p, q, seed):
+        s = generate_aaf(m, p, q, d, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        x = rng.beta(p, q, size=m)
+        idx = np.arange(m, dtype=float)
+        sigma = np.exp(-d * np.abs(idx[:, None] - idx[None, :]))
+        y = np.linalg.cholesky(sigma) @ rng.standard_normal(m)
+        assert np.array_equal(np.sort(s), np.sort(x))
+        ranks = np.empty(m, dtype=int)
+        ranks[np.argsort(y, kind="stable")] = np.arange(m)
+        assert np.array_equal(s, np.sort(x)[ranks])
+
+    def test_memory_is_linear_in_elements(self):
+        # an M x M covariance at M=4096 alone would take 134 MB
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            generate_aaf(4096, 1.0, 1.03, 0.05, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_decay_beyond_cholesky_reach_gives_valid_sequence(self):
+        # exp(-1e-16) rounds to 1, so exp(-d|i-j|) is the singular all-ones
+        # matrix; the recursion needs no factorization, so the output is
+        # still a permutation of the draws
+        s = generate_aaf(2048, 1.0, 1.03, 1e-16, np.random.default_rng(3))
+        x = np.random.default_rng(3).beta(1.0, 1.03, size=2048)
+        assert np.array_equal(np.sort(s), np.sort(x))
 
     def test_deterministic_for_seed(self):
         a = generate_aaf(64, 0.5, 0.9, 0.05, np.random.default_rng(11))
