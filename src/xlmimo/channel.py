@@ -303,8 +303,8 @@ def path_table(
     """Per-element path amplitudes, delays, phases, and distances.
 
     Plane-wave paths keep their reference amplitude, delay, and distance at
-    every element, with linear carrier phase along the array; the rest
-    follow their spherical-wave expansion.
+    every element, with linear carrier phase along the array anchored at
+    the reference element; the rest follow their spherical-wave expansion.
     """
     paths = list(paths)
     if not paths:
@@ -322,7 +322,7 @@ def path_table(
     for l, path in enumerate(paths):
         if force_ff or path.model is WavefrontModel.FF:
             u = float(np.dot(direction_vector(path.aod), geometry.axis))
-            m_idx = np.arange(geometry.num_elements)
+            m_idx = np.arange(geometry.num_elements) - geometry.reference_index
             amplitudes[:, l] = path.amplitude
             delays[:, l] = path.delay
             phases[:, l] = path.phase - (

@@ -409,14 +409,21 @@ def _parse_metrics(spec: str) -> list:
     return metrics
 
 
-def _load_channels(args) -> list:
-    """Load channels as (label, tensor, meta, directory) tuples."""
-    from .serialization import read_channel
+def _load_channels(args, with_values: bool) -> list:
+    """Load channels as (label, tensor, meta, directory) tuples.
+
+    Every header and file size is checked; without ``with_values`` no tensor
+    value is read and ``tensor`` is None.
+    """
+    from .serialization import read_channel, read_channel_header
 
     loaded = []
     seen = {}
     for path in args.channel:
-        tensor, meta = read_channel(path)
+        if with_values:
+            tensor, meta = read_channel(path)
+        else:
+            tensor, meta = None, read_channel_header(path)
         base = os.path.basename(path)
         if base.endswith(".json"):
             base = base[: -len(".json")]
@@ -586,7 +593,7 @@ def _evaluate_channels(args, write_per_channel: bool) -> int:
 
     metrics = _parse_metrics(args.metrics)
     out = _ensure_out(args)
-    loaded = _load_channels(args)
+    loaded = _load_channels(args, "capacity" in metrics or "demmel" in metrics)
     all_samples = {}
     summary_rows = []
     for label, tensor, _meta, directory in loaded:

@@ -325,16 +325,16 @@ def ff_path_matrix(
 ) -> np.ndarray:
     """Plane-wave per-element weights of one path, shape (M, K).
 
-    Unit-magnitude entries with linear phase along the array: element m (
-    counted from the first element) at frequency f gets phase
-    ``2*pi*f*spacing*m*(aod . axis)/c - phase_ref``, the infinite-distance
-    limit of the spherical-wave weights.
+    Unit-magnitude entries with linear phase along the array: element m at
+    frequency f gets phase
+    ``2*pi*f*spacing*(m - reference_index)*(aod . axis)/c - phase_ref``,
+    the infinite-distance limit of the spherical-wave weights.
     """
     frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float))
     if np.any(frequencies <= 0.0):
         raise ValueError("frequencies must be > 0")
     u = float(np.dot(direction_vector(path.aod), geometry.axis))
-    m_idx = np.arange(geometry.num_elements)
+    m_idx = np.arange(geometry.num_elements) - geometry.reference_index
     phase = (
         2.0 * np.pi * geometry.spacing * u / SPEED_OF_LIGHT
     ) * np.outer(m_idx, frequencies) - path.phase

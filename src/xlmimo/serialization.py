@@ -17,7 +17,7 @@ import os
 import numpy as np
 import yaml
 
-from .channel import ChannelTensor, FrequencyGrid
+from .channel import VARIANTS, ChannelTensor, FrequencyGrid
 from .errors import ConfigError
 from .geometry import Angles, ArrayGeometry
 from .nearfield import PathRecord, Stationarity, WavefrontModel
@@ -193,49 +193,93 @@ def write_channel(basepath, tensor: ChannelTensor, extra_meta: dict = None) -> N
     write_json(f"{basepath}.json", meta)
 
 
-def read_channel(basepath) -> tuple:
-    """Read a channel written by :func:`write_channel`.
-
-    ``basepath`` may include the ``.json`` suffix.  Returns ``(tensor,
-    meta)``.
-    """
+def _channel_files(basepath) -> tuple:
     base = str(basepath)
     if base.endswith(".json"):
         base = base[: -len(".json")]
-    meta_path = f"{base}.json"
-    bin_path = f"{base}.bin"
+    return f"{base}.json", f"{base}.bin"
+
+
+def read_channel_header(basepath) -> dict:
+    """Validated header of a channel written by :func:`write_channel`.
+
+    Checks the encoding and the variant, that ``shape`` is three
+    non-negative ints agreeing with the grid and the array, and that the
+    ``.bin`` file has exactly the size the shape implies.  No tensor value
+    is read.
+    """
+    meta_path, bin_path = _channel_files(basepath)
     for p in (meta_path, bin_path):
         if not os.path.exists(p):
             raise ConfigError(f"missing channel file {p}")
-    meta = read_json(meta_path)
+    try:
+        meta = read_json(meta_path)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{meta_path}: invalid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{meta_path}: expected a JSON object")
     if meta.get("format_version") != TENSOR_FORMAT_VERSION:
         raise ConfigError(
             f"{meta_path}: unsupported format_version {meta.get('format_version')!r}"
         )
     if meta.get("dtype") != "complex64" or meta.get("byte_order") != "little":
         raise ConfigError(f"{meta_path}: unsupported encoding")
-    shape = tuple(meta["shape"])
-    with open(bin_path, "rb") as fh:
-        raw = fh.read()
-    expected = int(np.prod(shape)) * 8
-    if len(raw) != expected:
+    if meta.get("variant", "nf-sns") not in VARIANTS:
+        raise ConfigError(f"{meta_path}: unknown variant {meta['variant']!r}")
+    shape = meta.get("shape")
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 3
+        and all(type(n) is int and n >= 0 for n in shape)
+    ):
         raise ConfigError(
-            f"{bin_path}: size {len(raw)} does not match shape {shape}"
+            f"{meta_path}: shape must be three non-negative ints, got {shape!r}"
         )
-    values = np.frombuffer(raw, dtype="<c8").reshape(shape)
-    grid = FrequencyGrid(**meta["grid"])
-    geometry = None
-    if "array" in meta:
-        arr = meta["array"]
-        geometry = ArrayGeometry(
-            num_elements=arr["num_elements"],
-            spacing=arr["spacing_m"],
-            axis=np.asarray(arr["axis"]),
-            origin=np.asarray(arr["origin"]),
-            reference_index=arr["reference_index"],
-        )
+    grid = meta.get("grid")
+    if not isinstance(grid, dict) or grid.get("num_points") != shape[2]:
+        raise ConfigError(f"{meta_path}: shape {shape} does not match the grid")
+    array = meta.get("array")
+    if "array" in meta and (
+        not isinstance(array, dict) or array.get("num_elements") != shape[1]
+    ):
+        raise ConfigError(f"{meta_path}: shape {shape} does not match the array")
+    size = os.path.getsize(bin_path)
+    if size != shape[0] * shape[1] * shape[2] * 8:
+        raise ConfigError(f"{bin_path}: size {size} does not match shape {shape}")
+    return meta
+
+
+def read_channel(basepath) -> tuple:
+    """Read a channel written by :func:`write_channel`.
+
+    ``basepath`` may include the ``.json`` suffix.  Returns ``(tensor,
+    meta)``.  The header is checked by :func:`read_channel_header` before
+    anything is allocated; values are then read one user at a time into
+    the complex128 tensor.
+    """
+    meta = read_channel_header(basepath)
+    meta_path, bin_path = _channel_files(basepath)
+    try:
+        grid = FrequencyGrid(**meta["grid"])
+        geometry = None
+        if "array" in meta:
+            arr = meta["array"]
+            geometry = ArrayGeometry(
+                num_elements=arr["num_elements"],
+                spacing=arr["spacing_m"],
+                axis=np.asarray(arr["axis"]),
+                origin=np.asarray(arr["origin"]),
+                reference_index=arr["reference_index"],
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{meta_path}: invalid grid or array: {exc!r}") from exc
+    users, elements, points = meta["shape"]
+    values = np.empty((users, elements, points), dtype=complex)
+    with open(bin_path, "rb") as fh:
+        for user in values.reshape(users, elements * points):
+            user[:] = np.fromfile(fh, "<c8", count=user.size)
     tensor = ChannelTensor(
-        values=values.astype(complex),
+        values=values,
         grid=grid,
         variant=meta.get("variant", "nf-sns"),
         seed=meta.get("seed"),

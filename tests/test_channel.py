@@ -348,6 +348,18 @@ class TestPathTable:
         step = 2 * np.pi * 100e9 * 0.0015 * u / SPEED_OF_LIGHT
         assert_allclose(table.phases[:, 0], 0.9 - step * np.arange(6), rtol=1e-12)
 
+    @pytest.mark.parametrize("reference", ["first", "middle", "last"])
+    def test_plane_wave_phases_are_far_limit_of_spherical(self, reference):
+        m = 101
+        ref = {"first": 0, "middle": m // 2, "last": m - 1}[reference]
+        geom = ArrayGeometry(num_elements=m, spacing=0.0015, reference_index=ref)
+        p = los_path(distance=1e6, azimuth=0.6, phase=-0.4)
+        ones = np.ones((m, 1))
+        nf = path_table([p], geom, OMNI, OMNI, 100e9, ones)
+        ff = path_table([p], geom, OMNI, OMNI, 100e9, ones, force_ff=True)
+        assert np.max(np.abs(np.exp(1j * nf.phases) - np.exp(1j * ff.phases))) < 1e-4
+        assert ff.phases[ref, 0] == p.phase
+
     def test_consistent_with_assembled_channel_at_carrier(self):
         # reconstruction identity: H(f_c) = sum_l amp * exp(-j(phase +
         # 2*pi*f_c*delay_ref)) for both wavefront branches

@@ -415,6 +415,58 @@ class TestEvaluateCommand:
         assert code == 0
         assert sorted(calls) == sorted([str(nf), str(ff)])
 
+    @pytest.mark.parametrize(
+        "metrics, loads, reads",
+        [("gain,kfactor,delay-spread,spatial-correlation", 0, 0), ("demmel", 1, 4)],
+    )
+    def test_tensor_values_read_only_for_trials(
+        self, synthesized, tmp_path, monkeypatch, metrics, loads, reads
+    ):
+        import xlmimo.serialization as serialization
+
+        calls = {"read_channel": 0, "fromfile": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(serialization, "read_channel")
+        counted(np, "fromfile")
+        nf, _ = synthesized
+        code = main(
+            [
+                "evaluate", "--channel", str(nf / "channel"),
+                "--out", str(tmp_path / "o"), "--metrics", metrics,
+                "--seed", "1", "--max-lag", "3",
+            ]
+        )
+        assert code == 0
+        # one value read per user of the 4-user channel
+        assert calls == {"read_channel": loads, "fromfile": reads}
+
+    def test_truncated_channel_exits_2_without_trials(
+        self, synthesized, tmp_path, capsys
+    ):
+        nf, _ = synthesized
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        for name in ("channel.json", "pathtable.csv"):
+            (cut / name).write_bytes((nf / name).read_bytes())
+        (cut / "channel.bin").write_bytes((nf / "channel.bin").read_bytes()[:-8])
+        code = main(
+            [
+                "evaluate", "--channel", str(cut / "channel"),
+                "--out", str(tmp_path / "o"), "--metrics", "gain",
+            ]
+        )
+        assert code == 2
+        assert "size" in capsys.readouterr().err
+
     def test_pathtable_matches_row_loop_reference(self, synthesized):
         import xlmimo.cli as cli
 

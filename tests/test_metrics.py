@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xlmimo.channel import FrequencyGrid
@@ -124,6 +126,135 @@ class TestMultiuserTrials:
             multiuser_trials(pool, 3, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
             multiuser_trials(pool, 1, 0, np.random.default_rng(0))
+
+
+_svd = np.linalg.svd  # the reference keeps the real SVD while it is counted
+
+
+def svd_metrics(h, snr_db=15.0):
+    """Reference (capacity, demmel) of one (N, M, K) channel from its SVD."""
+    sigma = _svd(np.moveaxis(h, 2, 0), compute_uv=False)
+    m = h.shape[1]
+    gain = 10.0 ** (snr_db / 10.0) / (m * np.mean(np.abs(h) ** 2))
+    capacity = np.mean(np.sum(np.log2(1.0 + gain * sigma**2), axis=1))
+    eps = np.finfo(float).eps
+    if np.any(sigma[:, -1] <= sigma[:, 0] * max(h.shape[:2]) * eps):
+        return capacity, np.inf
+    return capacity, np.mean(np.sqrt(np.sum(sigma**2, axis=1)) / sigma[:, -1])
+
+
+def svd_trials(pool, num_ues, num_trials, seed, snr_db=15.0):
+    rng = np.random.default_rng(seed)
+    subsets = [
+        rng.choice(len(pool), size=num_ues, replace=False)
+        for _ in range(num_trials)
+    ]
+    return np.array([svd_metrics(pool[s], snr_db) for s in subsets]).T
+
+
+def assert_matches_svd(pool, num_ues, num_trials, seed, snr_db=15.0):
+    want_cap, want_dem = svd_trials(pool, num_ues, num_trials, seed, snr_db)
+    cap, dem = multiuser_trials(
+        pool, num_ues, num_trials, np.random.default_rng(seed), snr_db=snr_db
+    )
+    assert_allclose(cap, want_cap, rtol=1e-12)
+    assert np.array_equal(np.isinf(dem), np.isinf(want_dem))
+    assert_allclose(dem, want_dem, rtol=1e-12)
+    return dem
+
+
+def assert_direct_matches_svd(h, snr_db=15.0):
+    want_cap, want_dem = svd_metrics(h, snr_db)
+    assert_allclose(entropy_capacity(h, snr_db=snr_db), want_cap, rtol=1e-12)
+    assert_allclose(demmel_condition(h), want_dem, rtol=1e-12)
+
+
+def count_svd_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return _svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestGramRoute:
+    """Gram-eigenvalue metrics against an SVD route written out in the test."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.integers(1, p),
+                st.integers(1, 40),
+                st.integers(1, 5),
+                st.integers(0, 2**32 - 1),
+            )
+        )
+    )
+    def test_random_pools(self, shape):
+        p, n, m, k, seed = shape
+        pool = random_channel(np.random.default_rng(seed), n=p, m=m, k=k)
+        assert_matches_svd(pool, n, 6, seed)
+        assert_direct_matches_svd(pool)
+
+    def test_nearly_collinear_users(self):
+        rng = np.random.default_rng(21)
+        base = random_channel(rng, n=1, m=24, k=3)
+        pool = base + 1e-7 * random_channel(rng, n=5, m=24, k=3)
+        dem = assert_matches_svd(pool, 3, 10, 5)
+        assert np.all(np.isfinite(dem)) and np.all(dem > 1e6)
+        assert_direct_matches_svd(pool)
+
+    def test_more_users_than_elements(self):
+        pool = random_channel(np.random.default_rng(22), n=6, m=3, k=4)
+        dem = assert_matches_svd(pool, 4, 8, 6)
+        assert np.all(np.isfinite(dem))  # sigma_min of the M nonzero values
+        assert_direct_matches_svd(pool)
+
+    @pytest.mark.parametrize("n, m", [(1, 4), (2, 8), (4, 8), (3, 16), (8, 8)])
+    def test_dft_rows(self, n, m):
+        h = dft_rows(n, m)
+        assert_direct_matches_svd(h, snr_db=20.0)
+        assert_matches_svd(h, n, 3, 0, snr_db=20.0)
+
+    def test_co_located_users_give_inf(self):
+        pool = random_channel(np.random.default_rng(23), n=6, m=10, k=2)
+        pool[4] = pool[1]
+        dem = assert_matches_svd(pool, 2, 40, 8)
+        assert np.any(np.isinf(dem)) and np.any(np.isfinite(dem))
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            assert demmel_condition(pool) == np.inf
+
+    def test_well_conditioned_pool_needs_no_svd(self, monkeypatch):
+        pool = random_channel(np.random.default_rng(24), n=8, m=32, k=3)
+        calls = count_svd_calls(monkeypatch)
+        multiuser_trials(pool, 3, 50, np.random.default_rng(1))
+        assert calls == []
+
+    def test_svd_only_for_ill_conditioned_subset(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        pool = random_channel(rng, n=5, m=32, k=3)
+        pool[3] = pool[0] + 1e-4 * random_channel(rng, n=1, m=32, k=3)[0]
+        replay = np.random.default_rng(2)
+        ill = sum(
+            set(replay.choice(5, size=2, replace=False)) == {0, 3}
+            for _ in range(30)
+        )
+        assert ill >= 1
+        calls = count_svd_calls(monkeypatch)
+        assert_matches_svd(pool, 2, 30, 2)
+        assert calls == [(3, 2, 32)] * ill
+
+    def test_non_finite_pool_rejected_up_front(self):
+        pool = random_channel(np.random.default_rng(26), n=6, m=8, k=2)
+        pool[5, 0, 0] = np.nan
+        assert np.random.default_rng(1).choice(6, 1, replace=False) != 5  # not drawn
+        with pytest.raises(ValueError, match="finite"):
+            multiuser_trials(pool, 1, 1, np.random.default_rng(1))
 
 
 class TestAmplitudeMetrics:

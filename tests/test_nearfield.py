@@ -307,8 +307,8 @@ class TestFfPathMatrix:
         path = los_path(azimuth=0.7, phase=0.4)
         mat = ff_path_matrix(path, geom, np.array([90e9, 110e9]))
         assert_allclose(np.abs(mat), 1.0, rtol=1e-12)
-        # anchored at the first element regardless of the reference index
-        assert_allclose(mat[0], np.exp(-1j * 0.4) * np.ones(2), atol=1e-14)
+        # anchored at the reference element, like the spherical-wave weights
+        assert_allclose(mat[5], np.exp(-1j * 0.4) * np.ones(2), atol=1e-14)
 
     def test_endfire_alternates_sign_at_half_wavelength(self):
         f = 100e9
@@ -340,6 +340,18 @@ class TestPlaneWaveLimit:
         dphi = np.angle(nf * np.conj(ff))
         assert np.max(np.abs(dphi)) < 1e-3
         assert_allclose(np.abs(nf), 1.0, atol=1e-5)
+
+    @pytest.mark.parametrize("reference", ["first", "middle", "last"])
+    def test_nf_tends_to_ff_for_any_reference_index(self, reference):
+        m = 101
+        ref = {"first": 0, "middle": m // 2, "last": m - 1}[reference]
+        geom = ArrayGeometry(num_elements=m, spacing=0.0015, reference_index=ref)
+        path = los_path(distance=1e6, azimuth=np.deg2rad(35.0), phase=0.7)
+        freqs = np.array([90e9, 100e9, 110e9])
+        omni = AntennaPattern()
+        nf = nf_path_matrix(expand_path(path, geom, 100e9), omni, omni, freqs)
+        ff = ff_path_matrix(path, geom, freqs)
+        assert np.max(np.abs(nf - ff)) < 1e-4
 
 
 class TestBuildATensor:

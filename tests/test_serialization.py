@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from xlmimo.serialization import (
     PATH_COLUMNS,
     config_sha256,
     read_channel,
+    read_channel_header,
     read_json,
     read_paths_csv,
     read_yaml,
@@ -251,3 +253,77 @@ class TestChannelIO:
         (base.parent / "chan.bin").write_bytes(raw[:-8])
         with pytest.raises(ConfigError, match="size"):
             read_channel(base)
+
+    def test_truncated_file_rejected_before_reading(self, tmp_path, monkeypatch):
+        base = tmp_path / "chan"
+        write_channel(base, self.make_tensor())
+        raw = (tmp_path / "chan.bin").read_bytes()
+        (tmp_path / "chan.bin").write_bytes(raw[: len(raw) // 2])
+        reads = []
+        monkeypatch.setattr(np, "fromfile", lambda *a, **k: reads.append(a))
+        for reader in (read_channel, read_channel_header):
+            with pytest.raises(ConfigError, match="size"):
+                reader(base)
+        assert reads == []
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("shape", [2, 4], "shape"),
+            ("shape", [2, -4, 3], "shape"),
+            ("shape", [2, 4.0, 3], "shape"),
+            ("shape", "2x4x3", "shape"),
+            ("grid", {"f_low_hz": 90e9, "f_high_hz": 110e9, "num_points": 4}, "grid"),
+            ("array", {"num_elements": 5}, "array"),
+            ("grid", {"num_points": 3}, "grid"),
+            ("variant", "bogus", "variant"),
+            ("array", {"num_elements": 4, "spacing_m": -1.0}, "array"),
+        ],
+    )
+    def test_bad_header_rejected(self, tmp_path, key, value, match):
+        base = tmp_path / "chan"
+        write_channel(base, self.make_tensor())
+        meta = read_json(f"{base}.json")
+        meta[key] = value
+        write_json(f"{base}.json", meta)
+        with pytest.raises(ConfigError, match=match):
+            read_channel(base)
+
+    @pytest.mark.parametrize("text", ["{not json", "[2, 4, 3]"])
+    def test_unparseable_header_rejected(self, tmp_path, text):
+        base = tmp_path / "chan"
+        write_channel(base, self.make_tensor())
+        (tmp_path / "chan.json").write_text(text)
+        with pytest.raises(ConfigError, match="JSON"):
+            read_channel(base)
+
+    def test_header_shape_and_size_agree_but_grid_does_not(self, tmp_path):
+        # a consistent .bin for shape (2, 4, 6) under a 3-point grid
+        base = tmp_path / "chan"
+        write_channel(base, self.make_tensor())
+        meta = read_json(f"{base}.json")
+        meta["shape"] = [2, 4, 6]
+        write_json(f"{base}.json", meta)
+        (tmp_path / "chan.bin").write_bytes(bytes(2 * 4 * 6 * 8))
+        with pytest.raises(ConfigError, match="grid"):
+            read_channel_header(base)
+
+    def test_peak_memory_is_tensor_plus_one_user_slab(self, tmp_path):
+        users, elements, points = 4, 64, 512
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal((users, elements, points)) + 0j
+        grid = FrequencyGrid(f_low_hz=90e9, f_high_hz=110e9, num_points=points)
+        write_channel(tmp_path / "chan", ChannelTensor(values=values, grid=grid))
+        del values
+        slab = elements * points * 8  # one user in complex64
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tensor, _ = read_channel(tmp_path / "chan")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tensor.values.dtype == complex
+        # the header and Python objects take a few kB on top
+        assert peak <= tensor.values.nbytes + slab + 64 * 1024
