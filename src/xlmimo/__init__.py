@@ -32,7 +32,6 @@ from .nearfield import (  # noqa: E402
     WavefrontModel,
     build_a_tensor,
     expand_path,
-    ff_path_matrix,
     ff_phase_delta,
     nf_path_matrix,
     nf_phase_delta,

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError
-from .geometry import ArrayGeometry, SPEED_OF_LIGHT, direction_vector
-from .nearfield import (
-    AntennaPattern,
-    WavefrontModel,
-    build_a_tensor,
-    expand_path,
-)
+from .geometry import ArrayGeometry
+from .nearfield import AntennaPattern, build_a_tensor, expand_path
 from .sns import AAFStatParams, build_aaf_matrix
 
 #: Supported synthesis variants: wavefront axis (nf = per-path spherical
@@ -29,6 +23,13 @@ from .sns import AAFStatParams, build_aaf_matrix
 #: generated attenuation factors, ss = none), plus the classical abrupt
 #: baseline (vr = plane waves with binary on/off visibility intervals).
 VARIANTS = ("nf-sns", "nf-ss", "ff-sns", "ff-ss", "vr")
+
+
+def _plane_wave(variant: str) -> bool:
+    """Whether ``variant`` expands every path as a plane wave."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return variant.startswith("ff-") or variant == "vr"
 
 
 @dataclass
@@ -43,9 +44,9 @@ class FrequencyGrid:
         self.f_low_hz = float(self.f_low_hz)
         self.f_high_hz = float(self.f_high_hz)
         self.num_points = int(self.num_points)
-        if not 0.0 < self.f_low_hz <= self.f_high_hz:
+        if not 0.0 < self.f_low_hz <= self.f_high_hz < np.inf:
             raise ValueError(
-                f"need 0 < f_low_hz <= f_high_hz, got "
+                f"need 0 < f_low_hz <= f_high_hz < inf, got "
                 f"({self.f_low_hz}, {self.f_high_hz})"
             )
         if self.num_points < 1:
@@ -215,10 +216,7 @@ def assemble(
         output either way).
     """
     paths = list(paths)
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     frequencies = grid.points()
-    force_ff = variant.startswith("ff-") or variant == "vr"
     a = build_a_tensor(
         paths,
         geometry,
@@ -226,7 +224,7 @@ def assemble(
         rx_pattern,
         frequencies,
         carrier_hz=grid.carrier_hz,
-        force_ff=force_ff,
+        force_ff=_plane_wave(variant),
     )
     if aaf is None:
         aaf = build_variant_aaf(paths, geometry.num_elements, variant, seed=seed)
@@ -298,18 +296,18 @@ def path_table(
     rx_pattern: AntennaPattern,
     carrier_hz: float,
     aaf: np.ndarray,
-    force_ff: bool = False,
+    variant: str = "nf-sns",
 ) -> PathTable:
     """Per-element path amplitudes, delays, phases, and distances.
 
-    Plane-wave paths keep their reference amplitude, delay, and distance at
-    every element, with linear carrier phase along the array anchored at
-    the reference element; the rest follow their spherical-wave expansion.
+    Each row comes from :func:`expand_path` under the path's wavefront
+    model, or as a plane wave when ``variant`` forces one (``ff-*``/``vr``,
+    as in :func:`assemble`).
     """
     paths = list(paths)
     if not paths:
         raise ValueError("paths must be non-empty")
-    carrier_hz = float(carrier_hz)
+    plane_wave = _plane_wave(variant)
     aaf = np.asarray(aaf, dtype=float)
     if aaf.shape != (geometry.num_elements, len(paths)):
         raise ValueError(
@@ -320,30 +318,13 @@ def path_table(
     phases = np.empty_like(aaf)
     distances = np.empty_like(aaf)
     for l, path in enumerate(paths):
-        if force_ff or path.model is WavefrontModel.FF:
-            u = float(np.dot(direction_vector(path.aod), geometry.axis))
-            m_idx = np.arange(geometry.num_elements) - geometry.reference_index
-            amplitudes[:, l] = path.amplitude
-            delays[:, l] = path.delay
-            phases[:, l] = path.phase - (
-                2.0 * np.pi * carrier_hz * geometry.spacing * u / SPEED_OF_LIGHT
-            ) * m_idx
-            distances[:, l] = path.distance
-        else:
-            expansion = expand_path(path, geometry, carrier_hz)
-            ref = expansion.reference_index
-            ft = tx_pattern.field_gain(expansion.aod)
-            fr = rx_pattern.field_gain(expansion.aoa)
-            if ft[ref] == 0.0 or fr[ref] == 0.0:
-                raise GeometryError(
-                    f"path {l}: pattern gain at the reference direction is zero"
-                )
-            amplitudes[:, l] = (
-                expansion.amplitudes * (ft / ft[ref]) * (fr / fr[ref])
-            )
-            delays[:, l] = expansion.delays
-            phases[:, l] = expansion.phases
-            distances[:, l] = expansion.distances
+        expansion = expand_path(
+            path, geometry, carrier_hz, tx_pattern, rx_pattern, plane_wave
+        )
+        amplitudes[:, l] = expansion.amplitudes
+        delays[:, l] = expansion.delays
+        phases[:, l] = expansion.phases
+        distances[:, l] = expansion.distances
     return PathTable(
         amplitudes=amplitudes * aaf,
         delays=delays,

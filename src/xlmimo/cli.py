@@ -228,6 +228,13 @@ def _cmd_synthesize(args) -> int:
 
     if args.paths:
         all_paths = [read_paths_csv(path) for path in args.paths]
+        for fn, paths in zip(args.paths, all_paths):
+            for i, p in enumerate(paths):
+                if p.aaf is not None and p.aaf.size != geometry.num_elements:
+                    raise ConfigError(
+                        f"{fn}: row {i + 1}: fixed aaf length {p.aaf.size} != "
+                        f"num_elements {geometry.num_elements}"
+                    )
     else:
         all_paths = scenario.build_all_paths(cfg)
     if _needs_seed(variant, all_paths) and seed is None:
@@ -235,7 +242,6 @@ def _cmd_synthesize(args) -> int:
             "seed is required: the variant generates random attenuation factors"
         )
 
-    force_ff = variant.startswith("ff-") or variant == "vr"
     sha = config_sha256(cfg)
     tensors = []
     table_rows = []
@@ -267,7 +273,7 @@ def _cmd_synthesize(args) -> int:
             rx_pattern,
             grid.carrier_hz,
             aaf,
-            force_ff=force_ff,
+            variant=variant,
         )
         for l, path in enumerate(paths):
             for m in range(geometry.num_elements):

@@ -130,8 +130,8 @@ class ArrayGeometry:
         self.reference_index = int(self.reference_index)
         if self.num_elements < 1:
             raise ValueError(f"num_elements must be >= 1, got {self.num_elements}")
-        if self.spacing <= 0.0:
-            raise ValueError(f"spacing must be > 0, got {self.spacing}")
+        if not 0.0 < self.spacing < np.inf:
+            raise ValueError(f"spacing must be finite and > 0, got {self.spacing}")
         if not 0 <= self.reference_index < self.num_elements:
             raise ValueError(
                 f"reference_index {self.reference_index} outside "

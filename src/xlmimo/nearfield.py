@@ -7,7 +7,10 @@ down, so the reference parameters are expanded element by element under a
 spherical-wave model.  Reflected paths use the mirror image of the receiver
 as the effective source (specular reflections preserve the spherical
 wavefront); scattered paths treat the scattering point itself as the source
-and keep the arrival direction fixed.
+and keep the arrival direction fixed.  Plane waves, the far-field baseline,
+are the infinite-distance limit of the same expansion.  One function,
+:func:`expand_path`, expands a path under any of these models, and both the
+wideband weights and the per-element path table derive from its output.
 
 Arrival directions are propagation directions at the receiver (pointing away
 from the array), so for a direct path the arrival direction equals the
@@ -23,6 +26,7 @@ import numpy as np
 
 from .errors import GeometryError, NumericError
 from .geometry import (
+    _DEGENERATE_DISTANCE,
     SPEED_OF_LIGHT,
     Angles,
     ArrayGeometry,
@@ -30,8 +34,6 @@ from .geometry import (
     angles_from_vector,
     direction_vector,
 )
-
-_DEGENERATE_DISTANCE = 1e-12
 
 
 class WavefrontModel(enum.Enum):
@@ -46,7 +48,8 @@ class WavefrontModel(enum.Enum):
         Point scattering; spherical wavefront from the scattering point,
         arrival direction fixed at its reference value.
     FF
-        Plane wave; no per-element expansion.
+        Plane wave; linear phase ramp from the reference element, with
+        amplitude, delay and distance kept at their reference values.
     """
 
     LOS = "los"
@@ -99,16 +102,18 @@ class AntennaPattern:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
         self.gain_dbi = float(self.gain_dbi)
         self.floor_db = float(self.floor_db)
+        if not np.isfinite(self.gain_dbi):
+            raise ValueError(f"gain_dbi must be finite, got {self.gain_dbi}")
         if self.kind == "gaussian_lobe":
             if self.boresight is None:
                 raise ValueError("gaussian_lobe pattern requires a boresight")
             self.boresight = _as_unit_vec3(self.boresight, "boresight")
             self.hpbw_az = float(self.hpbw_az)
             self.hpbw_el = float(self.hpbw_el)
-            if self.hpbw_az <= 0.0 or self.hpbw_el <= 0.0:
-                raise ValueError("gaussian_lobe beamwidths must be > 0")
-            if self.floor_db <= 0.0:
-                raise ValueError("floor_db must be > 0")
+            if not (0.0 < self.hpbw_az < np.inf and 0.0 < self.hpbw_el < np.inf):
+                raise ValueError("gaussian_lobe beamwidths must be finite and > 0")
+            if not 0.0 < self.floor_db < np.inf:
+                raise ValueError("floor_db must be finite and > 0")
 
     def gain_db(self, direction) -> np.ndarray:
         """Power gain in dB toward unit direction(s) of shape (..., 3)."""
@@ -174,12 +179,14 @@ class PathRecord:
         self.phase = float(self.phase)
         self.delay = float(self.delay)
         self.distance = float(self.distance)
-        if self.amplitude <= 0.0:
-            raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
-        if self.delay < 0.0:
-            raise ValueError(f"delay must be >= 0, got {self.delay}")
-        if self.distance <= 0.0:
-            raise ValueError(f"distance must be > 0, got {self.distance}")
+        if not 0.0 < self.amplitude < np.inf:
+            raise ValueError(f"amplitude must be finite and > 0, got {self.amplitude}")
+        if not np.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
+        if not 0.0 <= self.delay < np.inf:
+            raise ValueError(f"delay must be finite and >= 0, got {self.delay}")
+        if not 0.0 < self.distance < np.inf:
+            raise ValueError(f"distance must be finite and > 0, got {self.distance}")
         if not isinstance(self.aod, Angles) or not isinstance(self.aoa, Angles):
             raise ValueError("aod and aoa must be Angles")
         if self.aaf is not None:
@@ -195,11 +202,16 @@ class NearFieldExpansion:
     """Per-element path parameters produced by :func:`expand_path`.
 
     All arrays have the array's M elements along the first axis.  The row at
-    ``reference_index`` reproduces the reference parameters exactly.
+    ``reference_index`` reproduces the reference parameters; ``gains`` is 1
+    and ``excess_lengths`` is 0 there.  The path table reads ``amplitudes``,
+    ``delays`` and ``phases``; :func:`nf_path_matrix` reads ``gains``,
+    ``excess_lengths`` and the reference phase.
     """
 
     distances: np.ndarray  # metres, (M,)
-    amplitudes: np.ndarray  # linear, (M,)
+    amplitudes: np.ndarray  # linear, with pattern ratios, (M,)
+    gains: np.ndarray  # amplitude relative to the reference element, (M,)
+    excess_lengths: np.ndarray  # c * excess delay over the reference, metres, (M,)
     phases: np.ndarray  # radians at carrier_hz, (M,)
     delays: np.ndarray  # seconds, (M,)
     aod: np.ndarray  # unit vectors, (M, 3)
@@ -209,136 +221,132 @@ class NearFieldExpansion:
 
 
 def expand_path(
-    path: PathRecord, geometry: ArrayGeometry, carrier_hz: float
+    path: PathRecord,
+    geometry: ArrayGeometry,
+    carrier_hz: float,
+    tx_pattern: AntennaPattern = None,
+    rx_pattern: AntennaPattern = None,
+    force_ff: bool = False,
 ) -> NearFieldExpansion:
     """Expand reference path parameters to every array element.
 
-    The source point sits at ``path.distance`` along ``path.aod`` from the
-    reference element.  Element m at offset r_m sees distance
-    ``d_m = ||distance * aod - r_m||``; amplitudes scale with ``distance /
-    d_m``, phases advance by ``2*pi*carrier_hz*(d_m - distance)/c`` and
-    delays by ``(d_m - distance)/c``.  Departure directions point from each
-    element to the source.  Arrival directions follow the departure
-    increment for LOS/SRM paths (renormalized) and stay fixed for SPM.
+    Spherical waves (LOS/SRM/SPM): the source point sits at
+    ``path.distance`` along ``path.aod`` from the reference element.
+    Element m at offset r_m sees distance ``d_m = ||distance * aod - r_m||``;
+    amplitudes scale with ``distance / d_m``, phases advance by
+    ``2*pi*carrier_hz*(d_m - distance)/c`` and delays by
+    ``(d_m - distance)/c``.  Departure directions point from each element to
+    the source.  Arrival directions follow the departure increment for
+    LOS/SRM paths (renormalized) and stay fixed for SPM.
+
+    Plane waves (FF, or any model when ``force_ff`` is set), the
+    infinite-distance limit: the excess length is
+    ``-(m - reference_index) * spacing * (aod . axis)``, the gain is 1, the
+    carrier phase ramps by ``2*pi*carrier_hz/c`` times the excess length,
+    and amplitude, delay, distance and directions keep their reference
+    values.
+
+    Both models then scale amplitudes and gains by the element-pattern
+    ratios ``Ft(aod_m) / Ft(aod_ref) * Fr(aoa_m) / Fr(aoa_ref)``.
 
     Parameters
     ----------
     path : PathRecord
-        Reference path description; ``path.model`` must not be FF.
     geometry : ArrayGeometry
-        The array to expand over.
     carrier_hz : float
         Carrier frequency used for the per-element phase bookkeeping.
+    tx_pattern, rx_pattern : AntennaPattern, optional
+        Element patterns; None is omnidirectional (no ratio).
+    force_ff : bool
+        Expand as a plane wave regardless of ``path.model``.
 
     Raises
     ------
-    ValueError
-        If the path is a plane-wave (FF) path.
     GeometryError
         If an element coincides with the source or the arrival-direction
         update degenerates.
+    NumericError
+        If a pattern gain at the reference directions is zero.
     """
-    if path.model is WavefrontModel.FF:
-        raise ValueError("plane-wave paths have no per-element expansion")
     carrier_hz = float(carrier_hz)
-    if carrier_hz <= 0.0:
-        raise ValueError(f"carrier_hz must be > 0, got {carrier_hz}")
-
+    if not 0.0 < carrier_hz < np.inf:
+        raise ValueError(f"carrier_hz must be finite and > 0, got {carrier_hz}")
+    m = geometry.num_elements
+    ref = geometry.reference_index
     aod_ref = direction_vector(path.aod)
     aoa_ref = direction_vector(path.aoa)
-    offsets = geometry.element_offsets()
-    diff = path.distance * aod_ref - offsets
-    distances = np.linalg.norm(diff, axis=1)
-    if np.any(distances < _DEGENERATE_DISTANCE):
-        raise GeometryError("array element coincides with the path source")
 
-    delta = distances - path.distance
-    amplitudes = path.amplitude * path.distance / distances
-    phases = path.phase + 2.0 * np.pi * carrier_hz / SPEED_OF_LIGHT * delta
-    delays = path.delay + delta / SPEED_OF_LIGHT
-    aod = diff / distances[:, None]
-
-    if path.model is WavefrontModel.SPM:
-        aoa = np.broadcast_to(aoa_ref, aod.shape).copy()
+    if force_ff or path.model is WavefrontModel.FF:
+        u = float(np.dot(aod_ref, geometry.axis))
+        delta = excess = (np.arange(m) - ref) * (-geometry.spacing * u)
+        distances = np.full(m, path.distance)
+        amplitudes = np.full(m, path.amplitude)
+        gains = np.ones(m)
+        delays = np.full(m, path.delay)
+        aod = np.broadcast_to(aod_ref, (m, 3))
+        aoa = np.broadcast_to(aoa_ref, (m, 3))
     else:
-        raw = aod - aod_ref + aoa_ref
-        norms = np.linalg.norm(raw, axis=1)
-        if np.any(norms < _DEGENERATE_DISTANCE):
-            raise GeometryError("arrival-direction update degenerated")
-        aoa = raw / norms[:, None]
+        diff = path.distance * aod_ref - geometry.element_offsets()
+        distances = np.linalg.norm(diff, axis=1)
+        if np.any(distances < _DEGENERATE_DISTANCE):
+            raise GeometryError("array element coincides with the path source")
+        delta = distances - path.distance
+        excess = distances - distances[ref]
+        amplitudes = path.amplitude * path.distance / distances
+        gains = distances[ref] / distances
+        delays = path.delay + delta / SPEED_OF_LIGHT
+        aod = diff / distances[:, None]
+        if path.model is WavefrontModel.SPM:
+            aoa = np.broadcast_to(aoa_ref, aod.shape).copy()
+        else:
+            raw = aod - aod_ref + aoa_ref
+            norms = np.linalg.norm(raw, axis=1)
+            if np.any(norms < _DEGENERATE_DISTANCE):
+                raise GeometryError("arrival-direction update degenerated")
+            aoa = raw / norms[:, None]
+
+    for pattern, directions in ((tx_pattern, aod), (rx_pattern, aoa)):
+        if pattern is not None:
+            field_gain = pattern.field_gain(directions)
+            if field_gain[ref] == 0.0:
+                raise NumericError("pattern gain at the reference direction is zero")
+            ratio = field_gain / field_gain[ref]
+            amplitudes = amplitudes * ratio
+            gains = gains * ratio
 
     return NearFieldExpansion(
         distances=distances,
         amplitudes=amplitudes,
-        phases=phases,
+        gains=gains,
+        excess_lengths=excess,
+        phases=path.phase + 2.0 * np.pi * carrier_hz / SPEED_OF_LIGHT * delta,
         delays=delays,
         aod=aod,
         aoa=aoa,
-        reference_index=geometry.reference_index,
+        reference_index=ref,
         carrier_hz=carrier_hz,
     )
 
 
-def nf_path_matrix(
-    expansion: NearFieldExpansion,
-    tx_pattern: AntennaPattern,
-    rx_pattern: AntennaPattern,
-    frequencies,
-) -> np.ndarray:
+def nf_path_matrix(expansion: NearFieldExpansion, frequencies) -> np.ndarray:
     """Per-element complex weights of one expanded path, shape (M, K).
 
     Entry (m, k) is the ratio of element m's response to the reference
-    element's response at frequency k:
+    element's response at frequency k, for every wavefront model:
 
-    ``(d_ref / d_m) * (Ft(aod_m) / Ft(aod_ref)) * (Fr(aoa_m) / Fr(aoa_ref))
-    * exp(-1j * (2*pi*f_k*(d_m - d_ref)/c + phase_ref))``
+    ``gain_m * exp(-1j * (2*pi*f_k*excess_length_m/c + phase_ref))``
 
     where ``phase_ref`` is the expansion's phase at the reference element.
-
-    Raises
-    ------
-    NumericError
-        If a pattern gain at the reference directions is zero.
     """
     frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    if np.any(frequencies <= 0.0):
+    if not np.all(frequencies > 0.0):
         raise ValueError("frequencies must be > 0")
-    ref = expansion.reference_index
-    d_ref = expansion.distances[ref]
-    phase_ref = expansion.phases[ref]
-
-    ft = tx_pattern.field_gain(expansion.aod)
-    fr = rx_pattern.field_gain(expansion.aoa)
-    if ft[ref] == 0.0 or fr[ref] == 0.0:
-        raise NumericError("pattern gain at the reference direction is zero")
-
-    amp = (d_ref / expansion.distances) * (ft / ft[ref]) * (fr / fr[ref])
-    delta = expansion.distances - d_ref
+    phase_ref = expansion.phases[expansion.reference_index]
     phase = (
-        -2.0 * np.pi / SPEED_OF_LIGHT * np.outer(delta, frequencies) - phase_ref
+        -2.0 * np.pi / SPEED_OF_LIGHT * np.outer(expansion.excess_lengths, frequencies)
+        - phase_ref
     )
-    return amp[:, None] * np.exp(1j * phase)
-
-
-def ff_path_matrix(
-    path: PathRecord, geometry: ArrayGeometry, frequencies
-) -> np.ndarray:
-    """Plane-wave per-element weights of one path, shape (M, K).
-
-    Unit-magnitude entries with linear phase along the array: element m at
-    frequency f gets phase
-    ``2*pi*f*spacing*(m - reference_index)*(aod . axis)/c - phase_ref``,
-    the infinite-distance limit of the spherical-wave weights.
-    """
-    frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    if np.any(frequencies <= 0.0):
-        raise ValueError("frequencies must be > 0")
-    u = float(np.dot(direction_vector(path.aod), geometry.axis))
-    m_idx = np.arange(geometry.num_elements) - geometry.reference_index
-    phase = (
-        2.0 * np.pi * geometry.spacing * u / SPEED_OF_LIGHT
-    ) * np.outer(m_idx, frequencies) - path.phase
-    return np.exp(1j * phase)
+    return expansion.gains[:, None] * np.exp(1j * phase)
 
 
 def build_a_tensor(
@@ -352,9 +360,8 @@ def build_a_tensor(
 ) -> np.ndarray:
     """Per-element weight tensor for a list of paths, shape (M, L, K).
 
-    Paths tagged FF (or all paths, when ``force_ff`` is set) use the
-    plane-wave weights; the rest are expanded under their spherical-wave
-    model.
+    Each path is expanded under its own wavefront model, or as a plane wave
+    when ``force_ff`` is set; see :func:`expand_path`.
 
     Parameters
     ----------
@@ -375,13 +382,10 @@ def build_a_tensor(
         (geometry.num_elements, len(paths), frequencies.size), dtype=complex
     )
     for l, path in enumerate(paths):
-        if force_ff or path.model is WavefrontModel.FF:
-            out[:, l, :] = ff_path_matrix(path, geometry, frequencies)
-        else:
-            expansion = expand_path(path, geometry, carrier_hz)
-            out[:, l, :] = nf_path_matrix(
-                expansion, tx_pattern, rx_pattern, frequencies
-            )
+        expansion = expand_path(
+            path, geometry, carrier_hz, tx_pattern, rx_pattern, force_ff
+        )
+        out[:, l, :] = nf_path_matrix(expansion, frequencies)
     return out
 
 

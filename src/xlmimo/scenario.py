@@ -229,6 +229,8 @@ def _require(mapping, key, kind, context):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{context}.{key} must be finite, got {value!r}")
         return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
@@ -246,8 +248,9 @@ def _vec3(value, context):
         not isinstance(value, (list, tuple))
         or len(value) != 3
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        or not all(math.isfinite(v) for v in value)
     ):
-        raise ConfigError(f"{context} must be a list of three numbers, got {value!r}")
+        raise ConfigError(f"{context} must be a list of three finite numbers, got {value!r}")
     return [float(v) for v in value]
 
 
@@ -268,8 +271,8 @@ def validate_config(config: dict) -> dict:
     if not isinstance(cfg["name"], str):
         raise ConfigError("name must be a string")
     seed = cfg.setdefault("seed", None)
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise ConfigError(f"seed must be an integer or null, got {seed!r}")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ConfigError(f"seed must be a non-negative integer or null, got {seed!r}")
     variant = cfg.setdefault("variant", "nf-sns")
     if variant not in VARIANTS:
         raise ConfigError(
@@ -377,6 +380,8 @@ def validate_config(config: dict) -> dict:
         build_geometry(cfg)
         build_grid(cfg)
         build_patterns(cfg)
+        for ref in reflectors:
+            Plane(point=ref["point"], normal=ref["normal"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

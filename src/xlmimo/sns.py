@@ -55,6 +55,9 @@ class AAFStatParams:
         self.lambda_corr = float(self.lambda_corr)
         self.p_range = (float(self.p_range[0]), float(self.p_range[1]))
         self.dcorr_range = (float(self.dcorr_range[0]), float(self.dcorr_range[1]))
+        values = (self.mu_p, self.sigma_p, self.xi, self.gamma, self.lambda_corr)
+        if not np.all(np.isfinite(values + self.p_range + self.dcorr_range)):
+            raise ValueError("aaf hyper-parameters must be finite")
         if self.sigma_p <= 0.0:
             raise ValueError(f"sigma_p must be > 0, got {self.sigma_p}")
         if self.lambda_corr <= 0.0:

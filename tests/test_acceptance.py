@@ -316,7 +316,7 @@ def test_07_nonstationarity_statistics_beat_baseline_models():
             )
         )
 
-    def pooled_metrics(variant, seed, force_ff, reps=10):
+    def pooled_metrics(variant, seed, reps=10):
         # pool per-element metrics over independent realizations; a single
         # 301-element realization is too correlated for stable CDF distances
         pools = {"gain": [], "kfactor": [], "delay_spread": []}
@@ -328,7 +328,7 @@ def test_07_nonstationarity_statistics_beat_baseline_models():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 table = path_table(
-                    paths, geom, omni, omni, carrier, aaf, force_ff=force_ff
+                    paths, geom, omni, omni, carrier, aaf, variant=variant
                 )
                 pools["gain"].append(path_gain_db(table.amplitudes))
                 pools["kfactor"].append(rician_k_db(table.amplitudes))
@@ -337,10 +337,10 @@ def test_07_nonstationarity_statistics_beat_baseline_models():
                 )
         return {key: np.concatenate(value) for key, value in pools.items()}
 
-    proposed = pooled_metrics("nf-sns", 1, False)
-    reseeded = pooled_metrics("nf-sns", 2, False)
-    visibility = pooled_metrics("vr", 3, True)
-    stationary = pooled_metrics("nf-ss", None, True)
+    proposed = pooled_metrics("nf-sns", 1)
+    reseeded = pooled_metrics("nf-sns", 2)
+    visibility = pooled_metrics("vr", 3)
+    stationary = pooled_metrics("ff-ss", None)
 
     def finite(x):
         return x[np.isfinite(x)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xlmimo.channel import (
@@ -26,7 +28,6 @@ from xlmimo.nearfield import (
     Stationarity,
     WavefrontModel,
     expand_path,
-    ff_path_matrix,
 )
 
 
@@ -66,6 +67,9 @@ class TestFrequencyGrid:
             FrequencyGrid(0.0, 90e9, 10)
         with pytest.raises(ValueError):
             FrequencyGrid(90e9, 110e9, 0)
+        for low, high in ((np.nan, 90e9), (90e9, np.nan), (90e9, np.inf)):
+            with pytest.raises(ValueError):
+                FrequencyGrid(low, high, 10)
 
 
 class TestReferenceResponse:
@@ -242,7 +246,10 @@ class TestAssemble:
         p = los_path(distance=1.2, azimuth=0.6, amplitude=0.5)
         out = assemble([p], geom, OMNI, OMNI, grid, variant="ff-ss")
         f = grid.points()
-        want = ff_path_matrix(p, geom, f) * reference_response([p], f)[0][None, :]
+        # closed form: exp(j(2*pi*f*spacing*u*(m - ref)/c - phase))
+        u = np.dot(direction_vector(p.aod), geom.axis)
+        ramp = 2 * np.pi * np.outer(np.arange(8), f) * 0.0015 * u / SPEED_OF_LIGHT
+        want = np.exp(1j * (ramp - p.phase)) * reference_response([p], f)[0][None, :]
         assert_allclose(out.values[0], want, rtol=1e-12)
 
     def test_zeroed_attenuation_removes_path(self):
@@ -356,30 +363,67 @@ class TestPathTable:
         p = los_path(distance=1e6, azimuth=0.6, phase=-0.4)
         ones = np.ones((m, 1))
         nf = path_table([p], geom, OMNI, OMNI, 100e9, ones)
-        ff = path_table([p], geom, OMNI, OMNI, 100e9, ones, force_ff=True)
+        ff = path_table([p], geom, OMNI, OMNI, 100e9, ones, variant="ff-ss")
         assert np.max(np.abs(np.exp(1j * nf.phases) - np.exp(1j * ff.phases))) < 1e-4
         assert ff.phases[ref, 0] == p.phase
 
-    def test_consistent_with_assembled_channel_at_carrier(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_elements=st.integers(1, 12),
+        reference=st.floats(0.0, 1.0),
+        paths=st.lists(
+            st.tuples(
+                st.sampled_from(list(WavefrontModel)),
+                st.floats(0.3, 3.0),  # distance
+                st.floats(-np.pi + 0.01, np.pi),  # aod azimuth
+                st.floats(0.3, np.pi - 0.3),  # aod elevation
+                st.floats(-np.pi + 0.01, np.pi),  # aoa azimuth
+                st.floats(0.01, 2.0),  # amplitude
+                st.floats(-np.pi, np.pi),  # phase
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        lobes=st.booleans(),
+        variant=st.sampled_from(["nf-sns", "ff-sns"]),
+        carrier=st.floats(60e9, 300e9),
+        aaf_seed=st.integers(0, 2**16),
+    )
+    def test_consistent_with_assembled_channel_at_carrier(
+        self, num_elements, reference, paths, lobes, variant, carrier, aaf_seed
+    ):
         # reconstruction identity: H(f_c) = sum_l amp * exp(-j(phase +
-        # 2*pi*f_c*delay_ref)) for both wavefront branches
-        geom = ArrayGeometry(num_elements=8, spacing=0.002, reference_index=2)
-        grid = FrequencyGrid(100e9, 100e9, 1)
-        paths = [
-            los_path(distance=0.9, azimuth=0.2, amplitude=0.8, phase=0.3),
-            los_path(distance=1.7, azimuth=-0.6, amplitude=0.4, phase=-0.8,
-                     model=WavefrontModel.FF),
+        # 2*pi*f_c*delay_ref)) for every wavefront model, with or without
+        # plane-wave forcing
+        ref = min(int(reference * num_elements), num_elements - 1)
+        geom = ArrayGeometry(num_elements=num_elements, spacing=0.002,
+                             reference_index=ref)
+        grid = FrequencyGrid(carrier, carrier, 1)
+        records = [
+            PathRecord(
+                model=model, amplitude=amp, phase=phase,
+                delay=d / SPEED_OF_LIGHT, distance=d,
+                aod=Angles(az, el), aoa=Angles(aoa_az, np.pi / 2),
+            )
+            for model, d, az, el, aoa_az, amp, phase in paths
         ]
-        aaf = np.column_stack([np.linspace(0.4, 1.0, 8), np.ones(8)])
-        chan = assemble(paths, geom, OMNI, OMNI, grid, aaf=aaf)
-        table = path_table(paths, geom, OMNI, OMNI, grid.carrier_hz, aaf)
-        delays_ref = np.array([p.delay for p in paths])
-        recon = np.sum(
-            table.amplitudes
-            * np.exp(-1j * (table.phases + 2 * np.pi * grid.carrier_hz * delays_ref)),
-            axis=1,
+        if lobes:
+            tx = AntennaPattern(kind="gaussian_lobe", gain_dbi=5.0,
+                                boresight=[0.0, 1.0, 0.0], hpbw_az=0.5, hpbw_el=0.5)
+            rx = AntennaPattern(kind="gaussian_lobe", gain_dbi=3.0,
+                                boresight=[0.0, -1.0, 0.0], hpbw_az=0.4, hpbw_el=0.6)
+        else:
+            tx = rx = OMNI
+        aaf = np.random.default_rng(aaf_seed).uniform(0.0, 1.0, (num_elements, len(records)))
+        chan = assemble(records, geom, tx, rx, grid, aaf=aaf, variant=variant)
+        table = path_table(records, geom, tx, rx, grid.carrier_hz, aaf, variant=variant)
+        delays_ref = np.array([p.delay for p in records])
+        terms = table.amplitudes * np.exp(
+            -1j * (table.phases + 2 * np.pi * grid.carrier_hz * delays_ref)
         )
-        assert_allclose(chan.values[0, :, 0], recon, rtol=1e-10)
+        scale = np.sum(np.abs(terms), axis=1)
+        assert_allclose(chan.values[0, :, 0], terms.sum(axis=1), rtol=1e-10,
+                        atol=1e-10 * scale.max())
 
     def test_pattern_ratio_in_amplitudes(self):
         geom = ArrayGeometry(num_elements=2, spacing=0.2)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xlmimo._threads import apply_thread_env
@@ -177,6 +179,123 @@ class TestSynthesizeCommand:
             "scenario.yaml", "paths_ue000.csv", "paths_ue001.csv", "meta.json",
         ):
             assert (outs[0] / fn).read_bytes() == (outs[1] / fn).read_bytes(), fn
+
+
+def staged_paths(tmp_path, **row_edits):
+    """The freespace path list as a --paths file, its first row edited."""
+    staged = tmp_path / "staged"
+    assert main(["scenario", "--preset", "freespace", "--out", str(staged)]) == 0
+    fn = staged / "paths_ue000.csv"
+    rows = read_rows(fn)
+    rows[0].update(row_edits)
+    with open(fn, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return str(fn)
+
+
+class TestSynthesizeInputErrors:
+    @pytest.mark.parametrize(
+        "where, keys, value",
+        [
+            ("config", ("array", "spacing_m"), float("nan")),
+            ("config", ("patterns", "tx", "gain_dbi"), float("nan")),
+            ("config", ("grid", "f_high_hz"), float("inf")),
+            ("paths", ("amplitude",), "nan"),
+            ("paths", ("phase_rad",), "inf"),
+        ],
+        ids=["spacing-nan", "tx-gain-nan", "f-high-inf", "amplitude-nan", "phase-inf"],
+    )
+    def test_non_finite_inputs_exit_2(self, tmp_path, capsys, where, keys, value):
+        from xlmimo.scenario import preset
+
+        out = tmp_path / "out"
+        argv = ["synthesize", "--out", str(out), "--seed", "1"]
+        if where == "paths":
+            argv += ["--preset", "freespace",
+                     "--paths", staged_paths(tmp_path, **{keys[0]: value})]
+        else:
+            cfg = preset("freespace")
+            section = cfg
+            for key in keys[:-1]:
+                section = section[key]
+            section[keys[-1]] = value
+            write_yaml(tmp_path / "cfg.yaml", cfg)
+            argv += ["--config", str(tmp_path / "cfg.yaml")]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "channel.bin").exists()
+
+    def test_wrong_length_fixed_aaf_exits_2(self, tmp_path, capsys):
+        fn = staged_paths(tmp_path, stationarity="sns", aaf="0.5;0.5;0.5")
+        out = tmp_path / "out"
+        argv = ["synthesize", "--preset", "freespace", "--seed", "1",
+                "--paths", fn, "--out", str(out)]
+        assert main(argv) == 2
+        assert "fixed aaf length 3 != num_elements 301" in capsys.readouterr().err
+        assert not (out / "channel.bin").exists()
+
+
+_ROBUST_FIELDS = (
+    ("seed",),
+    ("array", "num_elements"),
+    ("array", "spacing_m"),
+    ("array", "reference_index"),
+    ("grid", "f_low_hz"),
+    ("grid", "f_high_hz"),
+    ("grid", "num_points"),
+    ("patterns", "tx", "gain_dbi"),
+    ("patterns", "rx", "gain_dbi"),
+    ("ues", 0, 0),
+    ("ues", 0, 1),
+    ("reflectors", 0, "loss_db"),
+    ("reflectors", 0, "phase_rad"),
+    ("reflectors", 0, "point", 1),
+    ("reflectors", 0, "normal", 1),
+    ("aaf", "mu_p"),
+    ("aaf", "lambda_corr"),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    edits=st.dictionaries(
+        st.sampled_from(_ROBUST_FIELDS),
+        st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -1.0, None]),
+        min_size=1,
+        max_size=3,
+    ),
+    variant=st.sampled_from(["nf-sns", "ff-ss", "vr"]),
+)
+def test_synthesize_never_crashes_on_bad_numbers(edits, variant):
+    """Every edited config either synthesizes a finite channel or exits 2/3.
+
+    ``None`` keeps the field's typical value from a small case1-concrete.
+    """
+    import tempfile
+
+    from xlmimo.scenario import preset
+
+    cfg = preset("case1-concrete")
+    cfg["array"]["num_elements"] = 16
+    cfg["grid"]["num_points"] = 8
+    cfg["variant"] = variant
+    for keys, value in edits.items():
+        if value is None:
+            continue
+        section = cfg
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_file = f"{tmp}/cfg.yaml"
+        write_yaml(cfg_file, cfg)
+        code = main(["synthesize", "--config", cfg_file, "--out", f"{tmp}/out"])
+        assert code in (0, 2, 3)
+        if code == 0:
+            values = np.fromfile(f"{tmp}/out/channel.bin", dtype="<c8")
+            assert values.size == 16 * 8 and np.all(np.isfinite(values))
 
 
 class TestGenerateAafCommand:

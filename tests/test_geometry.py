@@ -121,6 +121,9 @@ class TestArrayGeometry:
             ArrayGeometry(num_elements=4, spacing=0.1, axis=[1.0, 1.0, 0.0])
         with pytest.raises(ValueError):
             ArrayGeometry(num_elements=4, spacing=0.1, reference_index=4)
+        for spacing in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ArrayGeometry(num_elements=4, spacing=spacing)
 
 
 class TestElementDistance:

@@ -552,7 +552,7 @@ class TestSlidingWindowAngles:
         # oracle: direction cosine from the window-center element to the
         # source
         from xlmimo.geometry import direction_vector, Angles
-        from xlmimo.nearfield import AntennaPattern, expand_path, nf_path_matrix
+        from xlmimo.nearfield import expand_path, nf_path_matrix
         from xlmimo.nearfield import PathRecord, WavefrontModel
         from xlmimo.geometry import ArrayGeometry, SPEED_OF_LIGHT
 
@@ -563,9 +563,7 @@ class TestSlidingWindowAngles:
         ang = Angles(0.35, np.pi / 2)
         path = PathRecord(model=WavefrontModel.LOS, amplitude=1.0, phase=0.0,
                           delay=d / SPEED_OF_LIGHT, distance=d, aod=ang, aoa=ang)
-        exp = expand_path(path, geom, f)
-        omni = AntennaPattern()
-        h = nf_path_matrix(exp, omni, omni, np.array([f]))[:, 0]
+        h = nf_path_matrix(expand_path(path, geom, f), np.array([f]))[:, 0]
         centers, angles = sliding_window_angles(h, lam / 2, lam, window=51)
         src = d * direction_vector(ang)
         offs = geom.element_offsets()

@@ -20,7 +20,6 @@ from xlmimo.nearfield import (
     WavefrontModel,
     build_a_tensor,
     expand_path,
-    ff_path_matrix,
     ff_phase_delta,
     nf_path_matrix,
     nf_phase_delta,
@@ -40,6 +39,19 @@ def los_path(distance=2.0, azimuth=0.4, elevation=np.pi / 2, **kw):
     )
     defaults.update(kw)
     return PathRecord(**defaults)
+
+
+def plane_wave_weights(path, geom, freqs):
+    """Closed form: exp(j(2*pi*f*spacing*u*(m - ref)/c - phase))."""
+    u = np.dot(direction_vector(path.aod), geom.axis)
+    m = np.arange(geom.num_elements) - geom.reference_index
+    return np.exp(1j * (2 * np.pi * np.outer(m, freqs) * geom.spacing * u
+                        / SPEED_OF_LIGHT - path.phase))
+
+
+def plane_wave_matrix(path, geom, freqs):
+    """Plane-wave weights through the shared kernel."""
+    return nf_path_matrix(expand_path(path, geom, 100e9, force_ff=True), freqs)
 
 
 class TestAntennaPattern:
@@ -104,6 +116,12 @@ class TestAntennaPattern:
                 hpbw_az=0.0,
                 hpbw_el=0.1,
             )
+        for gain in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                AntennaPattern(gain_dbi=gain)
+        with pytest.raises(ValueError):
+            AntennaPattern(kind="gaussian_lobe", boresight=[1, 0, 0],
+                           hpbw_az=np.nan, hpbw_el=0.1)
 
 
 class TestPathRecord:
@@ -123,6 +141,10 @@ class TestPathRecord:
             los_path(aaf=np.array([0.5, -0.1]))
         with pytest.raises(ValueError):
             los_path(aaf=np.ones((2, 2)))
+        for field in ("amplitude", "phase", "delay", "distance"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError):
+                    los_path(**{field: bad})
 
 
 class TestExpandPath:
@@ -217,11 +239,26 @@ class TestExpandPath:
         exp = expand_path(path, geom, 100e9)
         assert_allclose(exp.aoa, np.tile(direction_vector(aoa), (16, 1)), atol=1e-15)
 
-    def test_plane_wave_model_rejected(self):
-        geom = ArrayGeometry(num_elements=4, spacing=0.01)
-        path = los_path(model=WavefrontModel.FF)
-        with pytest.raises(ValueError):
-            expand_path(path, geom, 100e9)
+    def test_plane_wave_keeps_reference_values(self):
+        # FF-tagged paths and forced spherical ones expand alike
+        geom = ArrayGeometry(num_elements=9, spacing=0.004, reference_index=6)
+        u = np.cos(0.7)
+        m = np.arange(9) - 6
+        for model, forced in ((WavefrontModel.FF, False), (WavefrontModel.SRM, True)):
+            path = los_path(distance=1.3, azimuth=0.7, amplitude=0.4, phase=0.9,
+                            model=model)
+            exp = expand_path(path, geom, 100e9, force_ff=forced)
+            assert np.all(exp.distances == path.distance)
+            assert np.all(exp.amplitudes == path.amplitude)
+            assert np.all(exp.delays == path.delay)
+            assert np.all(exp.gains == 1.0)
+            assert_allclose(exp.excess_lengths, -m * 0.004 * u, rtol=1e-14)
+            assert_allclose(
+                exp.phases,
+                0.9 - 2 * np.pi * 100e9 * 0.004 * u / SPEED_OF_LIGHT * m,
+                rtol=1e-13,
+            )
+            assert exp.phases[6] == path.phase
 
     def test_source_on_element_raises(self):
         geom = ArrayGeometry(num_elements=4, spacing=0.05)
@@ -234,18 +271,16 @@ class TestNfPathMatrix:
     def test_magnitude_is_distance_ratio_for_omni(self):
         geom = ArrayGeometry(num_elements=32, spacing=0.01, reference_index=7)
         path = los_path(distance=1.5, azimuth=0.9)
-        exp = expand_path(path, geom, 100e9)
-        omni = AntennaPattern()
-        mat = nf_path_matrix(exp, omni, omni, np.array([90e9, 100e9]))
+        exp = expand_path(path, geom, 100e9, AntennaPattern(), AntennaPattern())
+        mat = nf_path_matrix(exp, np.array([90e9, 100e9]))
         want = exp.distances[7] / exp.distances
         assert_allclose(np.abs(mat), np.tile(want[:, None], (1, 2)), rtol=1e-12)
 
     def test_reference_row_is_unit_with_reference_phase(self):
         geom = ArrayGeometry(num_elements=8, spacing=0.01, reference_index=3)
         path = los_path(distance=2.0, azimuth=-0.4, phase=1.1)
-        exp = expand_path(path, geom, 100e9)
-        omni = AntennaPattern()
-        mat = nf_path_matrix(exp, omni, omni, np.linspace(90e9, 110e9, 5))
+        exp = expand_path(path, geom, 100e9, AntennaPattern(), AntennaPattern())
+        mat = nf_path_matrix(exp, np.linspace(90e9, 110e9, 5))
         assert_allclose(mat[3], np.exp(-1j * 1.1) * np.ones(5), atol=1e-12)
 
     def test_phase_wraps_with_wavelength_offset(self):
@@ -257,6 +292,8 @@ class TestNfPathMatrix:
         exp = NearFieldExpansion(
             distances=np.array([1.0, 1.0 + lam]),
             amplitudes=np.array([1.0, 1.0 / (1.0 + lam)]),
+            gains=np.array([1.0, 1.0 / (1.0 + lam)]),
+            excess_lengths=np.array([0.0, lam]),
             phases=np.array([0.7, 0.7 + 2 * np.pi]),
             delays=np.array([0.0, lam / SPEED_OF_LIGHT]),
             aod=np.tile([1.0, 0.0, 0.0], (2, 1)),
@@ -264,64 +301,69 @@ class TestNfPathMatrix:
             reference_index=0,
             carrier_hz=f,
         )
-        omni = AntennaPattern()
-        mat = nf_path_matrix(exp, omni, omni, np.array([f]))
+        mat = nf_path_matrix(exp, np.array([f]))
         assert_allclose(mat[1, 0], (1.0 / (1.0 + lam)) * np.exp(-1j * 0.7), rtol=1e-9)
 
     def test_pattern_ratio_applied(self):
         # reference at boresight, a far element near the -3 dB direction
         geom = ArrayGeometry(num_elements=2, spacing=0.2)
         path = los_path(distance=1.0, azimuth=0.0, elevation=np.pi / 2)
-        exp = expand_path(path, geom, 100e9)
         hp = 0.3
         pat = AntennaPattern(
             kind="gaussian_lobe", gain_dbi=7.0, boresight=[1.0, 0.0, 0.0],
             hpbw_az=hp, hpbw_el=hp,
         )
-        omni = AntennaPattern()
-        mat = nf_path_matrix(exp, pat, omni, np.array([100e9]))
+        exp = expand_path(path, geom, 100e9, pat, AntennaPattern())
+        mat = nf_path_matrix(exp, np.array([100e9]))
         az1 = np.arctan2(exp.aod[1, 1], exp.aod[1, 0])
         expected_ratio = 10 ** (-12.0 * (az1 / hp) ** 2 / 20.0)
         d_ratio = exp.distances[0] / exp.distances[1]
         assert_allclose(np.abs(mat[1, 0]), d_ratio * expected_ratio, rtol=1e-10)
 
     def test_zero_reference_gain_raises(self):
+        # 10**(-8000/20) underflows to a zero field gain; every model checks
         geom = ArrayGeometry(num_elements=4, spacing=0.01)
-        path = los_path()
-        exp = expand_path(path, geom, 100e9)
-        dead = AntennaPattern(kind="omnidirectional", gain_dbi=-np.inf)
-        with pytest.raises(NumericError):
-            nf_path_matrix(exp, dead, AntennaPattern(), np.array([100e9]))
+        dead = AntennaPattern(kind="omnidirectional", gain_dbi=-8000.0)
+        for model in WavefrontModel:
+            path = los_path(model=model)
+            with pytest.raises(NumericError):
+                expand_path(path, geom, 100e9, dead, AntennaPattern())
+            with pytest.raises(NumericError):
+                expand_path(path, geom, 100e9, AntennaPattern(), dead)
 
     def test_rejects_bad_frequencies(self):
         geom = ArrayGeometry(num_elements=4, spacing=0.01)
         exp = expand_path(los_path(), geom, 100e9)
-        omni = AntennaPattern()
-        with pytest.raises(ValueError):
-            nf_path_matrix(exp, omni, omni, np.array([0.0]))
+        for bad in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                nf_path_matrix(exp, np.array([bad]))
 
 
 class TestFfPathMatrix:
+    """Plane-wave weights from the shared kernel against the closed form."""
+
     def test_unit_magnitude_and_anchor(self):
         geom = ArrayGeometry(num_elements=16, spacing=0.0015, reference_index=5)
         path = los_path(azimuth=0.7, phase=0.4)
-        mat = ff_path_matrix(path, geom, np.array([90e9, 110e9]))
+        freqs = np.array([90e9, 110e9])
+        mat = plane_wave_matrix(path, geom, freqs)
         assert_allclose(np.abs(mat), 1.0, rtol=1e-12)
         # anchored at the reference element, like the spherical-wave weights
         assert_allclose(mat[5], np.exp(-1j * 0.4) * np.ones(2), atol=1e-14)
+        assert_allclose(mat, plane_wave_weights(path, geom, freqs), atol=1e-12)
 
     def test_endfire_alternates_sign_at_half_wavelength(self):
         f = 100e9
         lam = SPEED_OF_LIGHT / f
         geom = ArrayGeometry(num_elements=6, spacing=lam / 2)
         path = los_path(azimuth=0.0, elevation=np.pi / 2, phase=0.0)
-        mat = ff_path_matrix(path, geom, np.array([f]))
+        mat = plane_wave_matrix(path, geom, np.array([f]))
         assert_allclose(mat[:, 0], [1, -1, 1, -1, 1, -1], atol=1e-9)
 
     def test_broadside_is_constant(self):
         geom = ArrayGeometry(num_elements=8, spacing=0.002)
         path = los_path(azimuth=np.pi / 2, elevation=np.pi / 2, phase=0.2)
-        mat = ff_path_matrix(path, geom, np.array([100e9]))
+        mat = plane_wave_matrix(path, geom, np.array([100e9]))
         assert_allclose(mat, np.exp(-1j * 0.2) * np.ones((8, 1)), atol=1e-12)
 
 
@@ -333,10 +375,9 @@ class TestPlaneWaveLimit:
         d = 1e6 * geom.aperture
         path = los_path(distance=d, azimuth=np.deg2rad(20.0), elevation=np.pi / 2,
                         phase=0.5, delay=d / SPEED_OF_LIGHT)
-        omni = AntennaPattern()
         exp = expand_path(path, geom, f)
-        nf = nf_path_matrix(exp, omni, omni, np.array([f]))[:, 0]
-        ff = ff_path_matrix(path, geom, np.array([f]))[:, 0]
+        nf = nf_path_matrix(exp, np.array([f]))[:, 0]
+        ff = plane_wave_weights(path, geom, np.array([f]))[:, 0]
         dphi = np.angle(nf * np.conj(ff))
         assert np.max(np.abs(dphi)) < 1e-3
         assert_allclose(np.abs(nf), 1.0, atol=1e-5)
@@ -348,10 +389,10 @@ class TestPlaneWaveLimit:
         geom = ArrayGeometry(num_elements=m, spacing=0.0015, reference_index=ref)
         path = los_path(distance=1e6, azimuth=np.deg2rad(35.0), phase=0.7)
         freqs = np.array([90e9, 100e9, 110e9])
-        omni = AntennaPattern()
-        nf = nf_path_matrix(expand_path(path, geom, 100e9), omni, omni, freqs)
-        ff = ff_path_matrix(path, geom, freqs)
+        nf = nf_path_matrix(expand_path(path, geom, 100e9), freqs)
+        ff = plane_wave_matrix(path, geom, freqs)
         assert np.max(np.abs(nf - ff)) < 1e-4
+        assert_allclose(ff, plane_wave_weights(path, geom, freqs), atol=1e-12)
 
 
 class TestBuildATensor:
@@ -364,8 +405,8 @@ class TestBuildATensor:
         a = build_a_tensor([near, far], geom, omni, omni, f, 100e9)
         assert a.shape == (8, 2, 1)
         exp = expand_path(near, geom, 100e9)
-        assert_allclose(a[:, 0, :], nf_path_matrix(exp, omni, omni, f))
-        assert_allclose(a[:, 1, :], ff_path_matrix(far, geom, f))
+        assert_allclose(a[:, 0, :], nf_path_matrix(exp, f))
+        assert_allclose(a[:, 1, :], plane_wave_weights(far, geom, f), atol=1e-12)
 
     def test_force_ff_overrides_model(self):
         f = np.array([100e9])
@@ -373,7 +414,7 @@ class TestBuildATensor:
         omni = AntennaPattern()
         near = los_path(distance=1.0, azimuth=0.3)
         a = build_a_tensor([near], geom, omni, omni, f, 100e9, force_ff=True)
-        assert_allclose(a[:, 0, :], ff_path_matrix(near, geom, f))
+        assert_allclose(a[:, 0, :], plane_wave_weights(near, geom, f), atol=1e-12)
 
     def test_empty_paths_rejected(self):
         geom = ArrayGeometry(num_elements=4, spacing=0.01)
