@@ -19,7 +19,6 @@ from .geometry import (  # noqa: E402
     Plane,
     angles_from_vector,
     direction_vector,
-    element_distance,
     mirror_point,
     rayleigh_distance,
     reflect_direction,
@@ -44,8 +43,6 @@ from .sns import (  # noqa: E402
     fit_dcorr,
     generate_aaf,
     identify_sns,
-    normalize_aaf,
-    rescale_aaf,
     sample_aaf_params,
 )
 from .channel import (  # noqa: E402
@@ -62,19 +59,14 @@ from .channel import (  # noqa: E402
     vr_aaf,
 )
 from .metrics import (  # noqa: E402
-    PathTrack,
     avg_spatial_correlation,
-    channel_gain_db,
     cvm_distance,
     demmel_condition,
     entropy_capacity,
-    extract_and_track,
-    impulse_response,
     multiuser_trials,
     path_gain_db,
     rician_k_db,
     rms_delay_spread,
-    sliding_window_angles,
     sns_amplitude_matrix,
 )
 

@@ -24,6 +24,11 @@ from .sns import AAFStatParams, build_aaf_matrix
 #: baseline (vr = plane waves with binary on/off visibility intervals).
 VARIANTS = ("nf-sns", "nf-ss", "ff-sns", "ff-ss", "vr")
 
+#: Bounds of the uniform array fraction that a ``vr`` visibility interval
+#: covers.
+_VR_MIN_FRACTION = 0.3
+_VR_MAX_FRACTION = 0.8
+
 
 def _plane_wave(variant: str) -> bool:
     """Whether ``variant`` expands every path as a plane wave."""
@@ -138,16 +143,10 @@ def vr_aaf(num_elements: int, interval) -> np.ndarray:
     return out
 
 
-def random_visibility_interval(
-    num_elements: int,
-    rng: np.random.Generator,
-    min_fraction: float = 0.3,
-    max_fraction: float = 0.8,
-) -> tuple:
+def random_visibility_interval(num_elements: int, rng: np.random.Generator) -> tuple:
     """Draw a random visibility interval covering a fraction of the array."""
-    if not 0.0 < min_fraction <= max_fraction <= 1.0:
-        raise ValueError("need 0 < min_fraction <= max_fraction <= 1")
-    length = max(1, int(round(rng.uniform(min_fraction, max_fraction) * num_elements)))
+    fraction = rng.uniform(_VR_MIN_FRACTION, _VR_MAX_FRACTION)
+    length = max(1, int(round(fraction * num_elements)))
     start = int(rng.integers(0, num_elements - length + 1))
     return start, start + length
 

@@ -343,6 +343,8 @@ def _cmd_generate_aaf(args) -> int:
         raise ConfigError(f"--sequences must be >= 1, got {args.sequences}")
     if args.seed is None:
         raise ConfigError("--seed is required: generation is stochastic")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     fixed = (args.p, args.q, args.dcorr)
     if any(v is not None for v in fixed) and not all(v is not None for v in fixed):
         raise ConfigError("--p, --q, and --dcorr must be given together")
@@ -598,6 +600,14 @@ def _evaluate_channels(args, write_per_channel: bool) -> int:
     from .serialization import write_json, write_table
 
     metrics = _parse_metrics(args.metrics)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if not np.isfinite(args.snr_db):
+        raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
+    if args.max_lag < 1:
+        raise ConfigError(f"--max-lag must be >= 1, got {args.max_lag}")
     out = _ensure_out(args)
     loaded = _load_channels(args, "capacity" in metrics or "demmel" in metrics)
     all_samples = {}

@@ -13,14 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.constants
 
-from .errors import GeometryError
-
 SPEED_OF_LIGHT = scipy.constants.c
 
 # Tolerance for "is a unit vector" checks.
 _UNIT_TOL = 1e-9
-# Distances below this are treated as coincident points.
-_DEGENERATE_DISTANCE = 1e-12
 
 
 def _as_vec3(v, name: str = "vector") -> np.ndarray:
@@ -151,45 +147,6 @@ class ArrayGeometry:
     def positions(self) -> np.ndarray:
         """Absolute element positions, shape (M, 3)."""
         return self.origin + self.element_offsets()
-
-
-def element_distance(reference_distance, reference_direction, element_offset):
-    """Distance from array element(s) to a source point.
-
-    The source sits at ``reference_distance * reference_direction`` relative
-    to the reference element; ``element_offset`` is the element position
-    relative to the reference element.
-
-    Parameters
-    ----------
-    reference_distance : float
-        Source distance from the reference element, > 0, metres.
-    reference_direction : ndarray, shape (3,)
-        Unit vector from the reference element toward the source.
-    element_offset : ndarray, shape (..., 3)
-        Element offsets r_m from the reference element.
-
-    Returns
-    -------
-    float or ndarray
-        ``||reference_distance * reference_direction - element_offset||``.
-
-    Raises
-    ------
-    GeometryError
-        If any element coincides with the source point.
-    """
-    reference_distance = float(reference_distance)
-    if reference_distance <= 0.0:
-        raise ValueError(f"reference_distance must be > 0, got {reference_distance}")
-    direction = _as_unit_vec3(reference_direction, "reference_direction")
-    offsets = np.asarray(element_offset, dtype=float)
-    scalar = offsets.shape == (3,)
-    diff = reference_distance * direction - offsets
-    dist = np.linalg.norm(diff, axis=-1)
-    if np.any(dist < _DEGENERATE_DISTANCE):
-        raise GeometryError("element coincides with the source point")
-    return float(dist) if scalar else dist
 
 
 @dataclass

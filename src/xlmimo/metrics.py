@@ -1,10 +1,9 @@
 """Validation metrics for synthesized channels.
 
 Covers link-level summaries (entropy capacity without water-filling, Demmel
-condition number, per-element gain, Rician K-factor, RMS delay spread),
-spatial-consistency diagnostics (inter-element correlation, sliding-window
-angle estimation, path extraction and tracking in the delay domain), and a
-two-sample Cramer-von Mises distance for comparing metric distributions.
+condition number, per-element path gain, Rician K-factor, RMS delay spread),
+the inter-element spatial correlation of path amplitudes, and a two-sample
+Cramer-von Mises distance for comparing metric distributions.
 
 Capacity and Demmel depend on a channel only through the spectra of its
 per-frequency Gram matrices ``H H^H`` (users x users).  All three of
@@ -19,13 +18,10 @@ which also decides rank deficiency (``inf``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import NumericError
-from .channel import FrequencyGrid
 
 
 #: Smallest per-frequency eigenvalue ratio ``lambda_min / lambda_max`` at
@@ -283,16 +279,6 @@ def avg_spatial_correlation(matrix, delta: int) -> float:
     return float(np.mean(num[valid] / den[valid]))
 
 
-def channel_gain_db(values) -> np.ndarray:
-    """Frequency-averaged power gain in dB along the last axis."""
-    values = np.asarray(values)
-    power = np.mean(np.abs(values) ** 2, axis=-1)
-    if np.any(power == 0.0):
-        warnings.warn("zero-power entries give -inf gain")
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(power)
-
-
 def path_gain_db(amplitudes) -> np.ndarray:
     """Per-element total path power in dB, summed over the last axis."""
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -377,203 +363,3 @@ def cvm_distance(a, b) -> float:
     scale = a.size * b.size / (a.size + b.size) ** 2
     return float(scale * np.sum((f_a - f_b) ** 2))
 
-
-def impulse_response(values, grid: FrequencyGrid):
-    """Delay-domain response via inverse DFT along the frequency axis.
-
-    Returns ``(cir, delays)`` where ``cir`` matches the input shape and the
-    delay grid spans ``[0, 1/df)`` with resolution ``1/(K*df)``; responses
-    with delays beyond ``1/df`` alias.
-    """
-    values = np.asarray(values)
-    k = values.shape[-1]
-    if k < 2 or grid.num_points != k:
-        raise ValueError("need at least two grid-matched frequency points")
-    df = grid.bandwidth_hz / (k - 1)
-    cir = np.fft.ifft(values, axis=-1)
-    delays = np.arange(k) / (k * df)
-    return cir, delays
-
-
-@dataclass
-class PathTrack:
-    """One path followed across array elements in the delay domain."""
-
-    elements: np.ndarray  # element indices, (n,)
-    delays: np.ndarray  # seconds, (n,)
-    amplitudes: np.ndarray  # linear, (n,)
-
-    @property
-    def span(self) -> int:
-        return self.elements.size
-
-
-def _delay_peaks(mag, height):
-    """Local maxima above ``height``, including the boundary bins."""
-    idx = list(scipy.signal.find_peaks(mag, height=height)[0])
-    if mag.size >= 2:
-        if mag[0] >= height and mag[0] > mag[1]:
-            idx.insert(0, 0)
-        if mag[-1] >= height and mag[-1] > mag[-2]:
-            idx.append(mag.size - 1)
-    return np.array(idx, dtype=int)
-
-
-def extract_and_track(
-    cir,
-    delays,
-    threshold_db: float = 40.0,
-    delay_gate: float = None,
-    min_span: int = 5,
-    max_gap: int = 2,
-):
-    """Extract delay-domain peaks per element and associate them into tracks.
-
-    Per element, local maxima of ``|cir|`` within ``threshold_db`` (power)
-    of that element's strongest bin become candidates.  Candidates join the
-    active track with the nearest last delay when within ``delay_gate``
-    seconds, otherwise they start new tracks; tracks missing for more than
-    ``max_gap`` consecutive elements are closed, and tracks spanning fewer
-    than ``min_span`` elements are dropped.
-
-    Parameters
-    ----------
-    cir : ndarray, shape (M, T)
-        Per-element delay-domain response.
-    delays : ndarray, shape (T,)
-        Delay grid in seconds, increasing.
-    threshold_db : float
-        Peak acceptance window below the per-element maximum, power dB.
-    delay_gate : float, optional
-        Association gate in seconds; defaults to two delay bins.
-    min_span : int
-        Minimum elements per returned track.
-    max_gap : int
-        Elements a track may miss before closing.
-
-    Returns
-    -------
-    list of PathTrack
-        Sorted by first element, then mean delay.
-    """
-    cir = np.asarray(cir)
-    delays = np.asarray(delays, dtype=float)
-    if cir.ndim != 2 or delays.shape != (cir.shape[1],):
-        raise ValueError("cir must be (M, T) with delays of shape (T,)")
-    if delays.size < 2 or np.any(np.diff(delays) <= 0):
-        raise ValueError("delays must be increasing with at least two bins")
-    if delay_gate is None:
-        delay_gate = 2.0 * (delays[1] - delays[0])
-    delay_gate = float(delay_gate)
-    if delay_gate <= 0.0:
-        raise ValueError(f"delay_gate must be > 0, got {delay_gate}")
-
-    active = []
-    done = []
-    height_ratio = 10.0 ** (-float(threshold_db) / 20.0)
-    for m in range(cir.shape[0]):
-        mag = np.abs(cir[m])
-        peak = mag.max()
-        cands = (
-            _delay_peaks(mag, peak * height_ratio) if peak > 0.0 else np.array([], int)
-        )
-        cand_delay = delays[cands]
-        cand_amp = mag[cands]
-        unmatched = set(range(cands.size))
-        for track in active:
-            best = None
-            best_gap = delay_gate
-            for j in unmatched:
-                gap = abs(cand_delay[j] - track["last_delay"])
-                if gap <= best_gap:
-                    best, best_gap = j, gap
-            if best is None:
-                track["misses"] += 1
-            else:
-                unmatched.discard(best)
-                track["elements"].append(m)
-                track["delays"].append(float(cand_delay[best]))
-                track["amplitudes"].append(float(cand_amp[best]))
-                track["last_delay"] = float(cand_delay[best])
-                track["misses"] = 0
-        for j in sorted(unmatched):
-            active.append(
-                {
-                    "elements": [m],
-                    "delays": [float(cand_delay[j])],
-                    "amplitudes": [float(cand_amp[j])],
-                    "last_delay": float(cand_delay[j]),
-                    "misses": 0,
-                }
-            )
-        still_active = []
-        for track in active:
-            (done if track["misses"] > max_gap else still_active).append(track)
-        active = still_active
-    done.extend(active)
-
-    tracks = [
-        PathTrack(
-            elements=np.array(t["elements"], dtype=int),
-            delays=np.array(t["delays"]),
-            amplitudes=np.array(t["amplitudes"]),
-        )
-        for t in done
-        if len(t["elements"]) >= int(min_span)
-    ]
-    tracks.sort(key=lambda t: (t.elements[0], float(np.mean(t.delays))))
-    return tracks
-
-
-def sliding_window_angles(
-    h,
-    spacing: float,
-    wavelength: float,
-    window: int = 51,
-    grid_size: int = 721,
-):
-    """Dominant arrival/departure angle per sliding element window.
-
-    Correlates each length-``window`` segment of a single-frequency element
-    response against plane-wave signatures on a uniform grid of direction
-    cosines in [-1, 1] and picks the strongest.
-
-    Parameters
-    ----------
-    h : ndarray, shape (M,)
-        Complex element response at one frequency.
-    spacing : float
-        Element spacing in metres.
-    wavelength : float
-        Carrier wavelength in metres.
-    window : int
-        Elements per window, 2 <= window <= M.
-    grid_size : int
-        Direction-cosine grid resolution.
-
-    Returns
-    -------
-    (centers, angles) : tuple of ndarray
-        Center element index and broadside angle (radians, ``arcsin`` of
-        the direction cosine) per window position.
-    """
-    h = np.asarray(h)
-    if h.ndim != 1:
-        raise ValueError(f"h must be 1-D, got shape {h.shape}")
-    window = int(window)
-    if not 2 <= window <= h.size:
-        raise ValueError(f"window must be in [2, {h.size}], got {window}")
-    if spacing <= 0.0 or wavelength <= 0.0:
-        raise ValueError("spacing and wavelength must be > 0")
-    grid_size = int(grid_size)
-    if grid_size < 3:
-        raise ValueError(f"grid_size must be >= 3, got {grid_size}")
-    u = np.linspace(-1.0, 1.0, grid_size)
-    steer = np.exp(
-        -2j * np.pi * spacing / wavelength * np.outer(np.arange(window), u)
-    )
-    segments = np.lib.stride_tricks.sliding_window_view(h, window)
-    spectrum = np.abs(segments @ steer)
-    best = u[np.argmax(spectrum, axis=1)]
-    centers = np.arange(segments.shape[0]) + window // 2
-    return centers, np.arcsin(best)

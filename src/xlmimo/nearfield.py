@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import GeometryError, NumericError
 from .geometry import (
-    _DEGENERATE_DISTANCE,
     SPEED_OF_LIGHT,
     Angles,
     ArrayGeometry,
@@ -34,6 +33,9 @@ from .geometry import (
     angles_from_vector,
     direction_vector,
 )
+
+# Distances below this are treated as coincident points.
+_DEGENERATE_DISTANCE = 1e-12
 
 
 class WavefrontModel(enum.Enum):

@@ -11,6 +11,11 @@ drawn from fitted distributions.  The latent Gaussian has covariance
 (AR(1)) process with coefficient ``exp(-d_corr)``; it is sampled by that
 recursion in O(M), with no M x M matrix.
 
+Besides generation, the module estimates the spatial autocorrelation of a
+sequence and fits its decay rate (``acf``, ``fit_dcorr``), classifies a
+per-element amplitude profile as stationary or not (``identify_sns``), and
+builds the attenuation-factor matrix of a path list (``build_aaf_matrix``).
+
 Correlation lags are in element-index units throughout; ``d_corr`` is the
 exponential decay rate per element.
 """
@@ -89,28 +94,6 @@ class ACFSeries:
             raise ValueError("lags and values must be 1-D arrays of equal length")
 
 
-def normalize_aaf(amplitudes) -> np.ndarray:
-    """Normalize per-element path amplitudes to attenuation factors.
-
-    Divides by the maximum over elements, so the strongest element maps
-    to 1.
-
-    Parameters
-    ----------
-    amplitudes : ndarray, shape (M,)
-        Non-negative per-element amplitudes with a positive maximum.
-    """
-    a = np.asarray(amplitudes, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("amplitudes must be a non-empty 1-D array")
-    if np.any(a < 0.0) or not np.all(np.isfinite(a)):
-        raise ValueError("amplitudes must be finite and >= 0")
-    peak = a.max()
-    if peak <= 0.0:
-        raise ValueError("amplitudes must have a positive maximum")
-    return a / peak
-
-
 def acf(sequence) -> ACFSeries:
     """Spatial autocorrelation of an attenuation-factor sequence.
 
@@ -176,13 +159,19 @@ def fit_dcorr(series: ACFSeries, max_lag: int = None) -> float:
 
 
 def _truncated_draw(rng, sample_one, dist, low, high, max_tries=1000):
-    """One draw from a truncated law: rejection with inverse-CDF fallback."""
+    """One draw from a truncated law: rejection with inverse-CDF fallback.
+
+    In the upper tail, ``cdf`` rounds to 1 and leaves few (or no) distinct
+    values between ``cdf(low)`` and ``cdf(high)``; there the fallback inverts
+    the survival function instead, which keeps full relative precision.
+    """
     for _ in range(max_tries):
         x = sample_one(rng)
         if low <= x <= high:
             return float(x)
-    u = rng.uniform(dist.cdf(low), dist.cdf(high))
-    return float(dist.ppf(u))
+    if dist.cdf(low) > 0.5:
+        return float(dist.isf(rng.uniform(dist.sf(high), dist.sf(low))))
+    return float(dist.ppf(rng.uniform(dist.cdf(low), dist.cdf(high))))
 
 
 def sample_aaf_params(params: AAFStatParams, rng: np.random.Generator):
@@ -251,32 +240,6 @@ def generate_aaf(
     ranks = np.empty(num_elements, dtype=int)
     ranks[np.argsort(y, kind="stable")] = np.arange(num_elements)
     return np.sort(x)[ranks]
-
-
-def rescale_aaf(factors, alpha_max: float, alpha_ref: float) -> np.ndarray:
-    """Rescale attenuation factors from max-normalized to reference-relative.
-
-    Multiplies by ``alpha_max / alpha_ref`` so the factors weight the
-    reference amplitude instead of the per-path maximum; values may exceed 1
-    when the reference element is not the strongest.
-
-    Parameters
-    ----------
-    factors : ndarray
-        Max-normalized attenuation factors.
-    alpha_max : float
-        Largest per-element amplitude of the path, >= 0.
-    alpha_ref : float
-        Amplitude at the reference element, > 0.
-    """
-    s = np.asarray(factors, dtype=float)
-    alpha_max = float(alpha_max)
-    alpha_ref = float(alpha_ref)
-    if alpha_max < 0.0:
-        raise ValueError(f"alpha_max must be >= 0, got {alpha_max}")
-    if alpha_ref <= 0.0:
-        raise ValueError(f"alpha_ref must be > 0, got {alpha_ref}")
-    return s * (alpha_max / alpha_ref)
 
 
 def identify_sns(amplitudes, threshold_db: float = 3.0) -> Stationarity:

@@ -124,11 +124,6 @@ class TestVisibilityIntervals:
             assert 0 <= start < stop <= m
             assert 29 <= stop - start <= 81
 
-    def test_random_interval_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            random_visibility_interval(10, rng, min_fraction=0.9, max_fraction=0.5)
-
 
 class TestBuildVariantAAF:
     def test_ss_variants_are_ones(self):

@@ -145,6 +145,21 @@ class TestSynthesizeCommand:
         assert code == 2
         assert "seed is required" in capsys.readouterr().err
 
+    def test_far_tail_dcorr_range_gives_finite_channel(self, tmp_path):
+        # P(d_corr >= 1) = exp(-40.61) under the default law, so every draw
+        # takes the inverse-CDF fallback
+        cfg_file = write_config(
+            tmp_path,
+            variant="nf-sns",
+            seed=1,
+            los={"enabled": True, "sns": True},
+            aaf={"dcorr_range": [1.0, 2.0]},
+        )
+        out = tmp_path / "o"
+        assert main(["synthesize", "--config", cfg_file, "--out", str(out)]) == 0
+        values = np.fromfile(out / "channel.bin", dtype="<c8")
+        assert values.size == 2 * 8 * 3 and np.all(np.isfinite(values))
+
     def test_paths_csv_input_equivalent(self, tmp_path):
         cfg_file = write_config(tmp_path, ues=[[0.2, 0.645, 0.0]])
         direct = tmp_path / "direct"
@@ -729,6 +744,34 @@ class TestCompareCommand:
             ]
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["evaluate", "--metrics", "capacity", "--seed", "-1"], "--seed"),
+        (["generate-aaf", "--elements", "16", "--seed", "-1"], "--seed"),
+        (["evaluate", "--metrics", "capacity", "--seed", "1", "--trials", "0"], "--trials"),
+        (["compare", "--metrics", "capacity", "--seed", "1", "--trials", "0"], "--trials"),
+        (["evaluate", "--metrics", "capacity", "--seed", "1", "--snr-db", "nan"], "--snr-db"),
+        (["evaluate", "--metrics", "capacity", "--seed", "1", "--snr-db", "inf"], "--snr-db"),
+        (["evaluate", "--metrics", "spatial-correlation", "--max-lag", "0"], "--max-lag"),
+        (["evaluate", "--metrics", "spatial-correlation", "--max-lag", "-5"], "--max-lag"),
+    ],
+    ids=[
+        "evaluate-seed", "generate-aaf-seed", "evaluate-trials", "compare-trials",
+        "snr-nan", "snr-inf", "max-lag-zero", "max-lag-negative",
+    ],
+)
+def test_bad_arguments_exit_2_before_writing(synthesized, tmp_path, capsys, argv, flag):
+    nf, ff = synthesized
+    channels = {"evaluate": [nf], "compare": [nf, ff]}.get(argv[0], [])
+    for channel in channels:
+        argv = argv + ["--channel", str(channel / "channel")]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestThreadEnv:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from xlmimo.errors import GeometryError
 from xlmimo.geometry import (
     SPEED_OF_LIGHT,
     Angles,
@@ -10,7 +9,6 @@ from xlmimo.geometry import (
     Plane,
     angles_from_vector,
     direction_vector,
-    element_distance,
     mirror_point,
     rayleigh_distance,
     reflect_direction,
@@ -124,38 +122,6 @@ class TestArrayGeometry:
         for spacing in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 ArrayGeometry(num_elements=4, spacing=spacing)
-
-
-class TestElementDistance:
-    def test_brute_force_oracle(self):
-        # explicit coordinates: source point minus element position
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            d_ref = rng.uniform(0.1, 10.0)
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            offset = rng.standard_normal(3) * 0.3
-            source = d_ref * v
-            expected = np.sqrt(np.sum((source - offset) ** 2))
-            assert_allclose(element_distance(d_ref, v, offset), expected, rtol=1e-12)
-
-    def test_collinear_case(self):
-        # elements on the source axis: distance shrinks by the offset
-        axis = np.array([1.0, 0.0, 0.0])
-        offsets = np.arange(5)[:, None] * 0.25 * axis
-        got = element_distance(2.0, axis, offsets)
-        assert_allclose(got, 2.0 - 0.25 * np.arange(5), rtol=1e-12)
-
-    def test_degenerate_raises(self):
-        axis = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(GeometryError):
-            element_distance(1.0, axis, np.array([1.0, 0.0, 0.0]))
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            element_distance(0.0, [1.0, 0.0, 0.0], np.zeros(3))
-        with pytest.raises(ValueError):
-            element_distance(1.0, [1.0, 1.0, 0.0], np.zeros(3))
 
 
 class TestMirror:

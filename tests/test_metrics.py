@@ -5,21 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from xlmimo.channel import FrequencyGrid
 from xlmimo.errors import NumericError
 from xlmimo.metrics import (
     avg_spatial_correlation,
-    channel_gain_db,
     cvm_distance,
     demmel_condition,
     entropy_capacity,
-    extract_and_track,
-    impulse_response,
     multiuser_trials,
     path_gain_db,
     rician_k_db,
     rms_delay_spread,
-    sliding_window_angles,
     sns_amplitude_matrix,
 )
 
@@ -265,11 +260,6 @@ class TestAmplitudeMetrics:
         with pytest.raises(ValueError):
             sns_amplitude_matrix(aaf, np.array([1.0, 2.0, 3.0]))
 
-    def test_channel_gain_db_oracle(self):
-        values = np.array([[1.0 + 0j, 1j, -1.0, 0.5]])
-        want = 10 * np.log10(np.mean([1.0, 1.0, 1.0, 0.25]))
-        assert_allclose(channel_gain_db(values), [want], rtol=1e-12)
-
     def test_path_gain_db_oracle(self):
         amp = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert_allclose(
@@ -433,149 +423,3 @@ class TestCvmDistance:
         with pytest.raises(ValueError):
             cvm_distance([1.0], [np.inf])
 
-
-class TestImpulseResponse:
-    def test_single_on_bin_path_recovers_exactly(self):
-        grid = FrequencyGrid(90e9, 110e9, 64)
-        f = grid.points()
-        df = grid.bandwidth_hz / 63
-        tau = 10.0 / (64 * df)  # exactly bin 10
-        h = 0.8 * np.exp(-2j * np.pi * f * tau)[None, :]
-        cir, delays = impulse_response(h, grid)
-        mag = np.abs(cir[0])
-        assert np.argmax(mag) == 10
-        assert_allclose(mag[10], 0.8, rtol=1e-9)
-        assert_allclose(delays[10], tau, rtol=1e-12)
-        others = np.delete(mag, 10)
-        assert np.max(others) < 1e-9
-
-    def test_delay_grid_spacing(self):
-        grid = FrequencyGrid(100e9, 102e9, 32)
-        cir, delays = impulse_response(np.ones((1, 32), dtype=complex), grid)
-        df = 2e9 / 31
-        assert_allclose(np.diff(delays), 1.0 / (32 * df), rtol=1e-12)
-
-    def test_validation(self):
-        grid = FrequencyGrid(90e9, 110e9, 8)
-        with pytest.raises(ValueError):
-            impulse_response(np.ones((1, 4), dtype=complex), grid)
-
-
-class SyntheticCIR:
-    """Two-path delay-domain scene with a partial visibility interval."""
-
-    def __init__(self):
-        grid = FrequencyGrid(90e9, 110e9, 128)
-        f = grid.points()
-        df = grid.bandwidth_hz / 127
-        self.bin_dt = 1.0 / (128 * df)
-        self.tau_a = 10 * self.bin_dt
-        self.tau_b = 30 * self.bin_dt
-        m = 64
-        h = np.zeros((m, 128), dtype=complex)
-        h += 1.0 * np.exp(-2j * np.pi * f * self.tau_a)[None, :]
-        vis = np.zeros((m, 1))
-        vis[20:40] = 1.0
-        h += 0.5 * vis * np.exp(-2j * np.pi * f * self.tau_b)[None, :]
-        self.cir, self.delays = impulse_response(h, grid)
-
-
-class TestExtractAndTrack:
-    def test_two_path_scene_recovered(self):
-        scene = SyntheticCIR()
-        tracks = extract_and_track(scene.cir, scene.delays)
-        assert len(tracks) == 2
-        full, partial = tracks
-        assert np.array_equal(full.elements, np.arange(64))
-        assert_allclose(full.delays, scene.tau_a, rtol=1e-9)
-        assert_allclose(full.amplitudes, 1.0, rtol=1e-6)
-        assert np.array_equal(partial.elements, np.arange(20, 40))
-        assert_allclose(partial.delays, scene.tau_b, rtol=1e-9)
-        assert_allclose(partial.amplitudes, 0.5, rtol=1e-6)
-        assert partial.span == 20
-
-    def test_threshold_drops_weak_path(self):
-        grid = FrequencyGrid(90e9, 110e9, 64)
-        f = grid.points()
-        df = grid.bandwidth_hz / 63
-        tau_a, tau_b = 5 / (64 * df), 20 / (64 * df)
-        h = (np.exp(-2j * np.pi * f * tau_a)
-             + 10 ** (-50 / 20.0) * np.exp(-2j * np.pi * f * tau_b))
-        cir, delays = impulse_response(np.tile(h, (8, 1)), grid)
-        tracks = extract_and_track(cir, delays, threshold_db=40.0, min_span=5)
-        assert len(tracks) == 1
-        tracks = extract_and_track(cir, delays, threshold_db=60.0, min_span=5)
-        assert len(tracks) == 2
-
-    def test_min_span_filters_short_tracks(self):
-        scene = SyntheticCIR()
-        tracks = extract_and_track(scene.cir, scene.delays, min_span=21)
-        assert len(tracks) == 1
-        assert np.array_equal(tracks[0].elements, np.arange(64))
-
-    def test_drifting_delay_followed_within_gate(self):
-        grid = FrequencyGrid(90e9, 110e9, 128)
-        f = grid.points()
-        df = grid.bandwidth_hz / 127
-        m = 48
-        h = np.empty((m, 128), dtype=complex)
-        bins = 10 + np.arange(m) // 16  # one-bin hop every 16 elements
-        for i in range(m):
-            h[i] = np.exp(-2j * np.pi * f * (bins[i] / (128 * df)))
-        cir, delays = impulse_response(h, grid)
-        tracks = extract_and_track(cir, delays)
-        assert len(tracks) == 1
-        assert_allclose(tracks[0].delays, bins / (128 * df), rtol=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            extract_and_track(np.ones((4, 8)), np.arange(7.0))
-        with pytest.raises(ValueError):
-            extract_and_track(np.ones((4, 8)), np.zeros(8))
-        with pytest.raises(ValueError):
-            extract_and_track(np.ones((4, 8)), np.arange(8.0), delay_gate=0.0)
-
-
-class TestSlidingWindowAngles:
-    def test_plane_wave_on_grid_is_exact(self):
-        lam = 3e-3
-        spacing = lam / 2
-        u0 = np.linspace(-1, 1, 721)[500]  # exactly on the search grid
-        m = 200
-        h = np.exp(2j * np.pi * spacing / lam * np.arange(m) * u0)
-        centers, angles = sliding_window_angles(h, spacing, lam, window=51)
-        assert centers.shape == angles.shape == (150,)
-        assert np.array_equal(centers, np.arange(150) + 25)
-        assert_allclose(angles, np.arcsin(u0), atol=1e-12)
-
-    def test_spherical_wavefront_tracks_local_angle(self):
-        # oracle: direction cosine from the window-center element to the
-        # source
-        from xlmimo.geometry import direction_vector, Angles
-        from xlmimo.nearfield import expand_path, nf_path_matrix
-        from xlmimo.nearfield import PathRecord, WavefrontModel
-        from xlmimo.geometry import ArrayGeometry, SPEED_OF_LIGHT
-
-        lam = 3e-3
-        f = SPEED_OF_LIGHT / lam
-        geom = ArrayGeometry(num_elements=301, spacing=lam / 2)
-        d = 1.0
-        ang = Angles(0.35, np.pi / 2)
-        path = PathRecord(model=WavefrontModel.LOS, amplitude=1.0, phase=0.0,
-                          delay=d / SPEED_OF_LIGHT, distance=d, aod=ang, aoa=ang)
-        h = nf_path_matrix(expand_path(path, geom, f), np.array([f]))[:, 0]
-        centers, angles = sliding_window_angles(h, lam / 2, lam, window=51)
-        src = d * direction_vector(ang)
-        offs = geom.element_offsets()
-        for c, a in zip(centers[::25], angles[::25]):
-            vec = src - offs[c]
-            u_local = vec[0] / np.linalg.norm(vec)
-            assert abs(a - np.arcsin(u_local)) < 0.01
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sliding_window_angles(np.ones(10), 0.001, 0.003, window=11)
-        with pytest.raises(ValueError):
-            sliding_window_angles(np.ones(10), 0.0, 0.003, window=5)
-        with pytest.raises(ValueError):
-            sliding_window_angles(np.ones((2, 5)), 0.001, 0.003, window=2)

@@ -338,6 +338,23 @@ class TestNfPathMatrix:
             with pytest.raises(ValueError):
                 nf_path_matrix(exp, np.array([bad]))
 
+    def test_spherical_wavefront_tracks_local_angle(self):
+        # The phase step between neighbours m and m+1 is 2*pi*s*u/lambda,
+        # with u the direction cosine from their midpoint to the source.
+        lam = 3e-3
+        f = SPEED_OF_LIGHT / lam
+        geom = ArrayGeometry(num_elements=301, spacing=lam / 2)
+        path = los_path(distance=1.0, azimuth=0.35)
+        h = nf_path_matrix(expand_path(path, geom, f), np.array([f]))[:, 0]
+        step = np.angle(h[1:] * np.conj(h[:-1]))
+        got = np.arcsin(step * lam / (2 * np.pi * geom.spacing))
+        offsets = geom.element_offsets()
+        midpoints = (offsets[1:] + offsets[:-1]) / 2
+        vec = path.distance * direction_vector(path.aod) - midpoints
+        want = np.arcsin(vec @ geom.axis / np.linalg.norm(vec, axis=1))
+        assert np.ptp(want) > 0.25  # the local angle sweeps along the array
+        assert_allclose(got, want, rtol=0, atol=1e-5)
+
 
 class TestFfPathMatrix:
     """Plane-wave weights from the shared kernel against the closed form."""

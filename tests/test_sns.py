@@ -6,6 +6,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import erfc
 
 from xlmimo.errors import NumericError
 from xlmimo.geometry import Angles
@@ -18,8 +19,6 @@ from xlmimo.sns import (
     fit_dcorr,
     generate_aaf,
     identify_sns,
-    normalize_aaf,
-    rescale_aaf,
     sample_aaf_params,
 )
 
@@ -30,21 +29,6 @@ def make_path(stationarity=Stationarity.NON_STATIONARY, aaf=None):
         model=WavefrontModel.LOS, amplitude=1.0, phase=0.0, delay=1e-9,
         distance=1.0, aod=ang, aoa=ang, stationarity=stationarity, aaf=aaf,
     )
-
-
-class TestNormalizeAAF:
-    def test_peak_maps_to_one(self):
-        s = normalize_aaf([0.2, 0.8, 0.4])
-        assert_allclose(s, [0.25, 1.0, 0.5], rtol=1e-15)
-        assert s.max() == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            normalize_aaf([0.0, 0.0])
-        with pytest.raises(ValueError):
-            normalize_aaf([0.5, -0.1])
-        with pytest.raises(ValueError):
-            normalize_aaf([[0.5, 0.1]])
 
 
 class TestACF:
@@ -124,6 +108,26 @@ class TestFitDcorr:
             fit_dcorr(series, max_lag=10)
 
 
+def truncated_cdf(name, params):
+    """Closed-form CDF of a truncated hyper-parameter law, for either tail.
+
+    ``d_corr`` is exponential, so its truncated CDF is memoryless; ``p`` is
+    log-normal and uses ``erfc`` of the standardized log, taken on the side
+    of the median the range lies on so that no difference rounds to 0.
+    """
+    if name == "d_corr":
+        lam, (lo, hi) = params.lambda_corr, params.dcorr_range
+        return lambda x: np.expm1(-lam * (x - lo)) / np.expm1(-lam * (hi - lo))
+
+    def z(x):
+        return (np.log(x) - params.mu_p) / (params.sigma_p * np.sqrt(2.0))
+
+    lo, hi = z(params.p_range[0]), z(params.p_range[1])
+    if lo > 0.0:
+        return lambda x: (erfc(lo) - erfc(z(x))) / (erfc(lo) - erfc(hi))
+    return lambda x: (erfc(-z(x)) - erfc(-lo)) / (erfc(-hi) - erfc(-lo))
+
+
 class TestSampleAAFParams:
     def test_ranges_and_shape_relation(self):
         params = AAFStatParams()
@@ -140,6 +144,30 @@ class TestSampleAAFParams:
         a = sample_aaf_params(params, np.random.default_rng(77))
         b = sample_aaf_params(params, np.random.default_rng(77))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "name, bounds",
+        [
+            ("d_corr", (1.0, 2.0)),
+            ("d_corr", (0.8, 0.9)),
+            ("p", (40.0, 50.0)),
+            ("p", (1e-3, 2e-3)),
+        ],
+    )
+    def test_inverse_cdf_fallback_in_both_tails(self, name, bounds):
+        # Each range is far beyond the reach of rejection sampling, so every
+        # draw comes from the inverse-CDF fallback.
+        if name == "d_corr":
+            params = AAFStatParams(dcorr_range=bounds)
+        else:
+            params = AAFStatParams(p_range=bounds, xi=0.0)  # q = gamma > 0
+        rng = np.random.default_rng(3)
+        column = 2 if name == "d_corr" else 0
+        draws = np.array([sample_aaf_params(params, rng)[column] for _ in range(400)])
+        assert np.all((draws >= bounds[0]) & (draws <= bounds[1]))
+        assert np.unique(draws).size == draws.size  # a continuous law
+        cdf = truncated_cdf(name, params)
+        assert scipy.stats.kstest(draws, cdf).statistic < 0.1
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -300,18 +328,6 @@ class TestGenerateAAF:
             generate_aaf(8, 1.0, -1.0, 0.05, rng)
         with pytest.raises(ValueError):
             generate_aaf(8, 1.0, 1.0, np.inf, rng)
-
-
-class TestRescaleAAF:
-    def test_oracle(self):
-        s = np.array([0.5, 1.0, 0.25])
-        assert_allclose(rescale_aaf(s, 0.02, 0.016), s * 1.25, rtol=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rescale_aaf([1.0], 0.5, 0.0)
-        with pytest.raises(ValueError):
-            rescale_aaf([1.0], -0.5, 1.0)
 
 
 class TestIdentifySnS:
