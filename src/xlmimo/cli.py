@@ -25,6 +25,12 @@ import sys
 from ._threads import apply_thread_env
 from .errors import ConfigError, GeometryError, NumericError
 
+#: Largest ``--trials`` x ``--num-ues`` of ``evaluate``/``compare``: every
+#: trial's user subset is drawn before any metric runs, so larger requests
+#: are rejected up front.  The paper's set-up, 800 trials of 4 users, is
+#: 3,200.
+_MAX_TRIAL_USERS = 1_000_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -604,8 +610,19 @@ def _evaluate_channels(args, write_per_channel: bool) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    if not np.isfinite(args.snr_db):
-        raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
+    if args.trials * args.num_ues > _MAX_TRIAL_USERS:
+        raise ConfigError(
+            f"--trials x --num-ues must be <= {_MAX_TRIAL_USERS}, got "
+            f"{args.trials} x {args.num_ues}"
+        )
+    try:
+        finite_snr = np.isfinite(args.snr_db) and np.isfinite(10.0 ** (args.snr_db / 10.0))
+    except OverflowError:
+        finite_snr = False
+    if not finite_snr:
+        raise ConfigError(
+            f"--snr-db must be finite in dB and in linear scale, got {args.snr_db}"
+        )
     if args.max_lag < 1:
         raise ConfigError(f"--max-lag must be >= 1, got {args.max_lag}")
     out = _ensure_out(args)

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.constants
 
-SPEED_OF_LIGHT = scipy.constants.c
+#: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
+SPEED_OF_LIGHT = 299792458.0
 
 # Tolerance for "is a unit vector" checks.
 _UNIT_TOL = 1e-9

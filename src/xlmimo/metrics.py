@@ -98,7 +98,10 @@ def _subset_metrics(pool: np.ndarray, subsets: np.ndarray, snr_db: float):
     """
     _, m, k = pool.shape
     n = subsets.shape[1]
-    snr = 10.0 ** (float(snr_db) / 10.0)
+    try:
+        snr = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db {snr_db} overflows the linear SNR") from None
     gram = _gram(pool)
     power = np.einsum("kpp->p", gram).real
     eta = power[subsets].sum(axis=1) / (n * m * k)

@@ -22,13 +22,12 @@ exponential decay rate per element.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-import scipy.optimize
-import scipy.signal
-import scipy.stats
 
 from .errors import NumericError
 from .nearfield import PathRecord, Stationarity
@@ -78,6 +77,15 @@ class AAFStatParams:
         q_hi = self.xi * np.log(self.p_range[1]) + self.gamma
         if min(q_lo, q_hi) <= 0.0:
             raise ValueError("q = xi*ln(p) + gamma must be > 0 over p_range")
+        for name, law, (lo, hi) in (
+            ("p_range", _LogNormal(self.mu_p, self.sigma_p), self.p_range),
+            ("dcorr_range", _Exponential(self.lambda_corr), self.dcorr_range),
+        ):
+            if _inverse_interval(law, lo, hi)[2] == 0.0:
+                raise ValueError(
+                    f"{name} {lo, hi} lies so far in the tail that its "
+                    f"probability underflows"
+                )
 
 
 @dataclass
@@ -150,6 +158,8 @@ def fit_dcorr(series: ACFSeries, max_lag: int = None) -> float:
     def objective(d):
         return float(np.sum((values - np.exp(-d * lags)) ** 2))
 
+    import scipy.optimize  # deferred: no other command needs scipy
+
     result = scipy.optimize.minimize_scalar(
         objective, bounds=(1e-4, 10.0), method="bounded", options={"xatol": 1e-10}
     )
@@ -158,20 +168,78 @@ def fit_dcorr(series: ACFSeries, max_lag: int = None) -> float:
     return float(result.x)
 
 
-def _truncated_draw(rng, sample_one, dist, low, high, max_tries=1000):
-    """One draw from a truncated law: rejection with inverse-CDF fallback.
+_STANDARD_NORMAL = NormalDist()
+
+
+@dataclass(frozen=True)
+class _LogNormal:
+    """Law of ``exp(N(mu, sigma**2))``: sampler and closed-form tails."""
+
+    mu: float
+    sigma: float
+
+    def sample(self, rng):
+        return rng.lognormal(self.mu, self.sigma)
+
+    def _z(self, x):
+        return (math.log(x) - self.mu) / (self.sigma * math.sqrt(2.0))
+
+    def cdf(self, x):
+        return 0.5 * math.erfc(-self._z(x))
+
+    def sf(self, x):
+        return 0.5 * math.erfc(self._z(x))
+
+    def ppf(self, u):
+        return math.exp(self.mu + self.sigma * _STANDARD_NORMAL.inv_cdf(u))
+
+    def isf(self, u):
+        return math.exp(self.mu - self.sigma * _STANDARD_NORMAL.inv_cdf(u))
+
+
+@dataclass(frozen=True)
+class _Exponential:
+    """Exponential law with rate ``rate``: sampler and closed-form tails."""
+
+    rate: float
+
+    def sample(self, rng):
+        return rng.exponential(1.0 / self.rate)
+
+    def cdf(self, x):
+        return -math.expm1(-self.rate * x)
+
+    def sf(self, x):
+        return math.exp(-self.rate * x)
+
+    def ppf(self, u):
+        return -math.log1p(-u) / self.rate
+
+    def isf(self, u):
+        return -math.log(u) / self.rate
+
+
+def _inverse_interval(law, low, high):
+    """The inverse function and probability interval of ``[low, high]``.
 
     In the upper tail, ``cdf`` rounds to 1 and leaves few (or no) distinct
-    values between ``cdf(low)`` and ``cdf(high)``; there the fallback inverts
-    the survival function instead, which keeps full relative precision.
+    values between ``cdf(low)`` and ``cdf(high)``; there the survival
+    function and its inverse are used instead, which keep full relative
+    precision.  Returns ``(inverse, u_low, u_high)``.
     """
+    if law.cdf(low) > 0.5:
+        return law.isf, law.sf(high), law.sf(low)
+    return law.ppf, law.cdf(low), law.cdf(high)
+
+
+def _truncated_draw(rng, law, low, high, max_tries=1000):
+    """One draw from a truncated law: rejection with inverse-CDF fallback."""
     for _ in range(max_tries):
-        x = sample_one(rng)
+        x = law.sample(rng)
         if low <= x <= high:
             return float(x)
-    if dist.cdf(low) > 0.5:
-        return float(dist.isf(rng.uniform(dist.sf(high), dist.sf(low))))
-    return float(dist.ppf(rng.uniform(dist.cdf(low), dist.cdf(high))))
+    inverse, u_low, u_high = _inverse_interval(law, low, high)
+    return float(inverse(rng.uniform(u_low, u_high)))
 
 
 def sample_aaf_params(params: AAFStatParams, rng: np.random.Generator):
@@ -182,20 +250,26 @@ def sample_aaf_params(params: AAFStatParams, rng: np.random.Generator):
     tuple of float
         Beta shapes ``(p, q)`` and the correlation decay rate ``d_corr``.
     """
-    p = _truncated_draw(
-        rng,
-        lambda r: r.lognormal(params.mu_p, params.sigma_p),
-        scipy.stats.lognorm(s=params.sigma_p, scale=np.exp(params.mu_p)),
-        *params.p_range,
-    )
+    p = _truncated_draw(rng, _LogNormal(params.mu_p, params.sigma_p), *params.p_range)
     q = params.xi * np.log(p) + params.gamma
-    d_corr = _truncated_draw(
-        rng,
-        lambda r: r.exponential(1.0 / params.lambda_corr),
-        scipy.stats.expon(scale=1.0 / params.lambda_corr),
-        *params.dcorr_range,
-    )
+    d_corr = _truncated_draw(rng, _Exponential(params.lambda_corr), *params.dcorr_range)
     return p, float(q), d_corr
+
+
+def _ar1_filter(w: np.ndarray, rho: float) -> np.ndarray:
+    """The recursion ``y_0 = w_0``, ``y_i = w_i + rho * y_(i-1)``.
+
+    It performs the operations of ``scipy.signal.lfilter([1], [1, -rho], w)``
+    (transposed direct form) in the same order, so the result is
+    bit-identical to it.
+    """
+    rho = float(rho)
+    y = []
+    acc = 0.0
+    for wi in w.tolist():
+        acc = wi + rho * acc
+        y.append(acc)
+    return np.array(y)
 
 
 def generate_aaf(
@@ -236,7 +310,7 @@ def generate_aaf(
     x = rng.beta(p, q, size=num_elements)
     z = rng.standard_normal(num_elements)
     z[1:] *= np.sqrt(-np.expm1(-2.0 * d_corr))
-    y = scipy.signal.lfilter([1.0], [1.0, -np.exp(-d_corr)], z)
+    y = _ar1_filter(z, np.exp(-d_corr))
     ranks = np.empty(num_elements, dtype=int)
     ranks[np.argsort(y, kind="stable")] = np.arange(num_elements)
     return np.sort(x)[ranks]

@@ -757,10 +757,18 @@ class TestCompareCommand:
         (["evaluate", "--metrics", "capacity", "--seed", "1", "--snr-db", "inf"], "--snr-db"),
         (["evaluate", "--metrics", "spatial-correlation", "--max-lag", "0"], "--max-lag"),
         (["evaluate", "--metrics", "spatial-correlation", "--max-lag", "-5"], "--max-lag"),
+        (["evaluate", "--metrics", "capacity", "--seed", "1", "--snr-db", "4000"], "--snr-db"),
+        (["compare", "--metrics", "capacity", "--seed", "1", "--snr-db", "3083"], "--snr-db"),
+        (
+            ["evaluate", "--metrics", "capacity", "--seed", "1",
+             "--num-ues", "4", "--trials", "250001"],
+            "--trials",
+        ),
     ],
     ids=[
         "evaluate-seed", "generate-aaf-seed", "evaluate-trials", "compare-trials",
         "snr-nan", "snr-inf", "max-lag-zero", "max-lag-negative",
+        "snr-overflow", "compare-snr-overflow", "trial-users-bound",
     ],
 )
 def test_bad_arguments_exit_2_before_writing(synthesized, tmp_path, capsys, argv, flag):
@@ -807,6 +815,56 @@ class TestThreadEnv:
     def test_unset_is_noop(self, monkeypatch):
         monkeypatch.delenv("XLMIMO_NUM_THREADS", raising=False)
         apply_thread_env()
+
+
+_SCIPY_FREE_RUN = """
+import sys
+from xlmimo.cli import main
+
+config, out = sys.argv[1:]
+for variant in ("nf-sns", "vr"):
+    argv = ["synthesize", "--config", config, "--variant", variant, "--seed", "1"]
+    assert main(argv + ["--out", f"{out}/{variant}"]) == 0
+assert main([
+    "evaluate", "--channel", f"{out}/nf-sns/channel", "--channel", f"{out}/vr/channel",
+    "--metrics", "capacity,demmel,gain,kfactor,delay-spread,spatial-correlation",
+    "--num-ues", "2", "--trials", "8", "--seed", "1", "--max-lag", "3",
+    "--out", f"{out}/eval",
+]) == 0
+print(",".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+class TestScipyFree:
+    """Only generate-aaf's decay fit may load scipy."""
+
+    def test_synthesize_and_evaluate_never_import_scipy(self, tmp_path):
+        sns_reflector = {
+            "point": [0.0, 1.2, 0.0], "normal": [0.0, -1.0, 0.0],
+            "loss_db": 7.0, "sns": True,
+        }
+        config = write_config(tmp_path, reflectors=[sns_reflector])
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_FREE_RUN, config, str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+        aaf = np.loadtxt(tmp_path / "out" / "nf-sns" / "pathtable.csv",
+                         delimiter=",", skiprows=1, usecols=4)
+        assert np.any((aaf > 0.0) & (aaf < 1.0))  # the AAF generator ran
+
+    def test_bare_import_does_not_load_scipy(self):
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, xlmimo; "
+                "print(','.join(m for m in sys.modules if m.startswith('scipy')))",
+            ],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
 
 
 class TestEntryPoint:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.constants
 from numpy.testing import assert_allclose
 
 from xlmimo.geometry import (
@@ -148,6 +149,10 @@ class TestMirror:
         r = reflect_direction(d, plane)
         assert_allclose(r, [0.6, -0.8, 0.0], atol=1e-15)
         assert_allclose(np.linalg.norm(r), 1.0, rtol=1e-15)
+
+
+def test_speed_of_light_matches_scipy_constants():
+    assert SPEED_OF_LIGHT == scipy.constants.c
 
 
 class TestRayleighDistance:

@@ -69,6 +69,8 @@ class TestEntropyCapacity:
             entropy_capacity(np.zeros((1, 2, 2), dtype=complex))
         with pytest.raises(ValueError):
             entropy_capacity(np.full((1, 2, 2), np.nan + 0j))
+        with pytest.raises(ValueError, match="overflows"):
+            entropy_capacity(np.ones((1, 2, 2), dtype=complex), snr_db=4000.0)
 
 
 class TestDemmelCondition:
@@ -121,6 +123,8 @@ class TestMultiuserTrials:
             multiuser_trials(pool, 3, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
             multiuser_trials(pool, 1, 0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="overflows"):
+            multiuser_trials(pool, 1, 2, np.random.default_rng(0), snr_db=4000.0)
 
 
 _svd = np.linalg.svd  # the reference keeps the real SVD while it is counted

@@ -2,12 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.signal
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import erfc
 
+from xlmimo import sns
 from xlmimo.errors import NumericError
 from xlmimo.geometry import Angles
 from xlmimo.nearfield import PathRecord, Stationarity, WavefrontModel
@@ -168,6 +170,26 @@ class TestSampleAAFParams:
         assert np.unique(draws).size == draws.size  # a continuous law
         cdf = truncated_cdf(name, params)
         assert scipy.stats.kstest(draws, cdf).statistic < 0.1
+        # The closed-form laws behind the fallback agree with scipy.stats at
+        # both bounds and at the probabilities the fallback inverts.
+        if name == "d_corr":
+            law = sns._Exponential(params.lambda_corr)
+            ref = scipy.stats.expon(scale=1.0 / params.lambda_corr)
+        else:
+            law = sns._LogNormal(params.mu_p, params.sigma_p)
+            ref = scipy.stats.lognorm(s=params.sigma_p, scale=np.exp(params.mu_p))
+        probabilities = []
+        for x in bounds:
+            for fn in ("cdf", "sf"):
+                value = getattr(law, fn)(x)
+                assert_allclose(value, getattr(ref, fn)(x), rtol=1e-12, atol=0)
+                if 0.0 < value < 1.0:
+                    probabilities.append(value)
+        assert len(probabilities) >= 2  # both tails' probabilities are exercised
+        for u in probabilities:
+            for fn in ("ppf", "isf"):
+                want = getattr(ref, fn)(u)
+                assert_allclose(getattr(law, fn)(u), want, rtol=1e-12, atol=0)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -177,6 +199,26 @@ class TestSampleAAFParams:
         with pytest.raises(ValueError):
             # q turns negative at the low end of p_range
             AAFStatParams(xi=2.0, gamma=0.1, p_range=(0.2, 5.0))
+        # ranges whose probability underflows: the fallback could only draw
+        # inf or 0 there
+        with pytest.raises(ValueError, match="underflows"):
+            AAFStatParams(dcorr_range=(20.0, 30.0))
+        with pytest.raises(ValueError, match="underflows"):
+            AAFStatParams(p_range=(1e-30, 2e-30), xi=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 4096),
+    d_corr=st.floats(1e-6, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ar1_latent_is_bit_identical_to_lfilter(m, d_corr, seed):
+    w = np.random.default_rng(seed).standard_normal(m)
+    w[1:] *= np.sqrt(-np.expm1(-2.0 * d_corr))
+    rho = np.exp(-d_corr)
+    want = scipy.signal.lfilter([1.0], [1.0, -rho], w)
+    assert np.array_equal(sns._ar1_filter(w, rho), want)
 
 
 class TestGenerateAAF:
