@@ -47,7 +47,6 @@ from .sns import (  # noqa: E402
 )
 from .channel import (  # noqa: E402
     VARIANTS,
-    ChannelTensor,
     FrequencyGrid,
     PathTable,
     assemble,

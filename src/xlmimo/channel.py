@@ -3,9 +3,10 @@
 The frequency response at element m is the sum over paths of three factors:
 the reference-element path response ``alpha_l * exp(-2j*pi*f*tau_l)``, the
 per-element propagation weight from the wavefront expansion, and the
-per-element amplitude attenuation factor.  Channels for several users share
-the array and frequency grid and stack into a (users, elements,
-frequencies) tensor.
+per-element amplitude attenuation factor.  One user's response is an
+(elements, frequencies) array; users sharing the array and frequency grid
+stack into the (users, elements, frequencies) complex64 pool that
+``channel.bin`` stores.
 """
 
 from __future__ import annotations
@@ -69,43 +70,6 @@ class FrequencyGrid:
     def points(self) -> np.ndarray:
         """The K sampled frequencies in Hz."""
         return np.linspace(self.f_low_hz, self.f_high_hz, self.num_points)
-
-
-@dataclass
-class ChannelTensor:
-    """Synthesized frequency responses, shape (users, elements, frequencies)."""
-
-    values: np.ndarray
-    grid: FrequencyGrid
-    variant: str = "nf-sns"
-    seed: int | None = None
-    geometry: ArrayGeometry | None = None
-    config_sha256: str | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.ndim != 3:
-            raise ValueError(
-                f"values must have shape (users, elements, frequencies), "
-                f"got {self.values.shape}"
-            )
-        if not np.iscomplexobj(self.values):
-            self.values = self.values.astype(complex)
-        if self.values.shape[2] != self.grid.num_points:
-            raise ValueError(
-                f"frequency axis {self.values.shape[2]} does not match "
-                f"grid num_points {self.grid.num_points}"
-            )
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-    @property
-    def num_users(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_elements(self) -> int:
-        return self.values.shape[1]
 
 
 def reference_response(paths, frequencies) -> np.ndarray:
@@ -194,11 +158,10 @@ def assemble(
     tx_pattern: AntennaPattern,
     rx_pattern: AntennaPattern,
     grid: FrequencyGrid,
-    aaf: np.ndarray = None,
+    aaf: np.ndarray,
     variant: str = "nf-sns",
-    seed: int = None,
-) -> ChannelTensor:
-    """Synthesize one user's channel, shape (1, M, K).
+) -> np.ndarray:
+    """Synthesize one user's channel, a complex128 array of shape (M, K).
 
     Parameters
     ----------
@@ -206,13 +169,11 @@ def assemble(
     geometry : ArrayGeometry
     tx_pattern, rx_pattern : AntennaPattern
     grid : FrequencyGrid
-    aaf : ndarray (M, L), optional
-        Attenuation factors; built per ``variant`` when omitted.
+    aaf : ndarray (M, L)
+        Finite, non-negative attenuation factors, e.g. from
+        :func:`build_variant_aaf`.
     variant : str
         One of ``VARIANTS``; ``ff-*``/``vr`` force plane-wave weights.
-    seed : int, optional
-        Root seed for attenuation-factor generation (recorded in the
-        output either way).
     """
     paths = list(paths)
     frequencies = grid.points()
@@ -225,10 +186,7 @@ def assemble(
         carrier_hz=grid.carrier_hz,
         force_ff=_plane_wave(variant),
     )
-    if aaf is None:
-        aaf = build_variant_aaf(paths, geometry.num_elements, variant, seed=seed)
-    else:
-        aaf = np.asarray(aaf, dtype=float)
+    aaf = np.asarray(aaf, dtype=float)
     if aaf.shape != (geometry.num_elements, len(paths)):
         raise ValueError(
             f"aaf shape {aaf.shape} != {(geometry.num_elements, len(paths))}"
@@ -236,41 +194,28 @@ def assemble(
     if np.any(aaf < 0.0) or not np.all(np.isfinite(aaf)):
         raise ValueError("aaf entries must be finite and >= 0")
     h_ref = reference_response(paths, frequencies)
-    values = np.einsum("mlk,ml,lk->mk", a, aaf, h_ref)
-    return ChannelTensor(
-        values=values[None, :, :],
-        grid=grid,
-        variant=variant,
-        seed=seed,
-        geometry=geometry,
-    )
+    return np.einsum("mlk,ml,lk->mk", a, aaf, h_ref)
 
 
-def multi_user(tensors) -> ChannelTensor:
-    """Stack per-user channels sharing the array and grid along the user axis."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("tensors must be non-empty")
-    first = tensors[0]
-    for t in tensors[1:]:
-        if t.values.shape[1:] != first.values.shape[1:]:
-            raise ValueError("tensors must share (elements, frequencies) shape")
-        if (
-            t.grid.f_low_hz != first.grid.f_low_hz
-            or t.grid.f_high_hz != first.grid.f_high_hz
-            or t.grid.num_points != first.grid.num_points
-        ):
-            raise ValueError("tensors must share the frequency grid")
-        if t.variant != first.variant:
-            raise ValueError("tensors must share the variant")
-    return ChannelTensor(
-        values=np.concatenate([t.values for t in tensors], axis=0),
-        grid=first.grid,
-        variant=first.variant,
-        seed=first.seed,
-        geometry=first.geometry,
-        config_sha256=first.config_sha256,
-    )
+def multi_user(responses) -> np.ndarray:
+    """Stack per-user (M, K) responses into the (U, M, K) complex64 pool.
+
+    Each value is rounded to complex64 exactly as ``astype("<c8")`` rounds
+    it, so the pool holds the bytes that ``channel.bin`` stores.
+    """
+    responses = list(responses)
+    if not responses:
+        raise ValueError("responses must be non-empty")
+    shape = np.shape(responses[0])
+    if len(shape) != 2 or any(np.shape(r) != shape for r in responses):
+        raise ValueError(
+            f"responses must share one (elements, frequencies) shape, got "
+            f"{[np.shape(r) for r in responses]}"
+        )
+    pool = np.empty((len(responses), *shape), dtype="<c8")
+    for user, response in enumerate(responses):
+        pool[user] = response
+    return pool
 
 
 @dataclass

@@ -249,7 +249,7 @@ def _cmd_synthesize(args) -> int:
         )
 
     sha = config_sha256(cfg)
-    tensors = []
+    responses = []
     table_rows = []
     for ue, paths in enumerate(all_paths):
         aaf = build_variant_aaf(
@@ -260,17 +260,8 @@ def _cmd_synthesize(args) -> int:
             seed=seed,
             stream_key=(ue,),
         )
-        tensors.append(
-            assemble(
-                paths,
-                geometry,
-                tx_pattern,
-                rx_pattern,
-                grid,
-                aaf=aaf,
-                variant=variant,
-                seed=seed,
-            )
+        responses.append(
+            assemble(paths, geometry, tx_pattern, rx_pattern, grid, aaf, variant)
         )
         table = path_table(
             paths,
@@ -297,12 +288,16 @@ def _cmd_synthesize(args) -> int:
                     ]
                 )
 
-    combined = multi_user(tensors)
-    combined.config_sha256 = sha
+    pool = multi_user(responses)
     write_channel(
         os.path.join(out, "channel"),
-        combined,
-        extra_meta={"name": cfg["name"], "num_ues": combined.num_users},
+        pool,
+        grid,
+        geometry,
+        variant,
+        seed,
+        sha,
+        cfg["name"],
     )
     write_yaml(os.path.join(out, "scenario.yaml"), cfg)
     for ue, paths in enumerate(all_paths):
@@ -329,7 +324,7 @@ def _cmd_synthesize(args) -> int:
             "variant": variant,
             "seed": seed,
             "config_sha256": sha,
-            "num_ues": combined.num_users,
+            "num_ues": len(all_paths),
             "num_paths": [len(p) for p in all_paths],
         },
     )
@@ -424,10 +419,10 @@ def _parse_metrics(spec: str) -> list:
 
 
 def _load_channels(args, with_values: bool) -> list:
-    """Load channels as (label, tensor, meta, directory) tuples.
+    """Load channels as (label, values, meta, directory) tuples.
 
     Every header and file size is checked; without ``with_values`` no tensor
-    value is read and ``tensor`` is None.
+    value is read and ``values`` is None.
     """
     from .serialization import read_channel, read_channel_header
 
@@ -435,9 +430,9 @@ def _load_channels(args, with_values: bool) -> list:
     seen = {}
     for path in args.channel:
         if with_values:
-            tensor, meta = read_channel(path)
+            values, meta = read_channel(path)
         else:
-            tensor, meta = None, read_channel_header(path)
+            values, meta = None, read_channel_header(path)
         base = os.path.basename(path)
         if base.endswith(".json"):
             base = base[: -len(".json")]
@@ -446,7 +441,7 @@ def _load_channels(args, with_values: bool) -> list:
         if seen[label] > 1:
             label = f"{label}_{seen[label]}"
         directory = os.path.dirname(os.path.abspath(path))
-        loaded.append((label, tensor, meta, directory))
+        loaded.append((label, values, meta, directory))
     return loaded
 
 
@@ -457,7 +452,8 @@ def _read_pathtable(directory: str):
     """Per-user amplitude/delay/aaf/alpha matrices from pathtable.csv.
 
     Every user shares the element count; each user's rows must cover every
-    (path, element) pair exactly once, in any order.
+    (path, element) pair exactly once, in any order, with finite,
+    non-negative values.
     """
     import warnings
 
@@ -481,6 +477,12 @@ def _read_pathtable(directory: str):
             raise ConfigError(f"{table_path}: {exc}") from exc
     if data.shape[0] == 0:
         raise ConfigError(f"{table_path}: empty table")
+    fields = data[:, 3:]
+    if not np.all(np.isfinite(fields) & (fields >= 0.0)):
+        raise ConfigError(
+            f"{table_path}: alpha_ref, aaf, amplitude and delay_s must be "
+            f"finite and >= 0"
+        )
     rows = data.shape[0]
     index = data[:, :3]
     if not np.all((index >= 0) & (index < rows) & (index == np.floor(index))):
@@ -516,7 +518,7 @@ def _read_pathtable(directory: str):
     return out
 
 
-def _metric_samples(label, tensor, tables, metrics, args):
+def _metric_samples(label, pool, tables, metrics, args):
     """Sample vectors per metric for one channel; None for curve metrics."""
     import numpy as np
 
@@ -526,13 +528,13 @@ def _metric_samples(label, tensor, tables, metrics, args):
     if "capacity" in metrics or "demmel" in metrics:
         if args.seed is None:
             raise ConfigError("--seed is required for capacity/demmel trials")
-        if not 1 <= args.num_ues <= tensor.num_users:
+        if not 1 <= args.num_ues <= pool.shape[0]:
             raise ConfigError(
-                f"--num-ues must be in [1, {tensor.num_users}] for {label}"
+                f"--num-ues must be in [1, {pool.shape[0]}] for {label}"
             )
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         capacity, demmel = mx.multiuser_trials(
-            tensor.values, args.num_ues, args.trials, rng, snr_db=args.snr_db
+            pool, args.num_ues, args.trials, rng, snr_db=args.snr_db
         )
         if "capacity" in metrics:
             samples["capacity"] = capacity
@@ -558,7 +560,7 @@ def _spatial_correlation_curve(tables, max_lag):
 
     from . import metrics as mx
 
-    num_paths = tables[0]["aaf"].shape[1]
+    num_paths = min(t["aaf"].shape[1] for t in tables)
     if num_paths < 2:
         raise ConfigError(
             f"spatial-correlation needs at least two paths per user, got {num_paths}"
@@ -629,11 +631,11 @@ def _evaluate_channels(args, write_per_channel: bool) -> int:
     loaded = _load_channels(args, "capacity" in metrics or "demmel" in metrics)
     all_samples = {}
     summary_rows = []
-    for label, tensor, _meta, directory in loaded:
+    for label, pool, _meta, directory in loaded:
         tables = None
         if any(m in _PATH_METRICS for m in metrics):
             tables = _read_pathtable(directory)
-        samples = _metric_samples(label, tensor, tables, metrics, args)
+        samples = _metric_samples(label, pool, tables, metrics, args)
         all_samples[label] = samples
         for metric in metrics:
             if metric == "spatial-correlation":

@@ -89,6 +89,10 @@ def _rank_deficient(sigma: np.ndarray, shape) -> np.ndarray:
 def _subset_metrics(pool: np.ndarray, subsets: np.ndarray, snr_db: float):
     """Capacity and Demmel of each user subset of a finite pool.
 
+    The pool may be complex64 or complex128: both the Gram tensor and the
+    SVD fallback work on complex128 copies, so a complex64 pool gives the
+    numbers of its exact complex128 upcast.
+
     ``subsets`` is an int array (T, N) of pool rows.  Both metrics come from
     the eigenvalues of the subset's block of the pool Gram tensor.  A subset
     whose smallest ``lambda_min / lambda_max`` over frequency is below
@@ -121,7 +125,8 @@ def _subset_metrics(pool: np.ndarray, subsets: np.ndarray, snr_db: float):
             # a nan ratio (an all-zero matrix) also takes the SVD route
             ill.extend(t0 + np.flatnonzero(~(ratio >= _GRAM_MIN_RATIO)))
     for t in ill:
-        sigma = np.linalg.svd(np.moveaxis(pool[subsets[t]], 2, 0), compute_uv=False)
+        h = np.moveaxis(pool[subsets[t]], 2, 0).astype(complex)
+        sigma = np.linalg.svd(h, compute_uv=False)
         if np.any(_rank_deficient(sigma, (n, m))):
             demmel[t] = float("inf")
         else:
@@ -195,7 +200,9 @@ def multiuser_trials(
     Parameters
     ----------
     pool : ndarray, shape (P, M, K)
-        Per-user channel responses, all finite.
+        Per-user channel responses, all finite; complex64 (as
+        :func:`xlmimo.serialization.read_channel` returns it) or
+        complex128.
     num_ues : int
         Users per trial, 1 <= num_ues <= P.
     num_trials : int
@@ -296,7 +303,9 @@ def rician_k_db(amplitudes) -> np.ndarray:
     """Per-element Rician K-factor in dB from path amplitudes (..., L).
 
     Ratio of the strongest path's power to the summed power of the others.
-    A single path (or all-zero remainder) gives ``inf`` with a warning.
+    A single path (or all-zero remainder) gives ``inf``, and an element
+    with zero total power (every path shadowed) gives ``nan``; each case
+    warns once.
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.ndim < 1 or amplitudes.shape[-1] < 1:
@@ -305,13 +314,13 @@ def rician_k_db(amplitudes) -> np.ndarray:
         raise ValueError("amplitudes must be finite and >= 0")
     power = amplitudes**2
     total = np.sum(power, axis=-1)
-    if np.any(total <= 0.0):
-        raise ValueError("each element needs a positive total power")
     strongest = np.max(power, axis=-1)
     rest = total - strongest
-    if np.any(rest == 0.0):
+    if np.any(total == 0.0):
+        warnings.warn("zero-power elements give nan K-factor")
+    if np.any((rest == 0.0) & (total > 0.0)):
         warnings.warn("dominant-path-only elements give infinite K-factor")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         return 10.0 * np.log10(strongest / rest)
 
 
@@ -320,7 +329,8 @@ def rms_delay_spread(powers, delays, dynamic_range_db: float = 40.0) -> np.ndarr
 
     Paths more than ``dynamic_range_db`` (power dB) below the per-element
     peak are excluded before computing the power-weighted delay standard
-    deviation.
+    deviation.  An element with zero peak power (every path shadowed) gives
+    ``nan`` with one warning.
 
     Parameters
     ----------
@@ -338,13 +348,14 @@ def rms_delay_spread(powers, delays, dynamic_range_db: float = 40.0) -> np.ndarr
     if float(dynamic_range_db) <= 0.0:
         raise ValueError(f"dynamic_range_db must be > 0, got {dynamic_range_db}")
     peak = np.max(powers, axis=-1, keepdims=True)
-    if np.any(peak <= 0.0):
-        raise ValueError("each element needs a positive peak power")
+    if np.any(peak == 0.0):
+        warnings.warn("zero-power elements give nan delay spread")
     cut = peak * 10.0 ** (-float(dynamic_range_db) / 10.0)
     kept = np.where(powers >= cut, powers, 0.0)
     norm = np.sum(kept, axis=-1)
-    mean = np.sum(kept * delays, axis=-1) / norm
-    var = np.sum(kept * (delays - mean[..., None]) ** 2, axis=-1) / norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.sum(kept * delays, axis=-1) / norm
+        var = np.sum(kept * (delays - mean[..., None]) ** 2, axis=-1) / norm
     return np.sqrt(var)
 
 

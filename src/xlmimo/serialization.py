@@ -17,7 +17,7 @@ import os
 import numpy as np
 import yaml
 
-from .channel import VARIANTS, ChannelTensor, FrequencyGrid
+from .channel import VARIANTS, FrequencyGrid
 from .errors import ConfigError
 from .geometry import Angles, ArrayGeometry
 from .nearfield import PathRecord, Stationarity, WavefrontModel
@@ -159,37 +159,58 @@ def read_paths_csv(path) -> list:
     return paths
 
 
-def write_channel(basepath, tensor: ChannelTensor, extra_meta: dict = None) -> None:
-    """Write ``<basepath>.bin`` (little-endian complex64) and ``<basepath>.json``."""
-    values = np.ascontiguousarray(tensor.values).astype("<c8")
+def write_channel(
+    basepath,
+    values,
+    grid: FrequencyGrid,
+    geometry: ArrayGeometry,
+    variant: str,
+    seed,
+    config_sha256,
+    name,
+) -> None:
+    """Write ``<basepath>.bin`` (little-endian complex64) and ``<basepath>.json``.
+
+    ``values`` has shape (users, elements, frequencies); a ``<c8`` C-order
+    array, as :func:`xlmimo.channel.multi_user` returns, is written without
+    a copy.  The header records the shape, the grid and array, and the
+    provenance: variant, seed, configuration hash and scenario name.
+    """
+    values = np.ascontiguousarray(values, "<c8")
+    if values.shape[1:] != (geometry.num_elements, grid.num_points):
+        raise ValueError(
+            f"values shape {values.shape} does not match "
+            f"({geometry.num_elements} elements, {grid.num_points} frequencies)"
+        )
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     with open(f"{basepath}.bin", "wb") as fh:
-        fh.write(values.tobytes(order="C"))
+        values.tofile(fh)
     meta = {
         "format_version": TENSOR_FORMAT_VERSION,
         "dtype": "complex64",
         "byte_order": "little",
         "order": "C",
-        "shape": list(tensor.values.shape),
+        "shape": list(values.shape),
         "axes": ["user", "element", "frequency"],
         "grid": {
-            "f_low_hz": tensor.grid.f_low_hz,
-            "f_high_hz": tensor.grid.f_high_hz,
-            "num_points": tensor.grid.num_points,
+            "f_low_hz": grid.f_low_hz,
+            "f_high_hz": grid.f_high_hz,
+            "num_points": grid.num_points,
         },
-        "variant": tensor.variant,
-        "seed": tensor.seed,
-        "config_sha256": tensor.config_sha256,
+        "array": {
+            "num_elements": geometry.num_elements,
+            "spacing_m": geometry.spacing,
+            "axis": [float(v) for v in geometry.axis],
+            "origin": [float(v) for v in geometry.origin],
+            "reference_index": geometry.reference_index,
+        },
+        "variant": variant,
+        "seed": seed,
+        "config_sha256": config_sha256,
+        "name": name,
+        "num_ues": values.shape[0],
     }
-    if tensor.geometry is not None:
-        meta["array"] = {
-            "num_elements": tensor.geometry.num_elements,
-            "spacing_m": tensor.geometry.spacing,
-            "axis": [float(v) for v in tensor.geometry.axis],
-            "origin": [float(v) for v in tensor.geometry.origin],
-            "reference_index": tensor.geometry.reference_index,
-        }
-    if extra_meta:
-        meta.update(extra_meta)
     write_json(f"{basepath}.json", meta)
 
 
@@ -204,9 +225,9 @@ def read_channel_header(basepath) -> dict:
     """Validated header of a channel written by :func:`write_channel`.
 
     Checks the encoding and the variant, that ``shape`` is three
-    non-negative ints agreeing with the grid and the array, and that the
-    ``.bin`` file has exactly the size the shape implies.  No tensor value
-    is read.
+    non-negative ints agreeing with the grid and the array, that the grid
+    and array values are valid, and that the ``.bin`` file has exactly the
+    size the shape implies.  No tensor value is read.
     """
     meta_path, bin_path = _channel_files(basepath)
     for p in (meta_path, bin_path):
@@ -243,6 +264,18 @@ def read_channel_header(basepath) -> dict:
         not isinstance(array, dict) or array.get("num_elements") != shape[1]
     ):
         raise ConfigError(f"{meta_path}: shape {shape} does not match the array")
+    try:
+        FrequencyGrid(**grid)
+        if "array" in meta:
+            ArrayGeometry(
+                num_elements=array["num_elements"],
+                spacing=array["spacing_m"],
+                axis=np.asarray(array["axis"]),
+                origin=np.asarray(array["origin"]),
+                reference_index=array["reference_index"],
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{meta_path}: invalid grid or array: {exc!r}") from exc
     size = os.path.getsize(bin_path)
     if size != shape[0] * shape[1] * shape[2] * 8:
         raise ConfigError(f"{bin_path}: size {size} does not match shape {shape}")
@@ -252,38 +285,13 @@ def read_channel_header(basepath) -> dict:
 def read_channel(basepath) -> tuple:
     """Read a channel written by :func:`write_channel`.
 
-    ``basepath`` may include the ``.json`` suffix.  Returns ``(tensor,
-    meta)``.  The header is checked by :func:`read_channel_header` before
-    anything is allocated; values are then read one user at a time into
-    the complex128 tensor.
+    ``basepath`` may include the ``.json`` suffix.  Returns ``(values,
+    meta)``: the (users, elements, frequencies) ``<c8`` array as stored,
+    read in one call, and the header dict, checked by
+    :func:`read_channel_header` before anything is allocated.
     """
     meta = read_channel_header(basepath)
-    meta_path, bin_path = _channel_files(basepath)
-    try:
-        grid = FrequencyGrid(**meta["grid"])
-        geometry = None
-        if "array" in meta:
-            arr = meta["array"]
-            geometry = ArrayGeometry(
-                num_elements=arr["num_elements"],
-                spacing=arr["spacing_m"],
-                axis=np.asarray(arr["axis"]),
-                origin=np.asarray(arr["origin"]),
-                reference_index=arr["reference_index"],
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{meta_path}: invalid grid or array: {exc!r}") from exc
-    users, elements, points = meta["shape"]
-    values = np.empty((users, elements, points), dtype=complex)
-    with open(bin_path, "rb") as fh:
-        for user in values.reshape(users, elements * points):
-            user[:] = np.fromfile(fh, "<c8", count=user.size)
-    tensor = ChannelTensor(
-        values=values,
-        grid=grid,
-        variant=meta.get("variant", "nf-sns"),
-        seed=meta.get("seed"),
-        geometry=geometry,
-        config_sha256=meta.get("config_sha256"),
-    )
-    return tensor, meta
+    _, bin_path = _channel_files(basepath)
+    shape = meta["shape"]
+    values = np.fromfile(bin_path, "<c8", count=shape[0] * shape[1] * shape[2])
+    return values.reshape(shape), meta

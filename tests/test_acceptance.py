@@ -261,9 +261,10 @@ def test_06_far_field_model_underestimates_capacity():
         geom = sc.build_geometry(vcfg)
         grid = sc.build_grid(vcfg)
         tx, rx = sc.build_patterns(vcfg)
-        values = np.concatenate(
+        values = np.stack(
             [
-                ch.assemble(paths, geom, tx, rx, grid, variant=variant).values
+                ch.assemble(paths, geom, tx, rx, grid,
+                            np.ones((geom.num_elements, len(paths))), variant)
                 for paths in sc.build_all_paths(vcfg)
             ]
         )

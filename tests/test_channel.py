@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xlmimo.channel import (
-    ChannelTensor,
     FrequencyGrid,
     VARIANTS,
     assemble,
@@ -193,7 +192,7 @@ class TestAssemble:
             los_path(distance=1.1, azimuth=0.3, amplitude=0.8, phase=0.5),
             los_path(distance=2.4, azimuth=-0.9, amplitude=0.3, phase=-1.2),
         ]
-        out = assemble(paths, geom, OMNI, OMNI, grid, variant="nf-ss")
+        out = assemble(paths, geom, OMNI, OMNI, grid, np.ones((3, 2)), "nf-ss")
         freqs = grid.points()
         want = np.zeros((3, 4), dtype=complex)
         for l, p in enumerate(paths):
@@ -209,8 +208,8 @@ class TestAssemble:
                         * np.exp(-1j * (prop + p.phase))
                         * np.exp(-2j * np.pi * f * p.delay)
                     )
-        assert out.values.shape == (1, 3, 4)
-        assert_allclose(out.values[0], want, rtol=1e-10)
+        assert out.shape == (3, 4) and out.dtype == complex
+        assert_allclose(out, want, rtol=1e-10)
 
     def test_reference_element_sums_reference_responses(self):
         geom = ArrayGeometry(num_elements=8, spacing=0.002, reference_index=2)
@@ -220,32 +219,32 @@ class TestAssemble:
             los_path(distance=2.0, azimuth=-0.5, amplitude=0.4, phase=1.7,
                      model=WavefrontModel.SPM),
         ]
-        out = assemble(paths, geom, OMNI, OMNI, grid, variant="nf-ss")
+        out = assemble(paths, geom, OMNI, OMNI, grid, np.ones((8, 2)), "nf-ss")
         f = grid.points()
         want = sum(
             p.amplitude * np.exp(-1j * (2 * np.pi * f * p.delay + p.phase))
             for p in paths
         )
-        assert_allclose(out.values[0, 2, :], want, rtol=1e-10)
+        assert_allclose(out[2, :], want, rtol=1e-10)
 
     def test_single_plane_wave_magnitude_is_flat(self):
         geom = ArrayGeometry(num_elements=16, spacing=0.0015)
         grid = FrequencyGrid(100e9, 100e9, 1)
         out = assemble([los_path(amplitude=0.7)], geom, OMNI, OMNI, grid,
-                       variant="ff-ss")
-        assert_allclose(np.abs(out.values), 0.7, rtol=1e-12)
+                       np.ones((16, 1)), "ff-ss")
+        assert_allclose(np.abs(out), 0.7, rtol=1e-12)
 
     def test_ff_variant_matches_plane_wave_weights(self):
         geom = ArrayGeometry(num_elements=8, spacing=0.0015)
         grid = FrequencyGrid(95e9, 105e9, 3)
         p = los_path(distance=1.2, azimuth=0.6, amplitude=0.5)
-        out = assemble([p], geom, OMNI, OMNI, grid, variant="ff-ss")
+        out = assemble([p], geom, OMNI, OMNI, grid, np.ones((8, 1)), "ff-ss")
         f = grid.points()
         # closed form: exp(j(2*pi*f*spacing*u*(m - ref)/c - phase))
         u = np.dot(direction_vector(p.aod), geom.axis)
         ramp = 2 * np.pi * np.outer(np.arange(8), f) * 0.0015 * u / SPEED_OF_LIGHT
         want = np.exp(1j * (ramp - p.phase)) * reference_response([p], f)[0][None, :]
-        assert_allclose(out.values[0], want, rtol=1e-12)
+        assert_allclose(out, want, rtol=1e-12)
 
     def test_zeroed_attenuation_removes_path(self):
         geom = ArrayGeometry(num_elements=4, spacing=0.01)
@@ -254,73 +253,56 @@ class TestAssemble:
                  los_path(distance=2.0, azimuth=0.7, amplitude=0.5)]
         aaf = np.ones((4, 2))
         aaf[:, 0] = 0.0
-        masked = assemble(paths, geom, OMNI, OMNI, grid, aaf=aaf)
-        only_second = assemble([paths[1]], geom, OMNI, OMNI, grid,
-                               aaf=np.ones((4, 1)))
-        assert_allclose(masked.values, only_second.values, rtol=1e-12)
+        masked = assemble(paths, geom, OMNI, OMNI, grid, aaf)
+        only_second = assemble([paths[1]], geom, OMNI, OMNI, grid, np.ones((4, 1)))
+        assert_allclose(masked, only_second, rtol=1e-12)
 
     def test_generated_variant_is_deterministic(self):
         geom = ArrayGeometry(num_elements=32, spacing=0.002)
         grid = FrequencyGrid(90e9, 110e9, 4)
         paths = [los_path(stationarity=Stationarity.NON_STATIONARY)]
-        a = assemble(paths, geom, OMNI, OMNI, grid, variant="nf-sns", seed=9)
-        b = assemble(paths, geom, OMNI, OMNI, grid, variant="nf-sns", seed=9)
-        assert np.array_equal(a.values, b.values)
-        assert a.seed == 9 and a.variant == "nf-sns"
+        a, b = (
+            assemble(paths, geom, OMNI, OMNI, grid,
+                     build_variant_aaf(paths, 32, "nf-sns", seed=9), "nf-sns")
+            for _ in range(2)
+        )
+        assert np.array_equal(a, b)
 
     def test_validation(self):
         geom = ArrayGeometry(num_elements=4, spacing=0.01)
         grid = FrequencyGrid(90e9, 110e9, 3)
         with pytest.raises(ValueError):
-            assemble([los_path()], geom, OMNI, OMNI, grid, variant="bogus")
+            assemble([los_path()], geom, OMNI, OMNI, grid, np.ones((4, 1)), "bogus")
         with pytest.raises(ValueError):
-            assemble([los_path()], geom, OMNI, OMNI, grid, aaf=np.ones((3, 1)))
+            assemble([los_path()], geom, OMNI, OMNI, grid, np.ones((3, 1)))
         with pytest.raises(ValueError):
-            assemble([los_path()], geom, OMNI, OMNI, grid,
-                     aaf=-np.ones((4, 1)))
-
-
-class TestChannelTensor:
-    def test_shape_validation(self):
-        grid = FrequencyGrid(90e9, 110e9, 3)
+            assemble([los_path()], geom, OMNI, OMNI, grid, -np.ones((4, 1)))
         with pytest.raises(ValueError):
-            ChannelTensor(values=np.zeros((2, 3)), grid=grid)
-        with pytest.raises(ValueError):
-            ChannelTensor(values=np.zeros((1, 2, 4)), grid=grid)
-        with pytest.raises(ValueError):
-            ChannelTensor(values=np.zeros((1, 2, 3)), grid=grid, variant="x")
-
-    def test_real_input_promoted_to_complex(self):
-        grid = FrequencyGrid(90e9, 110e9, 3)
-        t = ChannelTensor(values=np.ones((1, 2, 3)), grid=grid)
-        assert np.iscomplexobj(t.values)
-        assert t.num_users == 1 and t.num_elements == 2
+            assemble([los_path()], geom, OMNI, OMNI, grid, np.full((4, 1), np.nan))
 
 
 class TestMultiUser:
     def test_stacking(self):
         geom = ArrayGeometry(num_elements=4, spacing=0.01)
         grid = FrequencyGrid(90e9, 110e9, 3)
-        t1 = assemble([los_path(azimuth=0.1)], geom, OMNI, OMNI, grid,
-                      variant="nf-ss")
-        t2 = assemble([los_path(azimuth=0.9)], geom, OMNI, OMNI, grid,
-                      variant="nf-ss")
-        both = multi_user([t1, t2])
-        assert both.num_users == 2
-        assert_allclose(both.values[0], t1.values[0])
-        assert_allclose(both.values[1], t2.values[0])
+        h1, h2 = (
+            assemble([los_path(azimuth=az)], geom, OMNI, OMNI, grid,
+                     np.ones((4, 1)), "nf-ss")
+            for az in (0.1, 0.9)
+        )
+        pool = multi_user([h1, h2])
+        assert pool.shape == (2, 4, 3) and pool.dtype == np.dtype("<c8")
+        # rounded exactly as the channel.bin writer rounds
+        assert np.array_equal(pool[0], h1.astype("<c8"))
+        assert np.array_equal(pool[1], h2.astype("<c8"))
 
     def test_mismatch_rejected(self):
-        geom = ArrayGeometry(num_elements=4, spacing=0.01)
-        g1 = FrequencyGrid(90e9, 110e9, 3)
-        g2 = FrequencyGrid(90e9, 112e9, 3)
-        t1 = assemble([los_path()], geom, OMNI, OMNI, g1, variant="nf-ss")
-        t2 = assemble([los_path()], geom, OMNI, OMNI, g2, variant="nf-ss")
         with pytest.raises(ValueError):
-            multi_user([t1, t2])
-        t3 = assemble([los_path()], geom, OMNI, OMNI, g1, variant="ff-ss")
+            multi_user([np.ones((4, 3)), np.ones((4, 2))])
         with pytest.raises(ValueError):
-            multi_user([t1, t3])
+            multi_user([np.ones((4, 3)), np.ones((5, 3))])
+        with pytest.raises(ValueError):
+            multi_user([np.ones((1, 4, 3))])
         with pytest.raises(ValueError):
             multi_user([])
 
@@ -410,14 +392,14 @@ class TestPathTable:
         else:
             tx = rx = OMNI
         aaf = np.random.default_rng(aaf_seed).uniform(0.0, 1.0, (num_elements, len(records)))
-        chan = assemble(records, geom, tx, rx, grid, aaf=aaf, variant=variant)
+        chan = assemble(records, geom, tx, rx, grid, aaf, variant)
         table = path_table(records, geom, tx, rx, grid.carrier_hz, aaf, variant=variant)
         delays_ref = np.array([p.delay for p in records])
         terms = table.amplitudes * np.exp(
             -1j * (table.phases + 2 * np.pi * grid.carrier_hz * delays_ref)
         )
         scale = np.sum(np.abs(terms), axis=1)
-        assert_allclose(chan.values[0, :, 0], terms.sum(axis=1), rtol=1e-10,
+        assert_allclose(chan[:, 0], terms.sum(axis=1), rtol=1e-10,
                         atol=1e-10 * scale.max())
 
     def test_pattern_ratio_in_amplitudes(self):

@@ -93,8 +93,8 @@ class TestSynthesizeCommand:
         out = tmp_path / "out"
         cfg_file = write_config(tmp_path)
         assert main(["synthesize", "--config", cfg_file, "--out", str(out)]) == 0
-        tensor, meta = read_channel(out / "channel")
-        assert tensor.values.shape == (2, 8, 3)
+        pool, meta = read_channel(out / "channel")
+        assert pool.shape == (2, 8, 3) and pool.dtype == np.dtype("<c8")
         assert meta["num_ues"] == 2 and meta["name"] == "tiny"
 
         cfg = validate_config(tiny_config())
@@ -102,15 +102,13 @@ class TestSynthesizeCommand:
         grid = sc.build_grid(cfg)
         tx, rx = sc.build_patterns(cfg)
         paths = sc.build_all_paths(cfg)
-        want = np.concatenate(
+        want = np.stack(
             [
-                ch.assemble(
-                    p, geometry, tx, rx, grid, aaf=None, variant="nf-ss"
-                ).values
+                ch.assemble(p, geometry, tx, rx, grid, np.ones((8, len(p))), "nf-ss")
                 for p in paths
             ]
         )
-        assert np.array_equal(tensor.values, want.astype("<c8").astype(complex))
+        assert np.array_equal(pool, want.astype("<c8"))
         assert meta["config_sha256"] == config_sha256(cfg)
 
         rows = read_rows(out / "pathtable.csv")
@@ -129,8 +127,8 @@ class TestSynthesizeCommand:
         assert code == 0
         meta = read_json(out / "meta.json")
         assert meta["variant"] == "ff-ss" and meta["seed"] == 7
-        tensor, _ = read_channel(out / "channel")
-        mags = np.abs(tensor.values)
+        pool, _ = read_channel(out / "channel")
+        mags = np.abs(pool)
         assert_allclose(mags, np.tile(mags[:, :1, :], (1, 8, 1)), rtol=1e-6)
 
     def test_seed_required_for_random_variants(self, tmp_path, capsys):
@@ -208,6 +206,21 @@ def staged_paths(tmp_path, **row_edits):
         writer.writeheader()
         writer.writerows(rows)
     return str(fn)
+
+
+def two_path_scenario(tmp_path):
+    """A one-user config with a line-of-sight and a reflected path, and the
+    user's path list from ``scenario``."""
+    cfg = write_config(
+        tmp_path,
+        ues=[[0.2, 0.645, 0.0]],
+        reflectors=[
+            {"point": [0.0, 1.2, 0.0], "normal": [0.0, -1.0, 0.0], "loss_db": 7.0}
+        ],
+    )
+    staged = tmp_path / "staged"
+    assert main(["scenario", "--config", cfg, "--out", str(staged)]) == 0
+    return cfg, staged / "paths_ue000.csv"
 
 
 class TestSynthesizeInputErrors:
@@ -447,9 +460,9 @@ class TestEvaluateCommand:
             ]
         )
         assert code == 0
-        tensor, _ = read_channel(nf / "channel")
+        pool, _ = read_channel(nf / "channel")
         rng = np.random.default_rng(np.random.SeedSequence(4))
-        want, _ = multiuser_trials(tensor.values, 2, 8, rng, snr_db=12.5)
+        want, _ = multiuser_trials(pool, 2, 8, rng, snr_db=12.5)
         got = np.array(
             [
                 float(r["value"])
@@ -551,7 +564,7 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize(
         "metrics, loads, reads",
-        [("gain,kfactor,delay-spread,spatial-correlation", 0, 0), ("demmel", 1, 4)],
+        [("gain,kfactor,delay-spread,spatial-correlation", 0, 0), ("demmel", 1, 1)],
     )
     def test_tensor_values_read_only_for_trials(
         self, synthesized, tmp_path, monkeypatch, metrics, loads, reads
@@ -580,7 +593,7 @@ class TestEvaluateCommand:
             ]
         )
         assert code == 0
-        # one value read per user of the 4-user channel
+        # the 4-user channel is read in one call
         assert calls == {"read_channel": loads, "fromfile": reads}
 
     def test_truncated_channel_exits_2_without_trials(
@@ -661,6 +674,96 @@ class TestEvaluateCommand:
         )
         assert code == 2
         assert "exactly once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [(5, "nan"), (6, "inf"), (4, "-0.5")],
+        ids=["amplitude-nan", "delay-inf", "aaf-negative"],
+    )
+    def test_pathtable_bad_values_rejected(
+        self, synthesized, tmp_path, capsys, column, value
+    ):
+        def edit(rows):
+            cells = rows[3].rstrip("\n").split(",")
+            cells[column] = value
+            return rows[:3] + [",".join(cells) + "\n"] + rows[4:]
+
+        nf, _ = synthesized
+        self._copy_with_table(nf, tmp_path / "bad", edit)
+        code = main(
+            [
+                "evaluate", "--channel", str(tmp_path / "bad" / "channel"),
+                "--out", str(tmp_path / "o"), "--metrics", "gain,kfactor,delay-spread",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "pathtable.csv" in err and "finite and >= 0" in err
+
+    def test_shadowed_elements_give_nan_samples(self, tmp_path):
+        # both paths of the only user get a fixed AAF that is 0 on the first
+        # two elements, so those elements receive no power at all
+        cfg, fn = two_path_scenario(tmp_path)
+        rows = read_rows(fn)
+        assert len(rows) == 2
+        for row in rows:
+            row.update(stationarity="sns", aaf="0.0;0.0" + ";1.0" * 6)
+        with open(fn, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        chan = tmp_path / "chan"
+        assert main(
+            ["synthesize", "--config", cfg, "--variant", "nf-sns", "--seed", "1",
+             "--paths", str(fn), "--out", str(chan)]
+        ) == 0
+        out, cmp = tmp_path / "o", tmp_path / "cmp"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["evaluate", "--channel", str(chan / "channel"), "--out", str(out),
+                 "--metrics", "gain,kfactor,delay-spread"]
+            )
+            compare_code = main(
+                ["compare", "--channel", str(chan / "channel"), "--channel",
+                 str(chan / "channel"), "--out", str(cmp),
+                 "--metrics", "kfactor,delay-spread"]
+            )
+        assert code == 0 and compare_code == 0
+        messages = {str(w.message) for w in caught}
+        assert "zero-power elements give nan K-factor" in messages
+        assert "zero-power elements give nan delay spread" in messages
+        summary = {r["metric"]: r for r in read_rows(out / "metrics_summary.csv")}
+        for metric in ("gain", "kfactor", "delay-spread"):
+            assert summary[metric]["count"] == "8"
+            assert summary[metric]["non_finite"] == "2"
+        for metric in ("kfactor", "delay_spread"):
+            values = [
+                r["value"] for r in read_rows(out / f"channel_nf-sns_{metric}_samples.csv")
+            ]
+            assert values[:2] == ["nan", "nan"]
+            assert all(np.isfinite(float(v)) for v in values[2:])
+        # compare drops the nan samples, as it drops other non-finite ones
+        for metric in ("kfactor", "delay_spread"):
+            assert float(read_rows(cmp / f"cvm_{metric}.csv")[0]["distance"]) == 0.0
+
+    @pytest.mark.parametrize("order", [(2, 1), (1, 2)], ids=["two-then-one", "one-then-two"])
+    def test_spatial_correlation_checks_every_user(self, tmp_path, capsys, order):
+        cfg, two = two_path_scenario(tmp_path)
+        one = tmp_path / "one_path.csv"
+        header, first, *_ = two.read_text().splitlines(keepends=True)
+        one.write_text(header + first)
+        files = {2: two, 1: one}
+        argv = ["synthesize", "--config", cfg, "--out", str(tmp_path / "chan")]
+        for n in order:
+            argv += ["--paths", str(files[n])]
+        assert main(argv) == 0
+        code = main(
+            ["evaluate", "--channel", str(tmp_path / "chan" / "channel"),
+             "--out", str(tmp_path / "o"), "--metrics", "spatial-correlation"]
+        )
+        assert code == 2
+        assert "two paths" in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, synthesized, tmp_path):
         nf, _ = synthesized

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -248,6 +250,31 @@ class TestGramRoute:
         assert_matches_svd(pool, 2, 30, 2)
         assert calls == [(3, 2, 32)] * ill
 
+    @pytest.mark.parametrize("case", ["gram", "svd-fallback", "co-located"])
+    def test_complex64_pool_gives_the_numbers_of_its_upcast(self, monkeypatch, case):
+        # channel.bin pools are complex64; every route must compute in
+        # complex128, so the pool and its exact upcast agree bit for bit
+        rng = np.random.default_rng(27)
+        pool = random_channel(rng, n=5, m=24, k=3).astype(np.complex64)
+        if case == "svd-fallback":
+            pool[3] = pool[0] + 1e-4 * pool[2]  # nearly collinear users
+        elif case == "co-located":
+            pool[4] = pool[1]
+        calls = count_svd_calls(monkeypatch)
+        results = []
+        for p in (pool, pool.astype(complex)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # rank-deficient pools warn
+                capacity, demmel = multiuser_trials(p, 2, 30, np.random.default_rng(2))
+                results.append(
+                    (capacity, demmel, entropy_capacity(p), demmel_condition(p))
+                )
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+        assert (calls == []) == (case == "gram")
+        if case == "co-located":
+            assert np.any(np.isinf(results[0][1])) and results[0][3] == np.inf
+
     def test_non_finite_pool_rejected_up_front(self):
         pool = random_channel(np.random.default_rng(26), n=6, m=8, k=2)
         pool[5, 0, 0] = np.nan
@@ -284,10 +311,21 @@ class TestAmplitudeMetrics:
         assert np.all(np.isinf(out))
 
     def test_rician_k_validation(self):
-        with pytest.raises(ValueError):
-            rician_k_db(np.array([-1.0, 1.0]))
-        with pytest.raises(ValueError):
-            rician_k_db(np.array([0.0, 0.0]))
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                rician_k_db(np.array([bad, 1.0]))
+
+    def test_rician_k_zero_power_element_is_nan(self):
+        # a shadowed element (every path's AAF 0) next to a regular one
+        amp = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = rician_k_db(amp)
+        assert np.isnan(out[0])
+        assert_allclose(out[1], 10 * np.log10(4.0), rtol=1e-12)
+        assert [str(w.message) for w in caught] == [
+            "zero-power elements give nan K-factor"
+        ]
 
 
 class TestRmsDelaySpread:
@@ -323,13 +361,25 @@ class TestRmsDelaySpread:
         assert_allclose(out, [5e-9, 0.0])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            rms_delay_spread(np.array([0.0, 0.0]), np.array([0.0, 1e-9]))
-        with pytest.raises(ValueError):
-            rms_delay_spread(np.array([1.0, -1.0]), np.array([0.0, 1e-9]))
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                rms_delay_spread(np.array([1.0, bad]), np.array([0.0, 1e-9]))
         with pytest.raises(ValueError):
             rms_delay_spread(np.array([1.0, 1.0]), np.array([0.0, 1e-9]),
                              dynamic_range_db=0.0)
+
+
+    def test_zero_power_element_is_nan(self):
+        p = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        d = np.array([0.0, 10e-9])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = rms_delay_spread(p, d)
+        assert np.isnan(out[0]) and np.isnan(out[2])
+        assert out[1] == 5e-9
+        assert [str(w.message) for w in caught] == [
+            "zero-power elements give nan delay spread"
+        ]
 
 
 class TestSpatialCorrelation:

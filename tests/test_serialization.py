@@ -4,9 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from xlmimo.channel import ChannelTensor, FrequencyGrid
+from xlmimo.channel import FrequencyGrid
 from xlmimo.errors import ConfigError
 from xlmimo.geometry import Angles, ArrayGeometry
 from xlmimo.nearfield import PathRecord, Stationarity, WavefrontModel
@@ -170,65 +169,95 @@ class TestConfigSha:
         assert config_sha256(cfg) == hashlib.sha256(canonical.encode()).hexdigest()
 
 
-class TestChannelIO:
-    def make_tensor(self):
-        rng = np.random.default_rng(11)
-        values = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
-        grid = FrequencyGrid(f_low_hz=90e9, f_high_hz=110e9, num_points=3)
-        geom = ArrayGeometry(num_elements=4, spacing=0.0015)
-        return ChannelTensor(
-            values=values,
-            grid=grid,
-            variant="nf-sns",
-            seed=5,
-            geometry=geom,
-            config_sha256="ab" * 32,
-        )
+GRID = FrequencyGrid(f_low_hz=90e9, f_high_hz=110e9, num_points=3)
+GEOM = ArrayGeometry(num_elements=4, spacing=0.0015)
+GEOM_META = {
+    "num_elements": 4,
+    "spacing_m": 0.0015,
+    "axis": [1.0, 0.0, 0.0],
+    "origin": [0.0, 0.0, 0.0],
+    "reference_index": 0,
+}
 
+
+def channel_values():
+    rng = np.random.default_rng(11)
+    return rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
+
+
+def write_test_channel(base, values=None, grid=GRID, geometry=GEOM):
+    if values is None:
+        values = channel_values()
+    write_channel(base, values, grid, geometry, "nf-sns", 5, "ab" * 32, "unit")
+
+
+class TestChannelIO:
     def test_round_trip(self, tmp_path):
-        tensor = self.make_tensor()
+        values = channel_values()
         base = tmp_path / "chan"
-        write_channel(base, tensor, extra_meta={"scenario": "unit"})
+        write_test_channel(base, values)
         back, meta = read_channel(base)
         # storage is single precision; the quantization is the only loss
-        assert np.array_equal(
-            back.values, tensor.values.astype("<c8").astype(complex)
-        )
-        assert back.grid == tensor.grid
-        assert back.variant == "nf-sns" and back.seed == 5
-        assert back.config_sha256 == "ab" * 32
-        assert back.geometry.num_elements == 4
-        assert_allclose(back.geometry.origin, tensor.geometry.origin, atol=0)
-        assert meta["scenario"] == "unit"
+        assert back.dtype == np.dtype("<c8")
+        assert np.array_equal(back, values.astype("<c8"))
+        assert FrequencyGrid(**meta["grid"]) == GRID
+        assert meta["variant"] == "nf-sns" and meta["seed"] == 5
+        assert meta["config_sha256"] == "ab" * 32
+        assert meta["name"] == "unit" and meta["num_ues"] == 2
+        assert meta["array"]["num_elements"] == 4
+        assert meta["array"]["origin"] == [0.0, 0.0, 0.0]
         assert meta["axes"] == ["user", "element", "frequency"]
 
+    def test_write_rejects_values_that_disagree_with_the_header(self, tmp_path):
+        for values, variant in (
+            (np.zeros((2, 4, 2)), "nf-sns"),
+            (np.zeros((2, 5, 3)), "nf-sns"),
+            (np.zeros((4, 3)), "nf-sns"),
+            (np.zeros((2, 4, 3)), "bogus"),
+        ):
+            with pytest.raises(ValueError):
+                write_channel(tmp_path / "c", values, GRID, GEOM, variant, 1, None, "x")
+        assert not (tmp_path / "c.json").exists()
+
+    def test_write_makes_no_copy_of_a_complex64_pool(self, tmp_path):
+        rng = np.random.default_rng(3)
+        pool = (rng.standard_normal((4, 64, 512)) + 0j).astype("<c8")
+        grid = FrequencyGrid(f_low_hz=90e9, f_high_hz=110e9, num_points=512)
+        geometry = ArrayGeometry(num_elements=64, spacing=0.0015)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_test_channel(tmp_path / "chan", pool, grid, geometry)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "chan.bin").read_bytes() == pool.tobytes()
+        assert peak < pool.nbytes // 8
+
     def test_read_accepts_json_suffix(self, tmp_path):
-        tensor = self.make_tensor()
         base = tmp_path / "chan"
-        write_channel(base, tensor)
+        write_test_channel(base)
         back, _ = read_channel(f"{base}.json")
-        assert back.values.shape == (2, 4, 3)
+        assert back.shape == (2, 4, 3)
 
     def test_write_is_byte_deterministic(self, tmp_path):
-        tensor = self.make_tensor()
-        write_channel(tmp_path / "a", tensor)
-        write_channel(tmp_path / "b", tensor)
+        write_test_channel(tmp_path / "a")
+        write_test_channel(tmp_path / "b")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(ConfigError, match="missing"):
             read_channel(tmp_path / "nope")
-        tensor = self.make_tensor()
-        write_channel(tmp_path / "chan", tensor)
+        write_test_channel(tmp_path / "chan")
         (tmp_path / "chan.bin").unlink()
         with pytest.raises(ConfigError, match="missing"):
             read_channel(tmp_path / "chan")
 
     def test_bad_format_version(self, tmp_path):
-        tensor = self.make_tensor()
         base = tmp_path / "chan"
-        write_channel(base, tensor)
+        write_test_channel(base)
         meta = read_json(f"{base}.json")
         meta["format_version"] = 2
         write_json(f"{base}.json", meta)
@@ -236,9 +265,8 @@ class TestChannelIO:
             read_channel(base)
 
     def test_bad_encoding(self, tmp_path):
-        tensor = self.make_tensor()
         base = tmp_path / "chan"
-        write_channel(base, tensor)
+        write_test_channel(base)
         meta = read_json(f"{base}.json")
         meta["dtype"] = "complex128"
         write_json(f"{base}.json", meta)
@@ -246,9 +274,8 @@ class TestChannelIO:
             read_channel(base)
 
     def test_size_mismatch(self, tmp_path):
-        tensor = self.make_tensor()
         base = tmp_path / "chan"
-        write_channel(base, tensor)
+        write_test_channel(base)
         raw = (base.parent / "chan.bin").read_bytes()
         (base.parent / "chan.bin").write_bytes(raw[:-8])
         with pytest.raises(ConfigError, match="size"):
@@ -256,7 +283,7 @@ class TestChannelIO:
 
     def test_truncated_file_rejected_before_reading(self, tmp_path, monkeypatch):
         base = tmp_path / "chan"
-        write_channel(base, self.make_tensor())
+        write_test_channel(base)
         raw = (tmp_path / "chan.bin").read_bytes()
         (tmp_path / "chan.bin").write_bytes(raw[: len(raw) // 2])
         reads = []
@@ -282,7 +309,7 @@ class TestChannelIO:
     )
     def test_bad_header_rejected(self, tmp_path, key, value, match):
         base = tmp_path / "chan"
-        write_channel(base, self.make_tensor())
+        write_test_channel(base)
         meta = read_json(f"{base}.json")
         meta[key] = value
         write_json(f"{base}.json", meta)
@@ -292,7 +319,7 @@ class TestChannelIO:
     @pytest.mark.parametrize("text", ["{not json", "[2, 4, 3]"])
     def test_unparseable_header_rejected(self, tmp_path, text):
         base = tmp_path / "chan"
-        write_channel(base, self.make_tensor())
+        write_test_channel(base)
         (tmp_path / "chan.json").write_text(text)
         with pytest.raises(ConfigError, match="JSON"):
             read_channel(base)
@@ -300,7 +327,7 @@ class TestChannelIO:
     def test_header_shape_and_size_agree_but_grid_does_not(self, tmp_path):
         # a consistent .bin for shape (2, 4, 6) under a 3-point grid
         base = tmp_path / "chan"
-        write_channel(base, self.make_tensor())
+        write_test_channel(base)
         meta = read_json(f"{base}.json")
         meta["shape"] = [2, 4, 6]
         write_json(f"{base}.json", meta)
@@ -308,22 +335,46 @@ class TestChannelIO:
         with pytest.raises(ConfigError, match="grid"):
             read_channel_header(base)
 
-    def test_peak_memory_is_tensor_plus_one_user_slab(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("grid", {"f_low_hz": -90e9, "f_high_hz": 110e9, "num_points": 3}),
+            ("grid", {"f_low_hz": 110e9, "f_high_hz": 90e9, "num_points": 3}),
+            ("array", dict(GEOM_META, spacing_m=0.0)),
+            ("array", dict(GEOM_META, reference_index=4)),
+            ("array", dict(GEOM_META, axis=[1.0, 1.0, 0.0])),
+        ],
+        ids=["negative-f-low", "inverted-band", "zero-spacing", "bad-reference", "axis-not-unit"],
+    )
+    def test_bad_grid_or_array_values_rejected_by_both_readers(
+        self, tmp_path, key, value
+    ):
+        base = tmp_path / "chan"
+        write_test_channel(base)
+        meta = read_json(f"{base}.json")
+        meta[key] = value
+        write_json(f"{base}.json", meta)
+        for reader in (read_channel, read_channel_header):
+            with pytest.raises(ConfigError, match="invalid grid or array"):
+                reader(base)
+
+    def test_read_peak_memory_is_the_file_size(self, tmp_path):
         users, elements, points = 4, 64, 512
         rng = np.random.default_rng(12)
         values = rng.standard_normal((users, elements, points)) + 0j
         grid = FrequencyGrid(f_low_hz=90e9, f_high_hz=110e9, num_points=points)
-        write_channel(tmp_path / "chan", ChannelTensor(values=values, grid=grid))
+        geometry = ArrayGeometry(num_elements=elements, spacing=0.0015)
+        write_test_channel(tmp_path / "chan", values, grid, geometry)
+        size = (tmp_path / "chan.bin").stat().st_size
         del values
-        slab = elements * points * 8  # one user in complex64
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            tensor, _ = read_channel(tmp_path / "chan")
+            pool, _ = read_channel(tmp_path / "chan")
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert tensor.values.dtype == complex
+        assert pool.dtype == np.dtype("<c8") and pool.nbytes == size
         # the header and Python objects take a few kB on top
-        assert peak <= tensor.values.nbytes + slab + 64 * 1024
+        assert size <= peak <= size + 64 * 1024
