@@ -4,9 +4,9 @@ The frequency response at element m is the sum over paths of three factors:
 the reference-element path response ``alpha_l * exp(-2j*pi*f*tau_l)``, the
 per-element propagation weight from the wavefront expansion, and the
 per-element amplitude attenuation factor.  One user's response is an
-(elements, frequencies) array; users sharing the array and frequency grid
-stack into the (users, elements, frequencies) complex64 pool that
-``channel.bin`` stores.
+(elements, frequencies) array, summed path by path so that no per-path
+tensor is held; users sharing the array and frequency grid fill the
+(users, elements, frequencies) complex64 pool that ``channel.bin`` stores.
 """
 
 from __future__ import annotations
@@ -16,7 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ArrayGeometry
-from .nearfield import AntennaPattern, build_a_tensor, expand_path
+from . import nearfield
+from .nearfield import AntennaPattern, expand_path
+# The reference route of ``assemble``; perfbench/worker.py wraps it by this name.
+from .nearfield import build_a_tensor  # noqa: F401
 from .sns import AAFStatParams, build_aaf_matrix
 
 #: Supported synthesis variants: wavefront axis (nf = per-path spherical
@@ -163,6 +166,12 @@ def assemble(
 ) -> np.ndarray:
     """Synthesize one user's channel, a complex128 array of shape (M, K).
 
+    The paths are summed one at a time into one (M, K) accumulator, so the
+    working set is a few (M, K) arrays whatever the path count.  Each step
+    is the per-path einsum ``"mk,m,k->mk"``, which gives the bits of the
+    reference route ``einsum("mlk,ml,lk->mk", build_a_tensor(...), aaf,
+    reference_response(...))``; plain ``w * aaf * h`` products do not.
+
     Parameters
     ----------
     paths : sequence of PathRecord
@@ -176,16 +185,9 @@ def assemble(
         One of ``VARIANTS``; ``ff-*``/``vr`` force plane-wave weights.
     """
     paths = list(paths)
+    plane_wave = _plane_wave(variant)
     frequencies = grid.points()
-    a = build_a_tensor(
-        paths,
-        geometry,
-        tx_pattern,
-        rx_pattern,
-        frequencies,
-        carrier_hz=grid.carrier_hz,
-        force_ff=_plane_wave(variant),
-    )
+    h_ref = reference_response(paths, frequencies)
     aaf = np.asarray(aaf, dtype=float)
     if aaf.shape != (geometry.num_elements, len(paths)):
         raise ValueError(
@@ -193,15 +195,29 @@ def assemble(
         )
     if np.any(aaf < 0.0) or not np.all(np.isfinite(aaf)):
         raise ValueError("aaf entries must be finite and >= 0")
-    h_ref = reference_response(paths, frequencies)
-    return np.einsum("mlk,ml,lk->mk", a, aaf, h_ref)
+    response = np.zeros((geometry.num_elements, frequencies.size), dtype=complex)
+    for l, path in enumerate(paths):
+        expansion = expand_path(
+            path, geometry, grid.carrier_hz, tx_pattern, rx_pattern, plane_wave
+        )
+        # nf_path_matrix is looked up on its module at call time, so a
+        # wrapped kernel is seen; its matrix is freed before the next path's.
+        response += np.einsum(
+            "mk,m,k->mk",
+            nearfield.nf_path_matrix(expansion, frequencies),
+            aaf[:, l],
+            h_ref[l],
+        )
+    return response
 
 
 def multi_user(responses) -> np.ndarray:
     """Stack per-user (M, K) responses into the (U, M, K) complex64 pool.
 
     Each value is rounded to complex64 exactly as ``astype("<c8")`` rounds
-    it, so the pool holds the bytes that ``channel.bin`` stores.
+    it, so the pool holds the bytes that ``channel.bin`` stores.  This is the
+    reference route for ``synthesize``, which assigns each user's response
+    into its preallocated pool as soon as :func:`assemble` returns it.
     """
     responses = list(responses)
     if not responses:

@@ -31,6 +31,12 @@ from .errors import ConfigError, GeometryError, NumericError
 #: 3,200.
 _MAX_TRIAL_USERS = 1_000_000
 
+#: Largest estimated memory of ``synthesize``: the (users, elements,
+#: frequencies) complex64 pool plus one user's working set, at most four
+#: (elements, frequencies) complex128 arrays.  Larger requests are rejected
+#: before any path is built.  The case3 preset needs about 96 MB.
+_MAX_SYNTH_BYTES = 4 * 2**30
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -211,8 +217,10 @@ def _needs_seed(variant: str, all_paths) -> bool:
 
 
 def _cmd_synthesize(args) -> int:
+    import numpy as np
+
     from . import scenario
-    from .channel import assemble, build_variant_aaf, multi_user, path_table
+    from .channel import assemble, build_variant_aaf, path_table
     from .serialization import (
         config_sha256,
         read_paths_csv,
@@ -224,9 +232,19 @@ def _cmd_synthesize(args) -> int:
     )
 
     cfg = _resolve_config(args)
-    out = _ensure_out(args)
     geometry = scenario.build_geometry(cfg)
     grid = scenario.build_grid(cfg)
+    num_ues = len(args.paths) if args.paths else len(cfg["ues"])
+    num_values = geometry.num_elements * grid.num_points
+    estimate = num_ues * num_values * 8 + num_values * 64
+    if estimate > _MAX_SYNTH_BYTES:
+        raise ConfigError(
+            f"synthesize would need about {estimate / 2**30:.1f} GiB for "
+            f"{num_ues} users x {geometry.num_elements} elements x "
+            f"{grid.num_points} frequencies; the limit is "
+            f"{_MAX_SYNTH_BYTES / 2**30:.0f} GiB"
+        )
+    out = _ensure_out(args)
     tx_pattern, rx_pattern = scenario.build_patterns(cfg)
     params = scenario.build_aaf_params(cfg)
     variant = cfg["variant"]
@@ -249,7 +267,7 @@ def _cmd_synthesize(args) -> int:
         )
 
     sha = config_sha256(cfg)
-    responses = []
+    pool = np.empty((num_ues, geometry.num_elements, grid.num_points), dtype="<c8")
     table_rows = []
     for ue, paths in enumerate(all_paths):
         aaf = build_variant_aaf(
@@ -260,8 +278,8 @@ def _cmd_synthesize(args) -> int:
             seed=seed,
             stream_key=(ue,),
         )
-        responses.append(
-            assemble(paths, geometry, tx_pattern, rx_pattern, grid, aaf, variant)
+        pool[ue] = assemble(
+            paths, geometry, tx_pattern, rx_pattern, grid, aaf, variant
         )
         table = path_table(
             paths,
@@ -288,7 +306,6 @@ def _cmd_synthesize(args) -> int:
                     ]
                 )
 
-    pool = multi_user(responses)
     write_channel(
         os.path.join(out, "channel"),
         pool,
@@ -518,7 +535,36 @@ def _read_pathtable(directory: str):
     return out
 
 
-def _metric_samples(label, pool, tables, metrics, args):
+def _checked_tables(loaded, metrics, args) -> list:
+    """Each channel's path tables (None without per-path metrics).
+
+    Every channel is checked against the trial arguments and the metrics
+    here, before ``evaluate`` makes ``--out`` or writes any file.
+    """
+    trials = "capacity" in metrics or "demmel" in metrics
+    if trials and args.seed is None:
+        raise ConfigError("--seed is required for capacity/demmel trials")
+    all_tables = []
+    for label, pool, _meta, directory in loaded:
+        if trials and not 1 <= args.num_ues <= pool.shape[0]:
+            raise ConfigError(
+                f"--num-ues must be in [1, {pool.shape[0]}] for {label}"
+            )
+        tables = None
+        if any(m in _PATH_METRICS for m in metrics):
+            tables = _read_pathtable(directory)
+        if "spatial-correlation" in metrics:
+            num_paths = min(t["aaf"].shape[1] for t in tables)
+            if num_paths < 2:
+                raise ConfigError(
+                    f"spatial-correlation needs at least two paths per user, "
+                    f"got {num_paths} in {label}"
+                )
+        all_tables.append(tables)
+    return all_tables
+
+
+def _metric_samples(pool, tables, metrics, args):
     """Sample vectors per metric for one channel; None for curve metrics."""
     import numpy as np
 
@@ -526,12 +572,6 @@ def _metric_samples(label, pool, tables, metrics, args):
 
     samples = {}
     if "capacity" in metrics or "demmel" in metrics:
-        if args.seed is None:
-            raise ConfigError("--seed is required for capacity/demmel trials")
-        if not 1 <= args.num_ues <= pool.shape[0]:
-            raise ConfigError(
-                f"--num-ues must be in [1, {pool.shape[0]}] for {label}"
-            )
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         capacity, demmel = mx.multiuser_trials(
             pool, args.num_ues, args.trials, rng, snr_db=args.snr_db
@@ -560,11 +600,6 @@ def _spatial_correlation_curve(tables, max_lag):
 
     from . import metrics as mx
 
-    num_paths = min(t["aaf"].shape[1] for t in tables)
-    if num_paths < 2:
-        raise ConfigError(
-            f"spatial-correlation needs at least two paths per user, got {num_paths}"
-        )
     num_elements = tables[0]["aaf"].shape[0]
     matrices = [mx.sns_amplitude_matrix(t["aaf"], t["alpha"]) for t in tables]
     curve = []
@@ -627,15 +662,13 @@ def _evaluate_channels(args, write_per_channel: bool) -> int:
         )
     if args.max_lag < 1:
         raise ConfigError(f"--max-lag must be >= 1, got {args.max_lag}")
-    out = _ensure_out(args)
     loaded = _load_channels(args, "capacity" in metrics or "demmel" in metrics)
+    all_tables = _checked_tables(loaded, metrics, args)
+    out = _ensure_out(args)
     all_samples = {}
     summary_rows = []
-    for label, pool, _meta, directory in loaded:
-        tables = None
-        if any(m in _PATH_METRICS for m in metrics):
-            tables = _read_pathtable(directory)
-        samples = _metric_samples(label, pool, tables, metrics, args)
+    for (label, pool, _meta, _directory), tables in zip(loaded, all_tables):
+        samples = _metric_samples(pool, tables, metrics, args)
         all_samples[label] = samples
         for metric in metrics:
             if metric == "spatial-correlation":

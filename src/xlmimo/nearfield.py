@@ -339,16 +339,20 @@ def nf_path_matrix(expansion: NearFieldExpansion, frequencies) -> np.ndarray:
     ``gain_m * exp(-1j * (2*pi*f_k*excess_length_m/c + phase_ref))``
 
     where ``phase_ref`` is the expansion's phase at the reference element.
+    The exponential and the gains are applied in place, so the call holds
+    one complex (M, K) array and, briefly, the real phases.
     """
     frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float))
     if not np.all(frequencies > 0.0):
         raise ValueError("frequencies must be > 0")
     phase_ref = expansion.phases[expansion.reference_index]
-    phase = (
+    weights = 1j * (
         -2.0 * np.pi / SPEED_OF_LIGHT * np.outer(expansion.excess_lengths, frequencies)
         - phase_ref
     )
-    return expansion.gains[:, None] * np.exp(1j * phase)
+    np.exp(weights, out=weights)
+    np.multiply(expansion.gains[:, None], weights, out=weights)
+    return weights
 
 
 def build_a_tensor(
@@ -363,7 +367,9 @@ def build_a_tensor(
     """Per-element weight tensor for a list of paths, shape (M, L, K).
 
     Each path is expanded under its own wavefront model, or as a plane wave
-    when ``force_ff`` is set; see :func:`expand_path`.
+    when ``force_ff`` is set; see :func:`expand_path`.  This is the
+    reference route for :func:`xlmimo.channel.assemble`, which sums the same
+    per-path matrices one at a time and never holds this tensor.
 
     Parameters
     ----------

@@ -172,8 +172,8 @@ def write_channel(
     """Write ``<basepath>.bin`` (little-endian complex64) and ``<basepath>.json``.
 
     ``values`` has shape (users, elements, frequencies); a ``<c8`` C-order
-    array, as :func:`xlmimo.channel.multi_user` returns, is written without
-    a copy.  The header records the shape, the grid and array, and the
+    array, such as the pool ``synthesize`` fills, is written without a
+    copy.  The header records the shape, the grid and array, and the
     provenance: variant, seed, configuration hash and scenario name.
     """
     values = np.ascontiguousarray(values, "<c8")

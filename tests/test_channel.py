@@ -26,6 +26,7 @@ from xlmimo.nearfield import (
     PathRecord,
     Stationarity,
     WavefrontModel,
+    build_a_tensor,
     expand_path,
 )
 
@@ -279,6 +280,43 @@ class TestAssemble:
             assemble([los_path()], geom, OMNI, OMNI, grid, -np.ones((4, 1)))
         with pytest.raises(ValueError):
             assemble([los_path()], geom, OMNI, OMNI, grid, np.full((4, 1), np.nan))
+
+
+class TestStreamingAssembly:
+    """``assemble`` sums path by path; the (M, L, K) tensor is the reference."""
+
+    @pytest.mark.parametrize("variant", ["nf-sns", "nf-ss", "ff-sns", "vr"])
+    @pytest.mark.parametrize(
+        "elements, num_paths, points",
+        [(301, 5, 201), (2048, 3, 21), (7, 1, 5)],
+        ids=["301x5x201", "2048x3x21", "7x1x5"],
+    )
+    def test_bit_identical_to_tensor_route(self, variant, elements, num_paths, points):
+        rng = np.random.default_rng(elements + num_paths)
+        models = (WavefrontModel.LOS, WavefrontModel.SRM, WavefrontModel.SPM,
+                  WavefrontModel.FF)
+        paths = [
+            los_path(
+                distance=rng.uniform(1.0, 6.0), azimuth=rng.uniform(-1.2, 1.2),
+                amplitude=rng.uniform(0.05, 1.0), phase=rng.uniform(-np.pi, np.pi),
+                model=models[l % 4], stationarity=Stationarity.NON_STATIONARY,
+            )
+            for l in range(num_paths)
+        ]
+        geom = ArrayGeometry(num_elements=elements, spacing=1.364e-3,
+                             reference_index=elements // 3)
+        grid = FrequencyGrid(90e9, 110e9, points)
+        tx = AntennaPattern("gaussian_lobe", 10.0, np.array([0.0, 1.0, 0.0]), 1.0, 1.0)
+        aaf = build_variant_aaf(paths, elements, variant, seed=4)
+        aaf[:, 0] = 0.0  # a path no element sees
+        f = grid.points()
+        tensor = build_a_tensor(paths, geom, tx, OMNI, f, grid.carrier_hz,
+                                force_ff=variant in ("ff-sns", "vr"))
+        want = np.einsum("mlk,ml,lk->mk", tensor, aaf, reference_response(paths, f))
+        got = assemble(paths, geom, tx, OMNI, grid, aaf, variant)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
 class TestMultiUser:

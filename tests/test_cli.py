@@ -194,6 +194,101 @@ class TestSynthesizeCommand:
             assert (outs[0] / fn).read_bytes() == (outs[1] / fn).read_bytes(), fn
 
 
+def streaming_config(tmp_path, variant, points):
+    """Six users with three paths each (line of sight and two SnS
+    reflections) on a 301-element array."""
+    return write_config(
+        tmp_path,
+        variant=variant,
+        seed=5,
+        array={"num_elements": 301, "spacing_m": 0.0015},
+        grid={"f_low_hz": 90.0e9, "f_high_hz": 110.0e9, "num_points": points},
+        ues=[[0.1 * u - 0.25, 0.7 + 0.1 * u, 0.0] for u in range(6)],
+        reflectors=[
+            {"point": [0.0, 1.5, 0.0], "normal": [0.0, -1.0, 0.0],
+             "loss_db": 7.0, "sns": True},
+            {"point": [-0.6, 0.0, 0.0], "normal": [1.0, 0.0, 0.0],
+             "loss_db": 9.0, "sns": True},
+        ],
+    )
+
+
+class TestStreamingSynthesis:
+    @pytest.mark.parametrize("variant", ["nf-sns", "ff-sns", "vr"])
+    def test_pool_matches_tensor_route(self, tmp_path, variant):
+        from xlmimo import channel as ch
+        from xlmimo import nearfield as nf
+        from xlmimo import scenario as sc
+        from xlmimo.serialization import read_yaml
+
+        cfg_file = streaming_config(tmp_path, variant, points=101)
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", cfg_file, "--out", str(out)]) == 0
+        pool, _ = read_channel(out / "channel")
+
+        cfg = validate_config(read_yaml(cfg_file))
+        geometry = sc.build_geometry(cfg)
+        grid = sc.build_grid(cfg)
+        tx, rx = sc.build_patterns(cfg)
+        f = grid.points()
+        all_paths = sc.build_all_paths(cfg)
+        assert [len(p) for p in all_paths] == [3] * 6
+        responses = []
+        for ue, paths in enumerate(all_paths):
+            aaf = ch.build_variant_aaf(
+                paths, geometry.num_elements, variant,
+                params=sc.build_aaf_params(cfg), seed=cfg["seed"], stream_key=(ue,),
+            )
+            tensor = nf.build_a_tensor(paths, geometry, tx, rx, f, grid.carrier_hz,
+                                       force_ff=variant != "nf-sns")
+            responses.append(
+                np.einsum("mlk,ml,lk->mk", tensor, aaf, ch.reference_response(paths, f))
+            )
+        want = ch.multi_user(responses)
+        assert np.array_equal(pool, want)
+        assert pool.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_pool_plus_one_user(self, tmp_path):
+        import tracemalloc
+
+        cfg_file = streaming_config(tmp_path, "nf-sns", points=1001)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(["synthesize", "--config", cfg_file, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values = 301 * 1001
+        pool = 6 * values * 8
+        # Holding every user's complex128 response, or a user's (M, L, K)
+        # weight tensor next to the finished responses, exceeds this.
+        assert pool < peak < pool + 5 * values * 16
+
+    @pytest.mark.parametrize("source", ["scenario", "paths"])
+    def test_oversized_request_exits_2_before_paths(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        from xlmimo import scenario, serialization
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths built for an oversized request")
+
+        monkeypatch.setattr(scenario, "build_all_paths", refuse)
+        monkeypatch.setattr(serialization, "read_paths_csv", refuse)
+        cfg_file = write_config(
+            tmp_path,
+            grid={"f_low_hz": 90.0e9, "f_high_hz": 110.0e9, "num_points": 10**9},
+        )
+        out = tmp_path / "out"
+        argv = ["synthesize", "--config", cfg_file, "--out", str(out)]
+        if source == "paths":
+            argv += ["--paths", str(tmp_path / "p0.csv"), "--paths", str(tmp_path / "p1.csv")]
+        assert main(argv) == 2
+        assert "the limit is 4 GiB" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def staged_paths(tmp_path, **row_edits):
     """The freespace path list as a --paths file, its first row edited."""
     staged = tmp_path / "staged"
@@ -764,6 +859,28 @@ class TestEvaluateCommand:
         )
         assert code == 2
         assert "two paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "channels, metrics, extra, message",
+        [
+            ("single", "gain,kfactor,spatial-correlation", [], "two paths"),
+            ("nf,single", "gain,spatial-correlation", [], "two paths"),
+            ("nf,single", "capacity", ["--num-ues", "2", "--seed", "1"], "--num-ues"),
+        ],
+        ids=["spatial-correlation", "spatial-correlation-second", "num-ues-second"],
+    )
+    def test_rejected_request_writes_no_metric_file(
+        self, synthesized, single_path_channel, tmp_path, capsys,
+        channels, metrics, extra, message,
+    ):
+        dirs = {"nf": synthesized[0], "single": single_path_channel}
+        out = tmp_path / "o"
+        argv = ["evaluate", "--metrics", metrics, "--out", str(out), *extra]
+        for name in channels.split(","):
+            argv += ["--channel", str(dirs[name] / "channel")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, synthesized, tmp_path):
         nf, _ = synthesized
