@@ -32,10 +32,25 @@ from .errors import ConfigError, GeometryError, NumericError
 _MAX_TRIAL_USERS = 1_000_000
 
 #: Largest estimated memory of ``synthesize``: the (users, elements,
-#: frequencies) complex64 pool plus one user's working set, at most four
-#: (elements, frequencies) complex128 arrays.  Larger requests are rejected
-#: before any path is built.  The case3 preset needs about 96 MB.
+#: frequencies) complex64 pool, one user's working set of at most four
+#: (elements, frequencies) complex128 arrays, and the nine 8-byte
+#: ``pathtable.csv`` columns of elements x paths rows.  The pool and working
+#: set are checked before any path is built, the columns once the paths are
+#: known; both before the pool is allocated or ``--out`` is made.  The case3
+#: preset needs about 97 MB.
 _MAX_SYNTH_BYTES = 4 * 2**30
+
+_PATHTABLE_HEADER = (
+    "ue",
+    "path",
+    "element",
+    "alpha_ref",
+    "aaf",
+    "amplitude",
+    "delay_s",
+    "phase_rad",
+    "distance_m",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,6 +231,14 @@ def _needs_seed(variant: str, all_paths) -> bool:
     )
 
 
+def _check_synth_size(estimate: int, what: str) -> None:
+    if estimate > _MAX_SYNTH_BYTES:
+        raise ConfigError(
+            f"synthesize would need about {estimate / 2**30:.1f} GiB for "
+            f"{what}; the limit is {_MAX_SYNTH_BYTES / 2**30:.0f} GiB"
+        )
+
+
 def _cmd_synthesize(args) -> int:
     import numpy as np
 
@@ -234,17 +257,14 @@ def _cmd_synthesize(args) -> int:
     cfg = _resolve_config(args)
     geometry = scenario.build_geometry(cfg)
     grid = scenario.build_grid(cfg)
+    num_elements = geometry.num_elements
     num_ues = len(args.paths) if args.paths else len(cfg["ues"])
-    num_values = geometry.num_elements * grid.num_points
+    num_values = num_elements * grid.num_points
     estimate = num_ues * num_values * 8 + num_values * 64
-    if estimate > _MAX_SYNTH_BYTES:
-        raise ConfigError(
-            f"synthesize would need about {estimate / 2**30:.1f} GiB for "
-            f"{num_ues} users x {geometry.num_elements} elements x "
-            f"{grid.num_points} frequencies; the limit is "
-            f"{_MAX_SYNTH_BYTES / 2**30:.0f} GiB"
-        )
-    out = _ensure_out(args)
+    _check_synth_size(
+        estimate,
+        f"{num_ues} users x {num_elements} elements x {grid.num_points} frequencies",
+    )
     tx_pattern, rx_pattern = scenario.build_patterns(cfg)
     params = scenario.build_aaf_params(cfg)
     variant = cfg["variant"]
@@ -254,25 +274,32 @@ def _cmd_synthesize(args) -> int:
         all_paths = [read_paths_csv(path) for path in args.paths]
         for fn, paths in zip(args.paths, all_paths):
             for i, p in enumerate(paths):
-                if p.aaf is not None and p.aaf.size != geometry.num_elements:
+                if p.aaf is not None and p.aaf.size != num_elements:
                     raise ConfigError(
                         f"{fn}: row {i + 1}: fixed aaf length {p.aaf.size} != "
-                        f"num_elements {geometry.num_elements}"
+                        f"num_elements {num_elements}"
                     )
     else:
         all_paths = scenario.build_all_paths(cfg)
+    num_rows = num_elements * sum(len(paths) for paths in all_paths)
+    estimate += num_rows * 8 * len(_PATHTABLE_HEADER)
+    _check_synth_size(estimate, f"{num_rows} path-table rows and the channel")
     if _needs_seed(variant, all_paths) and seed is None:
         raise ConfigError(
             "seed is required: the variant generates random attenuation factors"
         )
 
     sha = config_sha256(cfg)
-    pool = np.empty((num_ues, geometry.num_elements, grid.num_points), dtype="<c8")
-    table_rows = []
+    out = _ensure_out(args)
+    pool = np.empty((num_ues, num_elements, grid.num_points), dtype="<c8")
+    # pathtable.csv, one row per (ue, path, element) in that order
+    ints = [np.empty(num_rows, dtype=np.int64) for _ in range(3)]
+    floats = [np.empty(num_rows) for _ in range(6)]
+    lo = 0
     for ue, paths in enumerate(all_paths):
         aaf = build_variant_aaf(
             paths,
-            geometry.num_elements,
+            num_elements,
             variant,
             params=params,
             seed=seed,
@@ -290,21 +317,17 @@ def _cmd_synthesize(args) -> int:
             aaf,
             variant=variant,
         )
-        for l, path in enumerate(paths):
-            for m in range(geometry.num_elements):
-                table_rows.append(
-                    [
-                        ue,
-                        l,
-                        m,
-                        path.amplitude,
-                        aaf[m, l],
-                        table.amplitudes[m, l],
-                        table.delays[m, l],
-                        table.phases[m, l],
-                        table.distances[m, l],
-                    ]
-                )
+        hi = lo + num_elements * len(paths)
+        ints[0][lo:hi] = ue
+        ints[1][lo:hi] = np.repeat(np.arange(len(paths)), num_elements)
+        ints[2][lo:hi] = np.tile(np.arange(num_elements), len(paths))
+        floats[0][lo:hi] = np.repeat([p.amplitude for p in paths], num_elements)
+        for column, values in zip(
+            floats[1:],
+            (aaf, table.amplitudes, table.delays, table.phases, table.distances),
+        ):
+            column[lo:hi] = values.T.ravel()
+        lo = hi
 
     write_channel(
         os.path.join(out, "channel"),
@@ -320,19 +343,7 @@ def _cmd_synthesize(args) -> int:
     for ue, paths in enumerate(all_paths):
         write_paths_csv(os.path.join(out, f"paths_ue{ue:03d}.csv"), paths)
     write_table(
-        os.path.join(out, "pathtable.csv"),
-        [
-            "ue",
-            "path",
-            "element",
-            "alpha_ref",
-            "aaf",
-            "amplitude",
-            "delay_s",
-            "phase_rad",
-            "distance_m",
-        ],
-        table_rows,
+        os.path.join(out, "pathtable.csv"), _PATHTABLE_HEADER, ints + floats
     )
     write_json(
         os.path.join(out, "meta.json"),
@@ -366,15 +377,19 @@ def _cmd_generate_aaf(args) -> int:
     fixed = (args.p, args.q, args.dcorr)
     if any(v is not None for v in fixed) and not all(v is not None for v in fixed):
         raise ConfigError("--p, --q, and --dcorr must be given together")
+    for flag, value in zip(("--p", "--q", "--dcorr"), fixed):
+        if value is not None and not (np.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
     try:
         params = build_aaf_params(read_yaml(args.config) if args.config else {})
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"aaf: {exc}") from exc
 
     out = _ensure_out(args)
-    value_rows = []
-    param_rows = []
-    acf_rows = []
+    shape = (args.sequences, args.elements)
+    values = np.empty(shape)
+    acf_values = np.empty(shape)
+    param_columns = {"sequence": [], "p": [], "q": [], "d_corr": [], "fitted_dcorr": []}
     for seq in range(args.sequences):
         rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(seq,)))
         if args.p is not None:
@@ -382,29 +397,39 @@ def _cmd_generate_aaf(args) -> int:
         else:
             p, q, d_corr = sample_aaf_params(params, rng)
         try:
-            values = generate_aaf(args.elements, p, q, d_corr, rng)
+            values[seq] = generate_aaf(args.elements, p, q, d_corr, rng)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for m, v in enumerate(values):
-            value_rows.append([seq, m, v])
-        if args.elements >= 3:
-            series = acf(values)
+        try:
+            series = acf(values[seq]) if args.elements >= 3 else None
+        except ValueError:  # constant draws (e.g. p >> q) have no ACF
+            series = None
+        if series is not None:
             fitted = fit_dcorr(series, max_lag=min(args.elements - 1, 100))
-            for lag, value in zip(series.lags, series.values):
-                acf_rows.append([seq, int(lag), value])
+            acf_values[seq] = series.values
         else:
             fitted = float("nan")
-        param_rows.append([seq, p, q, d_corr, fitted])
+            acf_values[seq] = np.nan
+        for column, value in zip(param_columns.values(), (seq, p, q, d_corr, fitted)):
+            column.append(value)
 
-    write_table(os.path.join(out, "aaf.csv"), ["sequence", "element", "value"], value_rows)
+    sequence = np.repeat(np.arange(args.sequences), args.elements)
+    element = np.tile(np.arange(args.elements), args.sequences)
+    write_table(
+        os.path.join(out, "aaf.csv"),
+        ["sequence", "element", "value"],
+        [sequence, element, values.ravel()],
+    )
     write_table(
         os.path.join(out, "aaf_params.csv"),
-        ["sequence", "p", "q", "d_corr", "fitted_dcorr"],
-        param_rows,
+        list(param_columns),
+        list(param_columns.values()),
     )
-    if acf_rows:
+    if args.elements >= 3:
         write_table(
-            os.path.join(out, "acf.csv"), ["sequence", "lag", "value"], acf_rows
+            os.path.join(out, "acf.csv"),
+            ["sequence", "lag", "value"],
+            [sequence, element, acf_values.ravel()],
         )
     write_json(
         os.path.join(out, "meta.json"),
@@ -596,22 +621,24 @@ def _metric_samples(pool, tables, metrics, args):
 
 
 def _spatial_correlation_curve(tables, max_lag):
+    """Lags 1..min(max_lag, M - 1) and the user-averaged correlation at each."""
     import numpy as np
 
     from . import metrics as mx
 
     num_elements = tables[0]["aaf"].shape[0]
     matrices = [mx.sns_amplitude_matrix(t["aaf"], t["alpha"]) for t in tables]
-    curve = []
-    for lag in range(1, min(int(max_lag), num_elements - 1) + 1):
+    lags = np.arange(1, min(int(max_lag), num_elements - 1) + 1)
+    curve = np.empty(lags.size)
+    for i, lag in enumerate(lags.tolist()):
         values = []
         for matrix in matrices:
             try:
                 values.append(mx.avg_spatial_correlation(matrix, lag))
             except NumericError:
                 values.append(float("nan"))
-        curve.append([lag, float(np.nanmean(values))])
-    return curve
+        curve[i] = np.nanmean(values)
+    return lags, curve
 
 
 def _write_samples(out, label, metric, values) -> None:
@@ -623,14 +650,14 @@ def _write_samples(out, label, metric, values) -> None:
     write_table(
         os.path.join(out, f"{label}_{safe}_samples.csv"),
         ["index", "value"],
-        [[i, v] for i, v in enumerate(values)],
+        [np.arange(values.size), values],
     )
-    finite = np.sort(np.asarray(values, dtype=float))
+    finite = np.sort(values)
     probs = (np.arange(finite.size) + 1) / finite.size
     write_table(
         os.path.join(out, f"{label}_{safe}_cdf.csv"),
         ["value", "probability"],
-        [[v, p] for v, p in zip(finite, probs)],
+        [finite, probs],
     )
 
 
@@ -666,68 +693,67 @@ def _evaluate_channels(args, write_per_channel: bool) -> int:
     all_tables = _checked_tables(loaded, metrics, args)
     out = _ensure_out(args)
     all_samples = {}
-    summary_rows = []
+    summary = {"label": [], "metric": [], "count": [], "non_finite": [], "mean": []}
     for (label, pool, _meta, _directory), tables in zip(loaded, all_tables):
         samples = _metric_samples(pool, tables, metrics, args)
         all_samples[label] = samples
         for metric in metrics:
             if metric == "spatial-correlation":
-                curve = _spatial_correlation_curve(tables, args.max_lag)
+                lags, curve = _spatial_correlation_curve(tables, args.max_lag)
                 if write_per_channel:
                     write_table(
                         os.path.join(out, f"{label}_spatial_correlation.csv"),
                         ["lag", "value"],
-                        curve,
+                        [lags, curve],
                     )
                 continue
             values = np.asarray(samples[metric], dtype=float)
             if write_per_channel:
                 _write_samples(out, label, metric, values)
             finite = values[np.isfinite(values)]
-            summary_rows.append(
-                [
-                    label,
-                    metric,
-                    values.size,
-                    int(values.size - finite.size),
-                    float(np.mean(finite)) if finite.size else float("nan"),
-                ]
+            row = (
+                label,
+                metric,
+                values.size,
+                int(values.size - finite.size),
+                float(np.mean(finite)) if finite.size else float("nan"),
             )
+            for column, value in zip(summary.values(), row):
+                column.append(value)
 
     write_table(
         os.path.join(out, "metrics_summary.csv"),
-        ["label", "metric", "count", "non_finite", "mean"],
-        summary_rows,
+        list(summary),
+        list(summary.values()),
     )
 
     if len(loaded) >= 2:
         labels = [label for label, *_ in loaded]
+        pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
         for metric in metrics:
             if metric == "spatial-correlation":
                 continue
-            rows = []
-            for i in range(len(labels)):
-                for j in range(i + 1, len(labels)):
-                    a = np.asarray(all_samples[labels[i]][metric], dtype=float)
-                    b = np.asarray(all_samples[labels[j]][metric], dtype=float)
-                    fa, fb = a[np.isfinite(a)], b[np.isfinite(b)]
-                    if fa.size < a.size or fb.size < b.size:
-                        warnings.warn(
-                            f"{metric}: dropping non-finite samples before "
-                            f"distance computation"
-                        )
-                    if fa.size == 0 or fb.size == 0:
-                        warnings.warn(
-                            f"{metric}: no finite samples, recording nan distance"
-                        )
-                        distance = float("nan")
-                    else:
-                        distance = mx.cvm_distance(fa, fb)
-                    rows.append([labels[i], labels[j], distance])
+            distances = []
+            for label_a, label_b in pairs:
+                a = np.asarray(all_samples[label_a][metric], dtype=float)
+                b = np.asarray(all_samples[label_b][metric], dtype=float)
+                fa, fb = a[np.isfinite(a)], b[np.isfinite(b)]
+                if fa.size < a.size or fb.size < b.size:
+                    warnings.warn(
+                        f"{metric}: dropping non-finite samples before "
+                        f"distance computation"
+                    )
+                if fa.size == 0 or fb.size == 0:
+                    warnings.warn(
+                        f"{metric}: no finite samples, recording nan distance"
+                    )
+                    distances.append(float("nan"))
+                else:
+                    distances.append(mx.cvm_distance(fa, fb))
             write_table(
                 os.path.join(out, f"cvm_{metric.replace('-', '_')}.csv"),
                 ["label_a", "label_b", "distance"],
-                rows,
+                [[a for a, _ in pairs], [b for _, b in pairs], distances],
             )
 
     write_json(

@@ -5,10 +5,15 @@ serialized with ``repr`` (shortest round-trip form), JSON keys are sorted,
 and no timestamps or environment details are recorded.  Channel tensors are
 stored as little-endian complex64 binaries in C order next to a JSON header
 describing shape, grid, and provenance (seed and configuration hash).
+
+Every writer is atomic: it writes a temporary file in the target's
+directory and renames it over the target only once it is complete, so a
+failed write leaves no partial file and an existing target unchanged.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -50,19 +55,68 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_table(path, header, rows) -> None:
-    """Write a CSV table with deterministic float formatting."""
-    with open(path, "w", newline="") as fh:
+@contextlib.contextmanager
+def _replacing(path, mode="x", **kwargs):
+    """Create a temporary file next to ``path`` (``mode`` "x" or "xb"); rename
+    it over ``path`` when the block completes, delete it when the block
+    raises."""
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+#: Rows formatted at a time: one block's strings are alive at once, never a
+#: whole column's.
+_BLOCK_ROWS = 2048
+
+
+def _formatted(block):
+    """The cells of one column block as strings, formatted like ``_fmt``."""
+    kind = block.dtype.kind if isinstance(block, np.ndarray) else None
+    if kind == "f":
+        return map(repr, block.tolist())
+    if kind in ("i", "u"):
+        return map(str, block.tolist())
+    return map(_fmt, block)
+
+
+def write_table(path, header, columns) -> None:
+    """Write a CSV table with deterministic float formatting.
+
+    ``columns`` holds one sequence per ``header`` name (a numpy array or a
+    list), all of the same length; float and int arrays are formatted a
+    block of rows at a time, other cells one by one with ``_fmt``.
+    """
+    columns = list(columns)
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for {len(header)} header names")
+    num_rows = len(columns[0]) if columns else 0
+    if any(len(c) != num_rows for c in columns):
+        raise ValueError(f"column lengths differ: {[len(c) for c in columns]}")
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for lo in range(0, num_rows, _BLOCK_ROWS):
+            blocks = (_formatted(c[lo : lo + _BLOCK_ROWS]) for c in columns)
+            writer.writerows(zip(*blocks))
+
+
+def _dump_json(fh, obj) -> None:
+    json.dump(obj, fh, sort_keys=True, indent=2)
+    fh.write("\n")
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    with _replacing(path) as fh:
+        _dump_json(fh, obj)
 
 
 def read_json(path) -> dict:
@@ -79,7 +133,7 @@ def config_sha256(config: dict) -> str:
 
 
 def write_yaml(path, config: dict) -> None:
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         yaml.safe_dump(config, fh, sort_keys=True, default_flow_style=False)
 
 
@@ -96,25 +150,24 @@ def read_yaml(path) -> dict:
 
 def write_paths_csv(path, paths) -> None:
     """Serialize a path list; ``read_paths_csv`` round-trips it losslessly."""
-    rows = []
-    for p in paths:
-        aaf = ";".join(repr(float(v)) for v in p.aaf) if p.aaf is not None else ""
-        rows.append(
-            [
-                p.model.value,
-                p.stationarity.value,
-                p.amplitude,
-                p.phase,
-                p.delay,
-                p.distance,
-                p.aod.azimuth,
-                p.aod.elevation,
-                p.aoa.azimuth,
-                p.aoa.elevation,
-                aaf,
-            ]
-        )
-    write_table(path, PATH_COLUMNS, rows)
+    paths = list(paths)
+    columns = [
+        [p.model.value for p in paths],
+        [p.stationarity.value for p in paths],
+        [p.amplitude for p in paths],
+        [p.phase for p in paths],
+        [p.delay for p in paths],
+        [p.distance for p in paths],
+        [p.aod.azimuth for p in paths],
+        [p.aod.elevation for p in paths],
+        [p.aoa.azimuth for p in paths],
+        [p.aoa.elevation for p in paths],
+        [
+            ";".join(repr(float(v)) for v in p.aaf) if p.aaf is not None else ""
+            for p in paths
+        ],
+    ]
+    write_table(path, PATH_COLUMNS, columns)
 
 
 def read_paths_csv(path) -> list:
@@ -184,8 +237,6 @@ def write_channel(
         )
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    with open(f"{basepath}.bin", "wb") as fh:
-        values.tofile(fh)
     meta = {
         "format_version": TENSOR_FORMAT_VERSION,
         "dtype": "complex64",
@@ -211,7 +262,12 @@ def write_channel(
         "name": name,
         "num_ues": values.shape[0],
     }
-    write_json(f"{basepath}.json", meta)
+    # Both files are complete before either replaces its target.
+    with _replacing(f"{basepath}.bin", "xb") as bin_fh, _replacing(
+        f"{basepath}.json"
+    ) as json_fh:
+        values.tofile(bin_fh)
+        _dump_json(json_fh, meta)
 
 
 def _channel_files(basepath) -> tuple:

@@ -1,11 +1,12 @@
 import csv
+import os
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -287,6 +288,23 @@ class TestStreamingSynthesis:
         assert main(argv) == 2
         assert "the limit is 4 GiB" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_path_table_columns_count_toward_the_limit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from xlmimo import cli
+
+        # tiny_config: 2 users with one path each, 8 elements, 3 frequencies.
+        pool_and_working_set = 2 * 8 * 3 * 8 + 8 * 3 * 64
+        columns = 9 * 8 * (8 * 2)
+        argv = ["synthesize", "--config", write_config(tmp_path)]
+        out = tmp_path / "out"
+        monkeypatch.setattr(cli, "_MAX_SYNTH_BYTES", pool_and_working_set + columns - 1)
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "16 path-table rows" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(cli, "_MAX_SYNTH_BYTES", pool_and_working_set + columns)
+        assert main(argv + ["--out", str(out)]) == 0
 
 
 def staged_paths(tmp_path, **row_edits):
@@ -1000,6 +1018,95 @@ def test_bad_arguments_exit_2_before_writing(synthesized, tmp_path, capsys, argv
     assert main(argv + ["--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+@st.composite
+def argument_sets(draw, specs):
+    """``--flag=value`` for every flag of ``specs`` (flag -> (valid, invalid)
+    strategies), all valid or one drawn invalid; and whether all are valid."""
+    bad = draw(st.sampled_from([None, *specs]))
+    argv = [
+        f"{flag}={draw(invalid if flag == bad else valid)!r}"
+        for flag, (valid, invalid) in specs.items()
+    ]
+    return argv, bad is None
+
+
+NOT_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+SEED = (st.integers(0, 2**64), st.integers(max_value=-1))
+TRIAL_ARGS = {
+    # the `synthesized` channels have four users
+    "--num-ues": (st.integers(1, 4), st.integers(max_value=0) | st.integers(min_value=5)),
+    "--trials": (
+        st.integers(1, 4),
+        st.integers(max_value=0) | st.integers(min_value=1_000_001),
+    ),
+    # 10 ** (3083 / 10) overflows a double
+    "--snr-db": (
+        st.floats(-1e4, 3000.0),
+        NOT_FINITE | st.floats(min_value=3083.0, allow_infinity=False),
+    ),
+    "--max-lag": (st.integers(1, 10**6), st.integers(max_value=0)),
+    "--seed": SEED,
+}
+AAF_ARGS = {
+    "--elements": (st.integers(1, 64), st.integers(max_value=0)),
+    "--sequences": (st.integers(1, 4), st.integers(max_value=0)),
+    "--seed": SEED,
+}
+SHAPE = (
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.floats(max_value=0.0) | NOT_FINITE,
+)
+FIXED_ARGS = {"--p": SHAPE, "--q": SHAPE, "--dcorr": SHAPE}
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(["evaluate", "compare"]), args=argument_sets(TRIAL_ARGS))
+def test_trial_arguments_exit_0_or_2_without_writing(synthesized, command, args):
+    """A valid argument set exits 0; an invalid value exits 2 and leaves
+    --out absent."""
+    import tempfile
+
+    flags, valid = args
+    channels = synthesized if command == "compare" else synthesized[:1]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = f"{tmp}/out"
+        argv = [command, "--metrics", "capacity,demmel,spatial-correlation"]
+        for channel in channels:
+            argv += ["--channel", str(channel / "channel")]
+        assert main(argv + flags + ["--out", out]) == (0 if valid else 2)
+        assert os.path.exists(out) == valid
+
+
+@settings(max_examples=80, deadline=None)
+@example(  # generate_aaf rejects it only after --out would be made
+    args=(["--elements=8", "--sequences=1", "--seed=1"], True),
+    fixed=(["--p=-1.0", "--q=1.0", "--dcorr=1.0"], False),
+    num_fixed=3,
+)
+@example(  # every Beta draw is 1.0, a constant sequence without an ACF
+    args=(["--elements=8", "--sequences=1", "--seed=1"], True),
+    fixed=(["--p=10000000000.0", "--q=1e-10", "--dcorr=1.0"], True),
+    num_fixed=3,
+)
+@given(
+    args=argument_sets(AAF_ARGS),
+    fixed=argument_sets(FIXED_ARGS),
+    num_fixed=st.sampled_from([0, 1, 2, 3]),
+)
+def test_generate_aaf_arguments_exit_0_or_2_without_writing(args, fixed, num_fixed):
+    """As above; --p, --q and --dcorr are valid only all together."""
+    import tempfile
+
+    flags, valid = args
+    fixed_flags, fixed_valid = fixed
+    valid = valid and (num_fixed == 0 or (num_fixed == 3 and fixed_valid))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = f"{tmp}/out"
+        argv = ["generate-aaf", *flags, *fixed_flags[:num_fixed], "--out", out]
+        assert main(argv) == (0 if valid else 2)
+        assert os.path.exists(out) == valid
 
 
 class TestThreadEnv:

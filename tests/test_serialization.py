@@ -1,9 +1,12 @@
+import csv
 import hashlib
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xlmimo.channel import FrequencyGrid
 from xlmimo.errors import ConfigError
@@ -11,6 +14,7 @@ from xlmimo.geometry import Angles, ArrayGeometry
 from xlmimo.nearfield import PathRecord, Stationarity, WavefrontModel
 from xlmimo.serialization import (
     PATH_COLUMNS,
+    _fmt,
     config_sha256,
     read_channel,
     read_channel_header,
@@ -86,7 +90,7 @@ class TestPathsCsv:
 
     def test_empty_table(self, tmp_path):
         fn = tmp_path / "empty.csv"
-        write_table(fn, PATH_COLUMNS, [])
+        write_table(fn, PATH_COLUMNS, [[] for _ in PATH_COLUMNS])
         with pytest.raises(ConfigError, match="no paths"):
             read_paths_csv(fn)
 
@@ -108,16 +112,95 @@ class TestPathsCsv:
             read_paths_csv(fn)
 
 
+def reference_write_table(path, header, rows):
+    """The row-wise writer ``write_table`` replaced: ``_fmt`` on every cell,
+    one ``writerow`` per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+SPECIAL_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+    5e-324, 2.2250738585072e-309, 1e300, -1e300, 1.7976931348623157e308,
+]
+WORDS = ["a", "", " ", "x,y", 'say "hi"', "two\nlines", "cr\rlf", "é"]
+
+
+def random_column(kind, rng, n):
+    if kind == "float64":
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-320.0, 300.0, n)
+    if kind == "float32":
+        return (rng.standard_normal(n) * 10.0 ** rng.uniform(-40.0, 38.0, n)).astype(
+            np.float32
+        )
+    if kind == "int64":
+        return rng.integers(-(2**63), 2**63, n, dtype=np.int64)
+    if kind == "bool":
+        return rng.random(n) < 0.5
+    if kind == "str":
+        return [WORDS[i] for i in rng.integers(0, len(WORDS), n)]
+    # a list of mixed cells
+    pool = [True, 3, -(2**70), 0.1, np.float32(0.1), np.int16(-7), "x,y", float("nan")]
+    return [pool[i] for i in rng.integers(0, len(pool), n)]
+
+
+SPECIALS = {
+    "float64": st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+    "float32": st.floats(width=32),
+    "int64": st.integers(-(2**63), 2**63 - 1),
+    "bool": st.booleans(),
+    "str": st.text(),
+    "mixed": st.one_of(st.floats(), st.integers(), st.booleans(), st.text()),
+}
+
+
+@st.composite
+def tables(draw):
+    """Columns of every kind around the 2048-row block size, with special
+    values planted at random rows."""
+    n = draw(st.sampled_from([0, 1, 2047, 2048, 2049]))
+    kinds = draw(st.lists(st.sampled_from(sorted(SPECIALS)), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in kinds:
+        column = random_column(kind, rng, n)
+        for value in draw(st.lists(SPECIALS[kind], max_size=6 if n else 0)):
+            column[int(rng.integers(0, n))] = value
+        columns.append(column)
+    return [f"c{i}" for i in range(len(kinds) - 1)] + ["last,col"], columns
+
+
 class TestTableFormatting:
     def test_fmt_types(self, tmp_path):
         fn = tmp_path / "t.csv"
-        write_table(fn, ["a", "b", "c", "d", "e"], [[True, False, 3, 0.1, "x"]])
+        write_table(fn, ["a", "b", "c", "d", "e"], [[True], [False], [3], [0.1], ["x"]])
         assert fn.read_text() == "a,b,c,d,e\ntrue,false,3,0.1,x\n"
 
     def test_float_shortest_repr(self, tmp_path):
         fn = tmp_path / "f.csv"
-        write_table(fn, ["v"], [[1e-9], [np.float64(0.30000000000000004)]])
+        write_table(fn, ["v"], [[1e-9, np.float64(0.30000000000000004)]])
         assert fn.read_text() == "v\n1e-09\n0.30000000000000004\n"
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(tables())
+    def test_matches_row_wise_reference(self, tmp_path_factory, table):
+        header, columns = table
+        tmp = tmp_path_factory.mktemp("table")
+        want, got = tmp / "want.csv", tmp / "got.csv"
+        reference_write_table(want, header, zip(*columns))
+        write_table(got, header, columns)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_column_count_and_lengths_checked(self, tmp_path):
+        with pytest.raises(ValueError, match="2 columns for 3"):
+            write_table(tmp_path / "a.csv", ["a", "b", "c"], [[1], [2]])
+        with pytest.raises(ValueError, match="lengths differ"):
+            write_table(tmp_path / "b.csv", ["a", "b"], [[1, 2], np.arange(3)])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJsonYaml:
@@ -378,3 +461,61 @@ class TestChannelIO:
         assert pool.dtype == np.dtype("<c8") and pool.nbytes == size
         # the header and Python objects take a few kB on top
         assert size <= peak <= size + 64 * 1024
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell cannot be formatted")
+
+
+class TestAtomicWriters:
+    """A writer that fails midway leaves no partial target and no temporary
+    file, and an existing target keeps its bytes."""
+
+    @staticmethod
+    def failing_writes():
+        # Each call fails after part of its output is written.
+        column = [1.5] * 3000
+        column[2500] = Unprintable()  # in the second 2048-row block
+        yield "t.csv", lambda p: write_table(p, ["a", "b"], [np.arange(3000), column])
+        yield "t.json", lambda p: write_json(p, {"a": 1, "z": object()})
+        yield "t.yaml", lambda p: write_yaml(p, {"a": 1, "z": object()})
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_table_json_yaml_writes_leave_target(self, tmp_path, existing):
+        for name, write in self.failing_writes():
+            target = tmp_path / name
+            if existing:
+                target.write_bytes(b"previous\n")
+            with pytest.raises(Exception):
+                write(target)
+            assert sorted(p.name for p in tmp_path.iterdir()) == (
+                [name] if existing else []
+            ), name
+            if existing:
+                assert target.read_bytes() == b"previous\n"
+                target.unlink()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_channel_write_leaves_both_files(self, tmp_path, existing):
+        base = tmp_path / "chan"
+        if existing:
+            write_test_channel(base)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(TypeError):
+            # The header fails to serialize after the tensor is written.
+            write_channel(
+                base, channel_values() * 2, GRID, GEOM, "nf-sns", 5, "ab" * 32, object()
+            )
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_success_replaces_target_and_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_text("previous\n")
+        write_table(target, ["v"], [np.array([0.5, 2.0])])
+        write_json(tmp_path / "t.json", {"a": 1})
+        write_test_channel(tmp_path / "chan")
+        assert target.read_text() == "v\n0.5\n2.0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chan.bin", "chan.json", "t.csv", "t.json",
+        ]
