@@ -3,15 +3,18 @@ large aperture arrays, with a metrics engine and a command-line pipeline.
 """
 
 from ._threads import apply_thread_env as _apply_thread_env
-
-_apply_thread_env()
-
-from .errors import (  # noqa: E402
+from .errors import (
     ChannelModelError,
     ConfigError,
     GeometryError,
     NumericError,
 )
+
+try:
+    _apply_thread_env()
+except ConfigError:
+    pass  # importing stays possible; cli.main reports the value with exit 2
+
 from .geometry import (  # noqa: E402
     SPEED_OF_LIGHT,
     Angles,
@@ -31,13 +34,10 @@ from .nearfield import (  # noqa: E402
     WavefrontModel,
     build_a_tensor,
     expand_path,
-    ff_phase_delta,
     nf_path_matrix,
-    nf_phase_delta,
 )
 from .sns import (  # noqa: E402
     AAFStatParams,
-    ACFSeries,
     acf,
     build_aaf_matrix,
     fit_dcorr,
@@ -53,9 +53,7 @@ from .channel import (  # noqa: E402
     build_variant_aaf,
     multi_user,
     path_table,
-    random_visibility_interval,
     reference_response,
-    vr_aaf,
 )
 from .metrics import (  # noqa: E402
     avg_spatial_correlation,

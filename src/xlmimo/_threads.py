@@ -2,7 +2,8 @@
 
 Linear-algebra backends size their pools when numpy first loads, so this
 must run before that import; both the package root and the CLI call it
-first thing.
+first thing.  The package root skips a bad value, so that importing never
+fails; ``cli.main`` reports it as a configuration error (exit 2).
 """
 
 import os

@@ -92,35 +92,18 @@ def reference_response(paths, frequencies) -> np.ndarray:
     )
 
 
-def vr_aaf(num_elements: int, interval) -> np.ndarray:
-    """Binary visibility-interval attenuation factors.
+def _vr_column(num_elements: int, rng: np.random.Generator) -> np.ndarray:
+    """One binary column: 1 on a random visibility interval, 0 elsewhere.
 
-    Elements inside ``interval = (start, stop)`` (half-open, 0-based) get 1,
-    the rest 0.
+    The interval covers a uniform fraction in [0.3, 0.8] of the array,
+    rounded to at least one element, at a uniformly drawn start.
     """
-    num_elements = int(num_elements)
-    start, stop = int(interval[0]), int(interval[1])
-    if not 0 <= start < stop <= num_elements:
-        raise ValueError(
-            f"interval must satisfy 0 <= start < stop <= {num_elements}, "
-            f"got ({start}, {stop})"
-        )
-    out = np.zeros(num_elements)
-    out[start:stop] = 1.0
-    return out
-
-
-def random_visibility_interval(num_elements: int, rng: np.random.Generator) -> tuple:
-    """Draw a random visibility interval covering a fraction of the array."""
     fraction = rng.uniform(_VR_MIN_FRACTION, _VR_MAX_FRACTION)
     length = max(1, int(round(fraction * num_elements)))
     start = int(rng.integers(0, num_elements - length + 1))
-    return start, start + length
-
-
-def _vr_column(num_elements: int, rng: np.random.Generator) -> np.ndarray:
-    """One binary column with a random visibility interval."""
-    return vr_aaf(num_elements, random_visibility_interval(num_elements, rng))
+    out = np.zeros(num_elements)
+    out[start : start + length] = 1.0
+    return out
 
 
 def build_variant_aaf(

@@ -401,12 +401,12 @@ def _cmd_generate_aaf(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         try:
-            series = acf(values[seq]) if args.elements >= 3 else None
+            curve = acf(values[seq]) if args.elements >= 3 else None
         except ValueError:  # constant draws (e.g. p >> q) have no ACF
-            series = None
-        if series is not None:
-            fitted = fit_dcorr(series, max_lag=min(args.elements - 1, 100))
-            acf_values[seq] = series.values
+            curve = None
+        if curve is not None:
+            fitted = fit_dcorr(curve)
+            acf_values[seq] = curve
         else:
             fitted = float("nan")
             acf_values[seq] = np.nan

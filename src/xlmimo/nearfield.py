@@ -20,7 +20,7 @@ departure direction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -396,60 +396,3 @@ def build_a_tensor(
         out[:, l, :] = nf_path_matrix(expansion, frequencies)
     return out
 
-
-def ff_phase_delta(azimuth) -> np.ndarray | float:
-    """Plane-wave inter-element phase difference at half-wavelength spacing.
-
-    ``pi * sin(azimuth)`` radians, independent of element index.
-    """
-    return np.pi * np.sin(azimuth)
-
-
-def nf_phase_delta(
-    azimuth,
-    distance,
-    element_index: int = 1,
-    wavelength: float = None,
-    spacing: float = None,
-):
-    """Spherical-wave phase difference between elements m-1 and m.
-
-    Second-order expansion of the element-to-source distance for a source at
-    ``distance`` and azimuth ``azimuth`` from the reference end of the
-    array:
-
-    ``(2*pi/wavelength) * (-spacing*sin(azimuth)
-      + (2*m - 1) * spacing**2 * cos(azimuth)**2 / (2*distance))``
-
-    At half-wavelength spacing and m = 1 this is
-    ``-pi*sin(azimuth) + pi*wavelength*(1 - sin(azimuth)**2)/(4*distance)``.
-
-    Parameters
-    ----------
-    azimuth : float or ndarray
-        Source azimuth in radians measured in the array plane.
-    distance : float
-        Source distance in metres, > 0.
-    element_index : int
-        m >= 1; the difference is between elements m-1 and m.
-    wavelength : float
-        Carrier wavelength in metres, > 0.
-    spacing : float, optional
-        Element spacing in metres; defaults to ``wavelength / 2``.
-    """
-    if wavelength is None or wavelength <= 0.0:
-        raise ValueError("wavelength must be > 0")
-    distance = float(distance)
-    if distance <= 0.0:
-        raise ValueError(f"distance must be > 0, got {distance}")
-    element_index = int(element_index)
-    if element_index < 1:
-        raise ValueError(f"element_index must be >= 1, got {element_index}")
-    if spacing is None:
-        spacing = wavelength / 2.0
-    spacing = float(spacing)
-    if spacing <= 0.0:
-        raise ValueError(f"spacing must be > 0, got {spacing}")
-    sin_az = np.sin(azimuth)
-    curv = (2.0 * element_index - 1.0) * spacing * spacing / (2.0 * distance)
-    return 2.0 * np.pi / wavelength * (-spacing * sin_az + curv * (1.0 - sin_az**2))

@@ -13,6 +13,7 @@ illustrative calibrations, not material measurements.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ import numpy as np
 from .errors import ConfigError, GeometryError
 from .geometry import (
     SPEED_OF_LIGHT,
-    Angles,
     ArrayGeometry,
     Plane,
     angles_from_vector,
@@ -430,21 +430,9 @@ def build_patterns(config: dict):
 def build_aaf_params(config: dict) -> AAFStatParams:
     """Attenuation-factor hyper-parameters, config overrides over defaults."""
     block = dict(config.get("aaf") or {})
-    known = {
-        "mu_p",
-        "sigma_p",
-        "xi",
-        "gamma",
-        "lambda_corr",
-        "p_range",
-        "dcorr_range",
-    }
-    unknown = set(block) - known
+    unknown = set(block) - {f.name for f in dataclasses.fields(AAFStatParams)}
     if unknown:
         raise ValueError(f"unknown aaf keys: {', '.join(sorted(unknown))}")
-    for key in ("p_range", "dcorr_range"):
-        if key in block:
-            block[key] = tuple(block[key])
     return AAFStatParams(**block)
 
 

@@ -23,6 +23,7 @@ exponential decay rate per element.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -30,7 +31,14 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import NumericError
-from .nearfield import PathRecord, Stationarity
+from .nearfield import Stationarity
+
+
+def _number(name, value) -> float:
+    """``value`` as a float; booleans and non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -52,13 +60,13 @@ class AAFStatParams:
     dcorr_range: tuple = (0.018, 0.12)
 
     def __post_init__(self):
-        self.mu_p = float(self.mu_p)
-        self.sigma_p = float(self.sigma_p)
-        self.xi = float(self.xi)
-        self.gamma = float(self.gamma)
-        self.lambda_corr = float(self.lambda_corr)
-        self.p_range = (float(self.p_range[0]), float(self.p_range[1]))
-        self.dcorr_range = (float(self.dcorr_range[0]), float(self.dcorr_range[1]))
+        for name in ("mu_p", "sigma_p", "xi", "gamma", "lambda_corr"):
+            setattr(self, name, _number(name, getattr(self, name)))
+        for name in ("p_range", "dcorr_range"):
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"{name} must be a pair [low, high], got {pair!r}")
+            setattr(self, name, tuple(_number(name, v) for v in pair))
         values = (self.mu_p, self.sigma_p, self.xi, self.gamma, self.lambda_corr)
         if not np.all(np.isfinite(values + self.p_range + self.dcorr_range)):
             raise ValueError("aaf hyper-parameters must be finite")
@@ -88,27 +96,13 @@ class AAFStatParams:
                 )
 
 
-@dataclass
-class ACFSeries:
-    """Spatial autocorrelation values per integer element lag."""
-
-    lags: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.lags = np.asarray(self.lags, dtype=int)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.lags.shape != self.values.shape or self.lags.ndim != 1:
-            raise ValueError("lags and values must be 1-D arrays of equal length")
-
-
-def acf(sequence) -> ACFSeries:
+def acf(sequence) -> np.ndarray:
     """Spatial autocorrelation of an attenuation-factor sequence.
 
-    The value at lag dx is the sum of ``(s_m - mean)(s_{m+dx} - mean)`` over
-    the ``M - dx`` available element pairs, divided by the full-sequence
-    centered energy ``sum((s_m - mean)**2)``; lag 0 is exactly 1 and the
-    estimate is biased toward 0 at large lags.
+    Entry dx is the sum of ``(s_m - mean)(s_{m+dx} - mean)`` over the
+    ``M - dx`` available element pairs, divided by the full-sequence
+    centered energy ``sum((s_m - mean)**2)``, for lags dx = 0..M-1; lag 0 is
+    exactly 1 and the estimate is biased toward 0 at large lags.
 
     Raises
     ------
@@ -125,47 +119,114 @@ def acf(sequence) -> ACFSeries:
     if energy == 0.0:
         raise ValueError("constant sequence has no autocorrelation")
     num = np.correlate(centered, centered, mode="full")[s.size - 1 :]
-    return ACFSeries(lags=np.arange(s.size), values=num / energy)
+    return num / energy
 
 
-def fit_dcorr(series: ACFSeries, max_lag: int = None) -> float:
-    """Least-squares exponential decay rate of an autocorrelation series.
+def fit_dcorr(acf_values) -> float:
+    """Least-squares exponential decay rate of an autocorrelation curve.
 
-    Minimizes ``sum((acf(dx) - exp(-d * dx))**2)`` over lags 1..max_lag for
-    ``d`` in [1e-4, 10] with a bounded scalar minimizer.
+    Minimizes ``sum((acf(dx) - exp(-d * dx))**2)`` over lags
+    ``1..min(len(acf_values) - 1, 100)`` for ``d`` in [1e-4, 10] with
+    Brent's bounded scalar search.
 
     Parameters
     ----------
-    series : ACFSeries
-        Autocorrelation values including lag 0.
-    max_lag : int, optional
-        Largest lag used in the fit, >= 2; defaults to
-        ``min(len(series) - 1, 100)``.
+    acf_values : array_like
+        Autocorrelation values at lags 0, 1, 2, ..., as :func:`acf` returns
+        them; at least three.
     """
-    if max_lag is None:
-        max_lag = min(series.lags.size - 1, 100)
-    max_lag = int(max_lag)
-    if max_lag < 2:
-        raise ValueError(f"max_lag must be >= 2, got {max_lag}")
-    if max_lag > series.lags.size - 1:
-        raise ValueError(
-            f"max_lag {max_lag} exceeds available lags {series.lags.size - 1}"
-        )
-    mask = (series.lags >= 1) & (series.lags <= max_lag)
-    lags = series.lags[mask].astype(float)
-    values = series.values[mask]
+    values = np.asarray(acf_values, dtype=float)
+    if values.ndim != 1 or values.size < 3:
+        raise ValueError("need a 1-D autocorrelation curve of at least three lags")
+    max_lag = min(values.size - 1, 100)
+    lags = np.arange(1, max_lag + 1, dtype=float)
+    values = values[1 : max_lag + 1]
 
     def objective(d):
         return float(np.sum((values - np.exp(-d * lags)) ** 2))
 
-    import scipy.optimize  # deferred: no other command needs scipy
+    return _bounded_minimum(objective, 1e-4, 10.0, xatol=1e-10, max_evals=500)
 
-    result = scipy.optimize.minimize_scalar(
-        objective, bounds=(1e-4, 10.0), method="bounded", options={"xatol": 1e-10}
-    )
-    if not result.success:
-        raise NumericError(f"decay-rate fit failed: {result.message}")
-    return float(result.x)
+
+def _bounded_minimum(func, low, high, xatol, max_evals):
+    """Minimizer of ``func`` on ``[low, high]`` by Brent's bounded search.
+
+    Golden-section steps, replaced by parabolic interpolation where that is
+    acceptable (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 5).  The operations are those of
+    ``scipy.optimize.minimize_scalar(method="bounded")`` in the same order,
+    so the result is the same float.  Raises ``NumericError`` when
+    ``max_evals`` evaluations do not converge or a value is nan.
+    """
+
+    def step_sign(v):  # np.sign(v) + (v == 0): zero counts as positive
+        return -1.0 if v < 0.0 else 1.0
+
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = low, high
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = func(x)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit through the last three points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * step_sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + step_sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= max_evals:
+            raise NumericError(f"decay-rate fit did not converge in {max_evals} evaluations")
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        raise NumericError("decay-rate fit produced nan")
+    return xf
 
 
 _STANDARD_NORMAL = NormalDist()

@@ -15,12 +15,11 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 import scipy.stats
 
 from xlmimo import channel as ch
 from xlmimo import scenario as sc
-from xlmimo.channel import FrequencyGrid, build_variant_aaf, path_table
+from xlmimo.channel import build_variant_aaf, path_table
 from xlmimo.cli import main
 from xlmimo.geometry import (
     SPEED_OF_LIGHT,
@@ -48,8 +47,6 @@ from xlmimo.nearfield import (
     Stationarity,
     WavefrontModel,
     expand_path,
-    ff_phase_delta,
-    nf_phase_delta,
 )
 from xlmimo.scenario import build_aaf_params
 from xlmimo.sns import acf, fit_dcorr, generate_aaf
@@ -92,15 +89,35 @@ def test_01_rayleigh_distances_match_quoted_values():
     assert time.time() - start < 1.0
 
 
+def ff_phase_delta(azimuth):
+    """The paper's plane-wave phase difference between neighbouring elements
+    at half-wavelength spacing, azimuth from broadside."""
+    return np.pi * np.sin(azimuth)
+
+
+def nf_phase_delta(azimuth, distance, wavelength):
+    """The paper's second-order spherical-wave phase difference between
+    elements 0 and 1 at half-wavelength spacing, for a source at
+    ``distance`` and ``azimuth`` (from broadside) seen from element 0."""
+    return -np.pi * np.sin(azimuth) + np.pi * wavelength * (
+        1.0 - np.sin(azimuth) ** 2
+    ) / (4.0 * distance)
+
+
 def test_02_phase_delta_diagnostics_match_exact_geometry():
     start = time.time()
     lam = SPEED_OF_LIGHT / 100e9
     delta = lam / 2.0
     geom = ArrayGeometry(num_elements=301, spacing=delta)
 
-    # plane-wave branch: the expression is exact by construction
-    azimuths = np.linspace(-np.pi / 2, np.pi / 2, 721)
-    assert np.array_equal(ff_phase_delta(azimuths), np.pi * np.sin(azimuths))
+    # plane-wave branch: the expansion's phase ramp is the paper's expression
+    plane_worst = 0.0
+    for phi in np.linspace(-np.pi / 2, np.pi / 2, 721):
+        exp = expand_path(los_record(2.0, np.pi / 2 - phi), geom, 100e9, force_ff=True)
+        plane_worst = max(
+            plane_worst, np.max(np.abs(np.diff(exp.phases) + ff_phase_delta(phi)))
+        )
+    assert plane_worst < 1e-9
 
     # spherical branch: compare the quadratic expansion, evaluated with the
     # local distance/angle seen from the previous element, against phase
@@ -117,12 +134,11 @@ def test_02_phase_delta_diagnostics_match_exact_geometry():
                 local = source - geom.positions()[m - 1]
                 local_d = float(np.linalg.norm(local))
                 local_phi = float(np.arcsin(local[0] / local_d))
-                pred = nf_phase_delta(
-                    local_phi, local_d, element_index=1, wavelength=lam
-                )
+                pred = nf_phase_delta(local_phi, local_d, lam)
                 worst = max(worst, abs(pred - increments[m - 1]))
     print(
-        f"ACCEPTANCE 2 phase deltas: plane-wave exact; spherical worst "
+        f"ACCEPTANCE 2 phase deltas: plane-wave worst {plane_worst:.2e} rad; "
+        f"spherical worst "
         f"deviation {worst:.2e} rad over d in [0.5, 5] m, M=301 (tol 1e-3)"
     )
     assert worst < 1e-3

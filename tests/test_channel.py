@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from xlmimo import channel
 from xlmimo.channel import (
     FrequencyGrid,
     VARIANTS,
@@ -11,9 +12,7 @@ from xlmimo.channel import (
     build_variant_aaf,
     multi_user,
     path_table,
-    random_visibility_interval,
     reference_response,
-    vr_aaf,
 )
 from xlmimo.geometry import (
     SPEED_OF_LIGHT,
@@ -103,26 +102,45 @@ class TestReferenceResponse:
             reference_response([], np.array([1e9]))
 
 
+def visibility_column(m, rng):
+    """The paper's visibility-region column: 1 on a contiguous interval that
+    covers a uniform fraction in [0.3, 0.8] of the array, 0 elsewhere."""
+    length = max(1, int(round(rng.uniform(0.3, 0.8) * m)))
+    start = int(rng.integers(0, m - length + 1))
+    out = np.zeros(m)
+    out[start : start + length] = 1.0
+    return out
+
+
+class FixedDraws:
+    """A generator stand-in returning fixed uniform and integer draws."""
+
+    def __init__(self, fraction, start):
+        self.fraction, self.start = fraction, start
+
+    def uniform(self, low, high):
+        assert (low, high) == (0.3, 0.8)
+        return self.fraction
+
+    def integers(self, low, high):
+        assert low == 0 and self.start < high
+        return self.start
+
+
 class TestVisibilityIntervals:
     def test_vr_aaf_pattern(self):
-        assert_allclose(vr_aaf(6, (2, 5)), [0, 0, 1, 1, 1, 0])
-        assert_allclose(vr_aaf(3, (0, 3)), [1, 1, 1])
-
-    def test_vr_aaf_validation(self):
-        with pytest.raises(ValueError):
-            vr_aaf(6, (3, 3))
-        with pytest.raises(ValueError):
-            vr_aaf(6, (-1, 3))
-        with pytest.raises(ValueError):
-            vr_aaf(6, (2, 7))
+        assert_allclose(channel._vr_column(6, FixedDraws(0.5, 2)), [0, 0, 1, 1, 1, 0])
+        assert_allclose(channel._vr_column(3, FixedDraws(0.8, 0)), [1, 1, 0])
+        assert_allclose(channel._vr_column(3, FixedDraws(0.3, 2)), [0, 0, 1])
 
     def test_random_interval_bounds_and_fractions(self):
         m = 100
         for seed in range(300):
-            rng = np.random.default_rng(seed)
-            start, stop = random_visibility_interval(m, rng)
-            assert 0 <= start < stop <= m
-            assert 29 <= stop - start <= 81
+            column = channel._vr_column(m, np.random.default_rng(seed))
+            on = np.flatnonzero(column)
+            assert set(np.unique(column)) == {0.0, 1.0}
+            assert np.array_equal(on, np.arange(on[0], on[-1] + 1))  # contiguous
+            assert 29 <= on.size <= 81
 
 
 class TestBuildVariantAAF:
@@ -155,7 +173,7 @@ class TestBuildVariantAAF:
         want = np.ones((m, 3))
         for l in (0, 2):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, l)))
-            want[:, l] = vr_aaf(m, random_visibility_interval(m, rng))
+            want[:, l] = visibility_column(m, rng)
         assert np.array_equal(out, want)
 
     def test_fixed_override_honored(self):

@@ -1002,11 +1002,18 @@ class TestCompareCommand:
              "--num-ues", "4", "--trials", "250001"],
             "--trials",
         ),
+        # a dict stands for a --config file holding tiny_config(aaf=dict)
+        (["generate-aaf", "--elements", "16", "--seed", "1", "--config",
+          {"p_range": [0.2]}], "p_range"),
+        (["synthesize", "--config", {"dcorr_range": [0.02, 0.05, 9]}], "dcorr_range"),
+        (["generate-aaf", "--elements", "16", "--seed", "1", "--config",
+          {"mu_p": True}], "mu_p"),
     ],
     ids=[
         "evaluate-seed", "generate-aaf-seed", "evaluate-trials", "compare-trials",
         "snr-nan", "snr-inf", "max-lag-zero", "max-lag-negative",
         "snr-overflow", "compare-snr-overflow", "trial-users-bound",
+        "aaf-short-range", "aaf-long-range", "aaf-bool-number",
     ],
 )
 def test_bad_arguments_exit_2_before_writing(synthesized, tmp_path, capsys, argv, flag):
@@ -1014,6 +1021,7 @@ def test_bad_arguments_exit_2_before_writing(synthesized, tmp_path, capsys, argv
     channels = {"evaluate": [nf], "compare": [nf, ff]}.get(argv[0], [])
     for channel in channels:
         argv = argv + ["--channel", str(channel / "channel")]
+    argv = [write_config(tmp_path, aaf=a) if isinstance(a, dict) else a for a in argv]
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
@@ -1143,6 +1151,43 @@ class TestThreadEnv:
         monkeypatch.delenv("XLMIMO_NUM_THREADS", raising=False)
         apply_thread_env()
 
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_invalid_value_exits_2_from_a_fresh_process(self, tmp_path, value):
+        # a fresh interpreter imports the package with the bad value set, as
+        # `python -m xlmimo.cli` and the installed script do
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "xlmimo.cli", "scenario", "--preset", "freespace",
+             "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "XLMIMO_NUM_THREADS": value},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "XLMIMO_NUM_THREADS" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_valid_value_set_before_numpy_loads(self):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["XLMIMO_NUM_THREADS"] = "3"
+        code = (
+            "import os, sys, builtins\n"
+            "real_import = builtins.__import__\n"
+            "def guard(name, *args, **kwargs):\n"
+            "    if name == 'numpy' or name.startswith('numpy.'):\n"
+            "        assert os.environ.get('OPENBLAS_NUM_THREADS') == '3'\n"
+            "    return real_import(name, *args, **kwargs)\n"
+            "builtins.__import__ = guard\n"
+            "import xlmimo\n"
+            "assert 'numpy' in sys.modules\n"
+            "print(os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["3", "3"]
+
 
 _SCIPY_FREE_RUN = """
 import sys
@@ -1162,8 +1207,51 @@ print(",".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
+_SCIPY_BLOCKED_RUN = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from xlmimo.cli import main
+
+config, out = sys.argv[1:]
+runs = {
+    "scenario": ["scenario", "--config", config],
+    "synthesize-nf": ["synthesize", "--config", config, "--variant", "nf-sns", "--seed", "1"],
+    "synthesize-vr": ["synthesize", "--config", config, "--variant", "vr", "--seed", "1"],
+    "generate-aaf": ["generate-aaf", "--elements", "50", "--sequences", "3", "--seed", "1"],
+    "evaluate": [
+        "evaluate", "--channel", f"{out}/synthesize-nf/channel",
+        "--metrics", "capacity,demmel,gain,kfactor,delay-spread,spatial-correlation",
+        "--num-ues", "2", "--trials", "4", "--seed", "1", "--max-lag", "3",
+    ],
+    "compare": [
+        "compare", "--channel", f"{out}/synthesize-nf/channel",
+        "--channel", f"{out}/synthesize-vr/channel", "--metrics", "capacity,gain",
+        "--num-ues", "2", "--trials", "4", "--seed", "1",
+    ],
+}
+for name, argv in runs.items():
+    assert main(argv + ["--out", f"{out}/{name}"]) == 0, name
+"""
+
+
 class TestScipyFree:
-    """Only generate-aaf's decay fit may load scipy."""
+    """No command loads scipy; the tests use it only as a reference."""
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        sns_reflector = {
+            "point": [0.0, 1.2, 0.0], "normal": [0.0, -1.0, 0.0],
+            "loss_db": 7.0, "sns": True,
+        }
+        config = write_config(tmp_path, reflectors=[sns_reflector])
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_BLOCKED_RUN, config, str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fitted = [row["fitted_dcorr"] for row in read_rows(out / "generate-aaf" / "aaf_params.csv")]
+        assert len(fitted) == 3 and all(0.0 < float(v) < 10.0 for v in fitted)
+        assert (out / "compare" / "metrics_summary.csv").exists()
 
     def test_synthesize_and_evaluate_never_import_scipy(self, tmp_path):
         sns_reflector = {

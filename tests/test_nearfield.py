@@ -20,9 +20,7 @@ from xlmimo.nearfield import (
     WavefrontModel,
     build_a_tensor,
     expand_path,
-    ff_phase_delta,
     nf_path_matrix,
-    nf_phase_delta,
 )
 
 
@@ -440,36 +438,63 @@ class TestBuildATensor:
             build_a_tensor([], geom, omni, omni, np.array([1e9]), 1e9)
 
 
+def ff_phase_delta(azimuth):
+    """The paper's plane-wave inter-element phase difference at
+    half-wavelength spacing, ``pi * sin(azimuth)``, azimuth from broadside."""
+    return np.pi * np.sin(azimuth)
+
+
+def nf_phase_delta(azimuth, distance, element_index, wavelength):
+    """The paper's second-order spherical-wave phase difference between
+    elements m-1 and m at half-wavelength spacing, for a source at
+    ``distance`` and ``azimuth`` (from broadside) seen from element 0:
+
+    ``(2*pi/wavelength) * (-spacing*sin(azimuth)
+      + (2*m - 1) * spacing**2 * cos(azimuth)**2 / (2*distance))``
+    """
+    spacing = wavelength / 2.0
+    sin_az = np.sin(azimuth)
+    curv = (2.0 * element_index - 1.0) * spacing * spacing / (2.0 * distance)
+    return 2.0 * np.pi / wavelength * (-spacing * sin_az + curv * (1.0 - sin_az**2))
+
+
+def phase_increments(distance, azimuth, wavelength, num_elements, force_ff=False):
+    """Carrier-phase steps between neighbouring elements of a half-wavelength
+    array, from ``expand_path``; ``azimuth`` is measured from broadside."""
+    geom = ArrayGeometry(num_elements=num_elements, spacing=wavelength / 2.0)
+    path = los_path(distance=distance, azimuth=np.pi / 2 - azimuth)
+    carrier = SPEED_OF_LIGHT / wavelength
+    return np.diff(expand_path(path, geom, carrier, force_ff=force_ff).phases)
+
+
 class TestPhaseDeltaDiagnostics:
     def test_plane_wave_delta_closed_form(self):
         for az in (-1.2, -0.3, 0.0, 0.4, 1.5):
-            assert ff_phase_delta(az) == np.pi * np.sin(az)
-        arr = np.linspace(-1.5, 1.5, 11)
-        assert_allclose(ff_phase_delta(arr), np.pi * np.sin(arr))
+            got = phase_increments(2.0, az, 3e-3, 16, force_ff=True)
+            assert_allclose(got, -ff_phase_delta(az), rtol=0, atol=1e-12)
+            # the spherical formula tends to the plane-wave one far away
+            assert_allclose(nf_phase_delta(az, 1e9, 1, 3e-3), -ff_phase_delta(az),
+                            rtol=0, atol=1e-8)
 
     def test_quoted_broadside_value(self):
         # half-wavelength spacing at 3 mm wavelength, 1 m range, first pair
         got = nf_phase_delta(0.0, 1.0, element_index=1, wavelength=3e-3)
         assert_allclose(got, np.pi * 3e-3 / 4.0, rtol=1e-15)
         assert_allclose(got, 2.356e-3, rtol=1e-3)
+        assert_allclose(phase_increments(1.0, 0.0, 3e-3, 2), got, rtol=1e-6)
 
     def test_matches_exact_distance_difference(self):
-        # oracle: exact element-to-source distances, phase difference at the
-        # carrier; the quadratic form holds to O(spacing^3 / distance^2)
+        # the quadratic form holds to O(spacing^3 / distance^2) against the
+        # exact per-element distances of the spherical expansion
         lam = 3e-3
         delta = lam / 2.0
         for d in (0.5, 1.0, 2.0, 5.0):
             for az in (-1.0, -0.3, 0.0, 0.5, 1.2):
+                exact = phase_increments(d, az, lam, 11)
                 for m in (1, 2, 10):
-                    u = np.sin(az)
-                    dm = np.sqrt(d * d - 2 * d * m * delta * u + (m * delta) ** 2)
-                    dprev = np.sqrt(
-                        d * d - 2 * d * (m - 1) * delta * u + ((m - 1) * delta) ** 2
-                    )
-                    exact = 2 * np.pi / lam * (dm - dprev)
                     approx = nf_phase_delta(az, d, element_index=m, wavelength=lam)
                     tol = 2 * np.pi / lam * (m * delta) ** 3 / d**2 + 1e-12
-                    assert abs(exact - approx) < tol
+                    assert abs(exact[m - 1] - approx) < tol
 
     def test_reduces_to_quoted_half_wavelength_form(self):
         lam = 2.4e-3
@@ -480,11 +505,3 @@ class TestPhaseDeltaDiagnostics:
                     1.0 - np.sin(az) ** 2
                 ) / (4.0 * d)
                 assert_allclose(got, want, rtol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            nf_phase_delta(0.0, 0.0, wavelength=3e-3)
-        with pytest.raises(ValueError):
-            nf_phase_delta(0.0, 1.0, element_index=0, wavelength=3e-3)
-        with pytest.raises(ValueError):
-            nf_phase_delta(0.0, 1.0, wavelength=None)

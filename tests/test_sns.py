@@ -2,9 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.signal
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import erfc
@@ -15,7 +16,6 @@ from xlmimo.geometry import Angles
 from xlmimo.nearfield import PathRecord, Stationarity, WavefrontModel
 from xlmimo.sns import (
     AAFStatParams,
-    ACFSeries,
     acf,
     build_aaf_matrix,
     fit_dcorr,
@@ -37,25 +37,23 @@ class TestACF:
     def test_hand_example(self):
         # s = [1, 2, 3]: centered [-1, 0, 1], energy 2,
         # lag 1 -> (-1*0 + 0*1)/2 = 0, lag 2 -> (-1*1)/2 = -0.5
-        series = acf([1.0, 2.0, 3.0])
-        assert_allclose(series.lags, [0, 1, 2])
-        assert_allclose(series.values, [1.0, 0.0, -0.5], atol=1e-15)
+        assert_allclose(acf([1.0, 2.0, 3.0]), [1.0, 0.0, -0.5], atol=1e-15)
 
     def test_brute_force_double_loop(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             m = int(rng.integers(3, 40))
             s = rng.uniform(0.0, 1.0, m)
-            series = acf(s)
+            values = acf(s)
+            assert values.shape == (m,)
             c = s - s.mean()
             energy = np.sum(c * c)
             for dx in range(m):
                 want = sum(c[i] * c[i + dx] for i in range(m - dx)) / energy
-                assert_allclose(series.values[dx], want, atol=1e-12)
+                assert_allclose(values[dx], want, atol=1e-12)
 
     def test_lag_zero_is_one(self):
-        series = acf(np.random.default_rng(3).uniform(size=50))
-        assert series.values[0] == 1.0
+        assert acf(np.random.default_rng(3).uniform(size=50))[0] == 1.0
 
     def test_matches_exponential_for_ar1_sequence(self):
         # oracle: AR(1) recursion with decay a = exp(-d) has autocorrelation
@@ -69,9 +67,9 @@ class TestACF:
         innov = rng.standard_normal(m) * np.sqrt(1 - a * a)
         for i in range(1, m):
             y[i] = a * y[i - 1] + innov[i]
-        series = acf(y)
+        values = acf(y)
         lags = np.arange(1, 21)
-        assert np.max(np.abs(series.values[lags] - np.exp(-d * lags))) < 0.08
+        assert np.max(np.abs(values[lags] - np.exp(-d * lags))) < 0.08
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -82,32 +80,99 @@ class TestACF:
             acf([1.0, np.nan])
 
 
+def scipy_fit_dcorr(acf_values):
+    """The decay fit through ``scipy.optimize``, the reference of the port."""
+    max_lag = min(len(acf_values) - 1, 100)
+    lags = np.arange(1, max_lag + 1, dtype=float)
+    values = np.asarray(acf_values[1 : max_lag + 1], dtype=float)
+    result = scipy.optimize.minimize_scalar(
+        lambda d: float(np.sum((values - np.exp(-d * lags)) ** 2)),
+        bounds=(1e-4, 10.0),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    assert result.success
+    return float(result.x)
+
+
 class TestFitDcorr:
     def test_exact_recovery_from_synthetic_series(self):
         lags = np.arange(0, 101)
         for d in (0.018, 0.05, 0.12, 1.5):
-            series = ACFSeries(lags=lags, values=np.exp(-d * lags))
-            assert abs(fit_dcorr(series) - d) < 1e-6
+            assert abs(fit_dcorr(np.exp(-d * lags)) - d) < 1e-6
 
     def test_default_max_lag_caps_at_100(self):
         lags = np.arange(0, 301)
         values = np.exp(-0.04 * lags)
-        # corrupt lags beyond 100: ignored by the default window
+        # corrupt lags beyond 100: ignored by the fit window
         values[101:] = 0.9
-        series = ACFSeries(lags=lags, values=values)
-        assert abs(fit_dcorr(series) - 0.04) < 1e-6
-
-    def test_explicit_max_lag(self):
-        lags = np.arange(0, 51)
-        series = ACFSeries(lags=lags, values=np.exp(-0.3 * lags))
-        assert abs(fit_dcorr(series, max_lag=10) - 0.3) < 1e-6
+        assert abs(fit_dcorr(values) - 0.04) < 1e-6
 
     def test_validation(self):
-        series = ACFSeries(lags=np.arange(0, 5), values=np.exp(-np.arange(0, 5.0)))
         with pytest.raises(ValueError):
-            fit_dcorr(series, max_lag=1)
+            fit_dcorr([1.0, 0.5])
         with pytest.raises(ValueError):
-            fit_dcorr(series, max_lag=10)
+            fit_dcorr(np.ones((3, 3)))
+
+    def test_nan_and_evaluation_cap_raise(self):
+        with pytest.raises(NumericError):
+            fit_dcorr([1.0, np.nan, 0.5])
+        with pytest.raises(NumericError):
+            sns._bounded_minimum(lambda x: (x - 3.0) ** 2, 0.0, 10.0, 1e-10, 5)
+
+    @pytest.mark.parametrize(
+        "func, low, high",
+        [
+            (lambda x: (x - 3.0) ** 2, 0.0, 10.0),
+            (lambda x: x, -1.0, 2.0),  # minimum on the lower bound
+            (lambda x: -x, -1.0, 2.0),  # minimum on the upper bound
+            (lambda x: 1.0, 0.0, 1.0),  # flat: ties everywhere
+            (lambda x: float(np.cos(3.0 * x) + 0.1 * x), -4.0, 4.0),  # several minima
+            (lambda x: abs(x - 0.3), 0.0, 1.0),  # a kink, no parabola fits
+        ],
+        ids=["quadratic", "lower-bound", "upper-bound", "flat", "multimodal", "kink"],
+    )
+    def test_search_matches_scipy_bounded(self, func, low, high):
+        want = scipy.optimize.minimize_scalar(
+            func, bounds=(low, high), method="bounded", options={"xatol": 1e-10}
+        )
+        assert sns._bounded_minimum(func, low, high, 1e-10, 500) == float(want.x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    centre=st.floats(-1.0, 3.0),
+    scale=st.sampled_from([1.0, 10.0, 100.0, 1000.0]),
+    power=st.sampled_from([1, 2]),
+    bounds=st.sampled_from([(0.0, 1.0), (-1.0, 2.0), (0.5, 4.0), (0.0, 4.0)]),
+)
+def test_search_matches_scipy_on_plateaus(centre, scale, power, bounds):
+    # rounding leaves flat steps and ties, which reach the zero-step and
+    # tie-breaking branches that smooth objectives seldom reach
+    def func(x):
+        return round(abs(x - centre) ** power * scale) / scale
+
+    want = scipy.optimize.minimize_scalar(
+        func, bounds=bounds, method="bounded", options={"xatol": 1e-10}
+    )
+    assert sns._bounded_minimum(func, *bounds, 1e-10, 500) == float(want.x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(3, 2048),
+    seed=st.integers(0, 2**32 - 1),
+    fitted_laws=st.booleans(),
+    shapes=st.tuples(st.floats(0.05, 8.0), st.floats(0.05, 8.0), st.floats(1e-4, 10.0)),
+)
+def test_fit_dcorr_returns_scipy_bounded_result(m, seed, fitted_laws, shapes):
+    # the hyper-parameters come from the fitted laws or from wide ranges
+    rng = np.random.default_rng(seed)
+    p, q, d_corr = sample_aaf_params(AAFStatParams(), rng) if fitted_laws else shapes
+    s = generate_aaf(m, p, q, d_corr, rng)
+    assume(np.ptp(s) > 0.0)  # a constant draw has no autocorrelation
+    values = acf(s)
+    assert fit_dcorr(values) == scipy_fit_dcorr(values)
 
 
 def truncated_cdf(name, params):
@@ -205,6 +270,13 @@ class TestSampleAAFParams:
             AAFStatParams(dcorr_range=(20.0, 30.0))
         with pytest.raises(ValueError, match="underflows"):
             AAFStatParams(p_range=(1e-30, 2e-30), xi=0.0)
+        # ranges are exactly two numbers, and booleans are not numbers
+        with pytest.raises(ValueError, match="p_range"):
+            AAFStatParams(p_range=[0.2])
+        with pytest.raises(ValueError, match="dcorr_range"):
+            AAFStatParams(dcorr_range=[0.02, 0.05, 9])
+        with pytest.raises(ValueError, match="mu_p"):
+            AAFStatParams(mu_p=True)
 
 
 @settings(max_examples=60, deadline=None)
