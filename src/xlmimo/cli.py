@@ -629,15 +629,8 @@ def _spatial_correlation_curve(tables, max_lag):
     num_elements = tables[0]["aaf"].shape[0]
     matrices = [mx.sns_amplitude_matrix(t["aaf"], t["alpha"]) for t in tables]
     lags = np.arange(1, min(int(max_lag), num_elements - 1) + 1)
-    curve = np.empty(lags.size)
-    for i, lag in enumerate(lags.tolist()):
-        values = []
-        for matrix in matrices:
-            try:
-                values.append(mx.avg_spatial_correlation(matrix, lag))
-            except NumericError:
-                values.append(float("nan"))
-        curve[i] = np.nanmean(values)
+    per_user = [mx.avg_spatial_correlation(m, lags).tolist() for m in matrices]
+    curve = np.array([np.nanmean(values) for values in zip(*per_user)])
     return lags, curve
 
 

@@ -249,44 +249,58 @@ def sns_amplitude_matrix(aaf, amplitudes) -> np.ndarray:
     return aaf * amplitudes[None, :]
 
 
-def avg_spatial_correlation(matrix, delta: int) -> float:
-    """Mean Pearson correlation between element rows ``delta`` apart.
+def avg_spatial_correlation(matrix, lags) -> np.ndarray:
+    """Mean Pearson correlation between element rows at each lag.
 
     Rows of ``matrix`` (shape (M, L)) are per-element path amplitude
-    vectors; the correlation is computed across the L paths for every pair
-    (i, i + delta) and averaged.  Zero-variance rows are skipped with a
-    warning.
+    vectors; for each lag the correlation is computed across the L paths
+    for every pair (i, i + lag) and averaged.  Each row is centred and its
+    sum of squares taken once, so a lag costs one product of the centred
+    rows; the floats are those of centring each lag's row slices of the
+    C-ordered matrix on their own, whatever the input's memory layout.
+    Zero-variance rows are skipped with a warning per lag, and a lag with
+    no pair of two variable rows gives ``nan``.
 
-    Raises
-    ------
-    NumericError
-        If no element pair has two variable rows.
+    Parameters
+    ----------
+    matrix : array_like, shape (M, L), L >= 2
+    lags : array_like of int
+        Each in [0, M).
+
+    Returns
+    -------
+    ndarray, shape (len(lags),)
     """
-    matrix = np.asarray(matrix, dtype=float)
+    # C order fixes the summation order of the row reductions
+    matrix = np.ascontiguousarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] < 2:
         raise ValueError(
             f"matrix must be (M, L) with L >= 2, got {matrix.shape}"
         )
-    delta = int(delta)
-    if not 0 <= delta < matrix.shape[0]:
-        raise ValueError(
-            f"delta must be in [0, {matrix.shape[0]}), got {delta}"
-        )
-    x = matrix[: matrix.shape[0] - delta]
-    y = matrix[delta:]
-    xc = x - x.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    den = np.sqrt(np.sum(xc**2, axis=1) * np.sum(yc**2, axis=1))
-    valid = den > 0.0
-    if np.any(~valid):
-        warnings.warn(
-            f"skipping {int(np.sum(~valid))} constant-row pairs in "
-            f"spatial correlation"
-        )
-    if not np.any(valid):
-        raise NumericError("no element pair with variable amplitude rows")
-    num = np.sum(xc * yc, axis=1)
-    return float(np.mean(num[valid] / den[valid]))
+    num_rows = matrix.shape[0]
+    lags = np.asarray(lags)
+    if lags.ndim != 1 or lags.dtype.kind not in "iu":
+        raise ValueError(f"lags must be a 1-D integer array, got {lags!r}")
+    if np.any((lags < 0) | (lags >= num_rows)):
+        raise ValueError(f"lags must be in [0, {num_rows}), got {lags}")
+    xc = matrix - matrix.mean(axis=1, keepdims=True)
+    ss = np.sum(xc**2, axis=1)
+    curve = np.empty(lags.size)
+    for i, lag in enumerate(lags.tolist()):
+        n = num_rows - lag
+        den = np.sqrt(ss[:n] * ss[lag:])
+        valid = den > 0.0
+        skipped = n - int(np.count_nonzero(valid))
+        if skipped:
+            warnings.warn(
+                f"skipping {skipped} constant-row pairs in spatial correlation"
+            )
+        if skipped == n:
+            curve[i] = np.nan
+            continue
+        num = np.sum(xc[:n] * xc[lag:], axis=1)
+        curve[i] = np.mean(num[valid] / den[valid])
+    return curve
 
 
 def path_gain_db(amplitudes) -> np.ndarray:

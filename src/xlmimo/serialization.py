@@ -93,7 +93,11 @@ def write_table(path, header, columns) -> None:
 
     ``columns`` holds one sequence per ``header`` name (a numpy array or a
     list), all of the same length; float and int arrays are formatted a
-    block of rows at a time, other cells one by one with ``_fmt``.
+    block of rows at a time, other cells one by one with ``_fmt``.  When
+    every column is a 1-D float or int array, no cell can need quoting, so
+    each block's rows are joined with ``,`` and newlines directly; a table
+    with any list, string or bool column goes through ``csv`` quoting.
+    Both give the same bytes.
     """
     columns = list(columns)
     if len(columns) != len(header):
@@ -101,12 +105,19 @@ def write_table(path, header, columns) -> None:
     num_rows = len(columns[0]) if columns else 0
     if any(len(c) != num_rows for c in columns):
         raise ValueError(f"column lengths differ: {[len(c) for c in columns]}")
+    numeric = all(
+        isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "fiu"
+        for c in columns
+    )
     with _replacing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for lo in range(0, num_rows, _BLOCK_ROWS):
             blocks = (_formatted(c[lo : lo + _BLOCK_ROWS]) for c in columns)
-            writer.writerows(zip(*blocks))
+            if numeric:
+                fh.write("\n".join(map(",".join, zip(*blocks))) + "\n")
+            else:
+                writer.writerows(zip(*blocks))
 
 
 def _dump_json(fh, obj) -> None:

@@ -388,7 +388,7 @@ def test_08_metric_unit_values():
     x = np.linspace(0.0, 1.0, 50)
     identical_cvm = cvm_distance(x, x)
     rows = np.tile(np.array([0.3, 0.9, 0.1, 0.7]), (5, 1))
-    identical_corr = avg_spatial_correlation(rows, 1)
+    identical_corr = avg_spatial_correlation(rows, [1])[0]
     print(
         f"ACCEPTANCE 8 metric units: two-ray spread {two_ray[0] * 1e9:.1f} ns "
         f"(want 5 exactly); three-ray {three_ray[0] * 1e9:.6f} ns "

@@ -904,7 +904,8 @@ class TestEvaluateCommand:
         nf, _ = synthesized
         argv = [
             "evaluate", "--channel", str(nf / "channel"), "--metrics",
-            "capacity,gain", "--num-ues", "2", "--trials", "8", "--seed", "2",
+            "capacity,gain,kfactor,delay-spread,spatial-correlation",
+            "--num-ues", "2", "--trials", "8", "--seed", "2",
         ]
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(argv + ["--out", str(a)]) == 0
@@ -913,9 +914,58 @@ class TestEvaluateCommand:
             "metrics_summary.csv",
             "channel_nf-ss_capacity_samples.csv",
             "channel_nf-ss_gain_cdf.csv",
+            "channel_nf-ss_kfactor_samples.csv",
+            "channel_nf-ss_kfactor_cdf.csv",
+            "channel_nf-ss_delay_spread_samples.csv",
+            "channel_nf-ss_delay_spread_cdf.csv",
+            "channel_nf-ss_spatial_correlation.csv",
             "meta.json",
         ):
             assert (a / fn).read_bytes() == (b / fn).read_bytes(), fn
+
+    def test_spatial_correlation_with_constant_rows(self, tmp_path):
+        # three SnS paths per user; user 0 loses elements 0 and 3 and user 1
+        # every element (aaf 0), so those rows are constant, and the curve is
+        # the user nanmean of the per-lag reference at every lag
+        from test_metrics import per_lag_correlation
+
+        def edit(rows):
+            for i, row in enumerate(rows):
+                cells = row.split(",")
+                if cells[0] == "1" or (cells[0], cells[2]) in (("0", "0"), ("0", "3")):
+                    cells[4] = "0.0"
+                    rows[i] = ",".join(cells)
+            return rows
+
+        chan = tmp_path / "chan"
+        cfg = streaming_config(tmp_path, "nf-sns", 2)
+        assert main(["synthesize", "--config", cfg, "--out", str(chan)]) == 0
+        self._copy_with_table(chan, tmp_path / "flat", edit)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(
+                ["evaluate", "--channel", str(tmp_path / "flat" / "channel"),
+                 "--out", str(out), "--metrics", "spatial-correlation"]
+            ) == 0
+        messages = {str(w.message) for w in caught}
+        assert "skipping 3 constant-row pairs in spatial correlation" in messages
+        assert "skipping 300 constant-row pairs in spatial correlation" in messages
+        users = {}
+        for r in read_rows(tmp_path / "flat" / "pathtable.csv"):
+            matrix = users.setdefault(int(r["ue"]), np.empty((301, 3)))
+            matrix[int(r["element"]), int(r["path"])] = (
+                float(r["aaf"]) * float(r["alpha_ref"])
+            )
+        lines = ["lag,value"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for lag in range(1, 101):
+                values = [per_lag_correlation(users[u], lag) for u in sorted(users)]
+                assert np.isnan(values[1]) and not np.isnan(values[0])
+                lines.append(f"{lag},{float(np.nanmean(values))!r}")
+        got = (out / "channel_nf-sns_spatial_correlation.csv").read_text()
+        assert got == "\n".join(lines) + "\n"
 
 
 class TestCompareCommand:

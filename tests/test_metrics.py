@@ -382,41 +382,108 @@ class TestRmsDelaySpread:
         ]
 
 
+def per_lag_correlation(matrix, delta):
+    """The per-lag body ``avg_spatial_correlation`` replaced: each lag
+    centres its own row slices; ``nan`` where that body raised."""
+    x = matrix[: matrix.shape[0] - delta]
+    y = matrix[delta:]
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    den = np.sqrt(np.sum(xc**2, axis=1) * np.sum(yc**2, axis=1))
+    valid = den > 0.0
+    if np.any(~valid):
+        warnings.warn(
+            f"skipping {int(np.sum(~valid))} constant-row pairs in "
+            f"spatial correlation"
+        )
+    if not np.any(valid):
+        return float("nan")
+    num = np.sum(xc * yc, axis=1)
+    return float(np.mean(num[valid] / den[valid]))
+
+
+@st.composite
+def correlation_inputs(draw):
+    """Amplitude matrices with planted constant rows, some all constant,
+    lags that always include 0 and M - 1, and whether to pass the matrix
+    in Fortran order."""
+    m = draw(st.integers(2, 300))
+    num_paths = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-12, 6))
+    matrix = rng.uniform(0.0, 1.0, (m, num_paths)) * scale
+    if draw(st.booleans()):
+        matrix[:] = draw(st.sampled_from([0.0, 1.0, 0.3]))
+    else:
+        rows = draw(st.lists(st.integers(0, m - 1), max_size=8))
+        matrix[rows] = rng.uniform(0.0, 1.0, (len(rows), 1)) * scale
+    lags = draw(st.lists(st.integers(0, m - 1), max_size=20)) + [0, m - 1]
+    lags = np.array(draw(st.permutations(lags)), dtype=np.int64)
+    return matrix, lags, draw(st.booleans())
+
+
 class TestSpatialCorrelation:
+    @settings(max_examples=150, deadline=None)
+    @given(correlation_inputs())
+    def test_curve_matches_per_lag_reference(self, inputs):
+        matrix, lags, fortran = inputs
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = np.array([per_lag_correlation(matrix, lag) for lag in lags])
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = avg_spatial_correlation(
+                np.asfortranarray(matrix) if fortran else matrix, lags
+            )
+        assert np.array_equal(got, want, equal_nan=True)
+        assert [str(w.message) for w in got_warnings] == [
+            str(w.message) for w in want_warnings
+        ]
+
     def test_identical_rows_give_one(self):
         m = np.tile([1.0, 2.0, 3.0], (6, 1))
-        assert abs(avg_spatial_correlation(m, 1) - 1.0) < 1e-12
-        assert abs(avg_spatial_correlation(m, 5) - 1.0) < 1e-12
+        assert np.all(np.abs(avg_spatial_correlation(m, [1, 5]) - 1.0) < 1e-12)
 
     def test_delta_zero_is_one(self):
         rng = np.random.default_rng(9)
         m = rng.uniform(0.1, 1.0, (8, 5))
-        assert abs(avg_spatial_correlation(m, 0) - 1.0) < 1e-12
+        assert abs(avg_spatial_correlation(m, [0])[0] - 1.0) < 1e-12
 
     def test_anticorrelated_rows(self):
         m = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
-        assert abs(avg_spatial_correlation(m, 1) + 1.0) < 1e-12
+        assert abs(avg_spatial_correlation(m, [1])[0] + 1.0) < 1e-12
 
     def test_constant_rows_skipped_with_warning(self):
-        # at delta=1 the constant middle row spoils pairs (0,1) and (1,2);
+        # at lag 1 the constant middle row spoils pairs (0,1) and (1,2);
         # only (2,3) survives, with correlation -1
         m = np.array([[1.0, 2.0], [3.0, 3.0], [1.0, 2.0], [2.0, 1.0]])
-        with pytest.warns(UserWarning):
-            out = avg_spatial_correlation(m, 1)
-        assert abs(out + 1.0) < 1e-12
+        with pytest.warns(UserWarning, match="skipping 2 constant-row pairs"):
+            out = avg_spatial_correlation(m, [1])
+        assert abs(out[0] + 1.0) < 1e-12
 
-    def test_all_constant_rows_raise(self):
+    def test_all_constant_rows_give_nan(self):
         m = np.ones((4, 3))
-        with pytest.warns(UserWarning):
-            with pytest.raises(NumericError):
-                avg_spatial_correlation(m, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = avg_spatial_correlation(m, [0, 1, 3])
+        assert out.shape == (3,) and np.all(np.isnan(out))
+        assert [str(w.message) for w in caught] == [
+            f"skipping {n} constant-row pairs in spatial correlation"
+            for n in (4, 3, 1)
+        ]
 
     def test_validation(self):
         m = np.random.default_rng(0).uniform(size=(4, 3))
         with pytest.raises(ValueError):
-            avg_spatial_correlation(m, 4)
+            avg_spatial_correlation(m, [4])
         with pytest.raises(ValueError):
-            avg_spatial_correlation(m[:, :1], 1)
+            avg_spatial_correlation(m, [-1])
+        with pytest.raises(ValueError):
+            avg_spatial_correlation(m, [1.0])
+        with pytest.raises(ValueError):
+            avg_spatial_correlation(m, [[1]])
+        with pytest.raises(ValueError):
+            avg_spatial_correlation(m[:, :1], [1])
 
 
 class TestCvmDistance:

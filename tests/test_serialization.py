@@ -195,6 +195,25 @@ class TestTableFormatting:
         write_table(got, header, columns)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("n", [2047, 2048, 2049])
+    def test_numeric_columns_match_row_wise_reference(self, tmp_path, n):
+        # every column a numeric array: the blocks are joined, not csv-written
+        rng = np.random.default_rng(n)
+        f64 = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        f64[[0, n // 2, n - 1]] = [float("nan"), float("inf"), -0.0]
+        f64[2047 % n] = float("-inf")
+        columns = [
+            np.arange(n, dtype=np.int64) - 2**62,
+            f64,
+            rng.standard_normal(n).astype(np.float32),
+            rng.integers(-(2**63), 2**63, n, dtype=np.int64),
+        ]
+        header = ["ue", "value", "single", "last,col"]
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        reference_write_table(want, header, zip(*columns))
+        write_table(got, header, columns)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_column_count_and_lengths_checked(self, tmp_path):
         with pytest.raises(ValueError, match="2 columns for 3"):
             write_table(tmp_path / "a.csv", ["a", "b", "c"], [[1], [2]])
