@@ -53,7 +53,6 @@ from .channel import (  # noqa: E402
     build_variant_aaf,
     multi_user,
     path_table,
-    reference_response,
 )
 from .metrics import (  # noqa: E402
     avg_spatial_correlation,

@@ -3,10 +3,13 @@
 The frequency response at element m is the sum over paths of three factors:
 the reference-element path response ``alpha_l * exp(-2j*pi*f*tau_l)``, the
 per-element propagation weight from the wavefront expansion, and the
-per-element amplitude attenuation factor.  One user's response is an
-(elements, frequencies) array, summed path by path so that no per-path
-tensor is held; users sharing the array and frequency grid fill the
-(users, elements, frequencies) complex64 pool that ``channel.bin`` stores.
+per-element amplitude attenuation factor.  Each path is expanded once in
+:func:`path_table`, whose table gives both the per-element path parameters
+and, read by :func:`assemble`, the wideband weights.  One user's response
+is an (elements, frequencies) array, summed path by path so that no
+per-path tensor is held; users sharing the array and frequency grid fill
+the (users, elements, frequencies) complex64 pool that ``channel.bin``
+stores.
 """
 
 from __future__ import annotations
@@ -66,30 +69,9 @@ class FrequencyGrid:
         """Band-center frequency."""
         return 0.5 * (self.f_low_hz + self.f_high_hz)
 
-    @property
-    def bandwidth_hz(self) -> float:
-        return self.f_high_hz - self.f_low_hz
-
     def points(self) -> np.ndarray:
         """The K sampled frequencies in Hz."""
         return np.linspace(self.f_low_hz, self.f_high_hz, self.num_points)
-
-
-def reference_response(paths, frequencies) -> np.ndarray:
-    """Reference-element path responses, shape (L, K).
-
-    Entry (l, k) is ``amplitude_l * exp(-2j*pi*f_k*delay_l)``; the reference
-    phase is carried by the per-element weights instead.
-    """
-    paths = list(paths)
-    if not paths:
-        raise ValueError("paths must be non-empty")
-    frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    amplitudes = np.array([p.amplitude for p in paths])
-    delays = np.array([p.delay for p in paths])
-    return amplitudes[:, None] * np.exp(
-        -2j * np.pi * np.outer(delays, frequencies)
-    )
 
 
 def _vr_column(num_elements: int, rng: np.random.Generator) -> np.ndarray:
@@ -138,62 +120,6 @@ def build_variant_aaf(
     )
 
 
-def assemble(
-    paths,
-    geometry: ArrayGeometry,
-    tx_pattern: AntennaPattern,
-    rx_pattern: AntennaPattern,
-    grid: FrequencyGrid,
-    aaf: np.ndarray,
-    variant: str = "nf-sns",
-) -> np.ndarray:
-    """Synthesize one user's channel, a complex128 array of shape (M, K).
-
-    The paths are summed one at a time into one (M, K) accumulator, so the
-    working set is a few (M, K) arrays whatever the path count.  Each step
-    is the per-path einsum ``"mk,m,k->mk"``, which gives the bits of the
-    reference route ``einsum("mlk,ml,lk->mk", build_a_tensor(...), aaf,
-    reference_response(...))``; plain ``w * aaf * h`` products do not.
-
-    Parameters
-    ----------
-    paths : sequence of PathRecord
-    geometry : ArrayGeometry
-    tx_pattern, rx_pattern : AntennaPattern
-    grid : FrequencyGrid
-    aaf : ndarray (M, L)
-        Finite, non-negative attenuation factors, e.g. from
-        :func:`build_variant_aaf`.
-    variant : str
-        One of ``VARIANTS``; ``ff-*``/``vr`` force plane-wave weights.
-    """
-    paths = list(paths)
-    plane_wave = _plane_wave(variant)
-    frequencies = grid.points()
-    h_ref = reference_response(paths, frequencies)
-    aaf = np.asarray(aaf, dtype=float)
-    if aaf.shape != (geometry.num_elements, len(paths)):
-        raise ValueError(
-            f"aaf shape {aaf.shape} != {(geometry.num_elements, len(paths))}"
-        )
-    if np.any(aaf < 0.0) or not np.all(np.isfinite(aaf)):
-        raise ValueError("aaf entries must be finite and >= 0")
-    response = np.zeros((geometry.num_elements, frequencies.size), dtype=complex)
-    for l, path in enumerate(paths):
-        expansion = expand_path(
-            path, geometry, grid.carrier_hz, tx_pattern, rx_pattern, plane_wave
-        )
-        # nf_path_matrix is looked up on its module at call time, so a
-        # wrapped kernel is seen; its matrix is freed before the next path's.
-        response += np.einsum(
-            "mk,m,k->mk",
-            nearfield.nf_path_matrix(expansion, frequencies),
-            aaf[:, l],
-            h_ref[l],
-        )
-    return response
-
-
 def multi_user(responses) -> np.ndarray:
     """Stack per-user (M, K) responses into the (U, M, K) complex64 pool.
 
@@ -219,13 +145,18 @@ def multi_user(responses) -> np.ndarray:
 
 @dataclass
 class PathTable:
-    """Per-element path parameters, all arrays of shape (M, L).
+    """One user's paths expanded across the array.
 
-    ``amplitudes`` include wavefront spreading, pattern weighting, and the
-    attenuation factors; ``phases`` are the carrier-frequency per-element
-    phases including the reference phase.
+    ``expansions`` holds each path's :class:`NearFieldExpansion`, from
+    which :func:`assemble` takes the wideband weights.  The other arrays
+    have shape (M, L): ``aaf`` is the checked attenuation-factor matrix,
+    ``amplitudes`` include wavefront spreading, pattern weighting and the
+    attenuation factors, and ``phases`` are the carrier-frequency
+    per-element phases including the reference phase.
     """
 
+    aaf: np.ndarray
+    expansions: list
     amplitudes: np.ndarray
     delays: np.ndarray
     phases: np.ndarray
@@ -241,11 +172,24 @@ def path_table(
     aaf: np.ndarray,
     variant: str = "nf-sns",
 ) -> PathTable:
-    """Per-element path amplitudes, delays, phases, and distances.
+    """Expand each path once: per-element amplitudes, delays, phases, distances.
 
-    Each row comes from :func:`expand_path` under the path's wavefront
-    model, or as a plane wave when ``variant`` forces one (``ff-*``/``vr``,
-    as in :func:`assemble`).
+    Each path goes through :func:`expand_path` under its own wavefront
+    model, or as a plane wave when ``variant`` forces one (``ff-*``/``vr``).
+
+    Parameters
+    ----------
+    paths : sequence of PathRecord
+    geometry : ArrayGeometry
+    tx_pattern, rx_pattern : AntennaPattern
+    carrier_hz : float
+        Carrier of the per-element phase bookkeeping, e.g.
+        ``FrequencyGrid.carrier_hz``.
+    aaf : ndarray (M, L)
+        Finite, non-negative attenuation factors, e.g. from
+        :func:`build_variant_aaf`.
+    variant : str
+        One of ``VARIANTS``.
     """
     paths = list(paths)
     if not paths:
@@ -256,21 +200,55 @@ def path_table(
         raise ValueError(
             f"aaf shape {aaf.shape} != {(geometry.num_elements, len(paths))}"
         )
-    amplitudes = np.empty_like(aaf)
-    delays = np.empty_like(aaf)
-    phases = np.empty_like(aaf)
-    distances = np.empty_like(aaf)
-    for l, path in enumerate(paths):
-        expansion = expand_path(
-            path, geometry, carrier_hz, tx_pattern, rx_pattern, plane_wave
-        )
-        amplitudes[:, l] = expansion.amplitudes
-        delays[:, l] = expansion.delays
-        phases[:, l] = expansion.phases
-        distances[:, l] = expansion.distances
+    if np.any(aaf < 0.0) or not np.all(np.isfinite(aaf)):
+        raise ValueError("aaf entries must be finite and >= 0")
+    expansions = [
+        expand_path(path, geometry, carrier_hz, tx_pattern, rx_pattern, plane_wave)
+        for path in paths
+    ]
+
+    def column(name):
+        return np.stack([getattr(e, name) for e in expansions], axis=1)
+
     return PathTable(
-        amplitudes=amplitudes * aaf,
-        delays=delays,
-        phases=phases,
-        distances=distances,
+        aaf=aaf,
+        expansions=expansions,
+        amplitudes=column("amplitudes") * aaf,
+        delays=column("delays"),
+        phases=column("phases"),
+        distances=column("distances"),
     )
+
+
+def assemble(paths, table: PathTable, grid: FrequencyGrid) -> np.ndarray:
+    """Synthesize one user's channel, a complex128 array of shape (M, K).
+
+    ``table`` is the :func:`path_table` of ``paths``.  The paths are summed
+    one at a time into one (M, K) accumulator, so the working set is a few
+    (M, K) arrays whatever the path count.  Each step is the einsum
+    ``"mk,m,k->mk"`` of the path's :func:`nearfield.nf_path_matrix`, its
+    ``table.aaf`` column and its reference-element response
+    ``amplitude * exp(-2j*pi*f*delay)``.  That gives the bits of the
+    reference route ``einsum("mlk,ml,lk->mk", build_a_tensor(...), aaf,
+    h_ref)``; plain ``w * aaf * h`` products do not.
+    """
+    paths = list(paths)
+    if len(paths) != len(table.expansions):
+        raise ValueError(
+            f"{len(paths)} paths for a table of {len(table.expansions)}"
+        )
+    frequencies = grid.points()
+    amplitudes = np.array([p.amplitude for p in paths])
+    delays = np.array([p.delay for p in paths])
+    h_ref = amplitudes[:, None] * np.exp(-2j * np.pi * np.outer(delays, frequencies))
+    response = np.zeros((table.aaf.shape[0], frequencies.size), dtype=complex)
+    for l, expansion in enumerate(table.expansions):
+        # nf_path_matrix is looked up on its module at call time, so a
+        # wrapped kernel is seen; its matrix is freed before the next path's.
+        response += np.einsum(
+            "mk,m,k->mk",
+            nearfield.nf_path_matrix(expansion, frequencies),
+            table.aaf[:, l],
+            h_ref[l],
+        )
+    return response

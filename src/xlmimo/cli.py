@@ -305,9 +305,6 @@ def _cmd_synthesize(args) -> int:
             seed=seed,
             stream_key=(ue,),
         )
-        pool[ue] = assemble(
-            paths, geometry, tx_pattern, rx_pattern, grid, aaf, variant
-        )
         table = path_table(
             paths,
             geometry,
@@ -317,6 +314,7 @@ def _cmd_synthesize(args) -> int:
             aaf,
             variant=variant,
         )
+        pool[ue] = assemble(paths, table, grid)
         hi = lo + num_elements * len(paths)
         ints[0][lo:hi] = ue
         ints[1][lo:hi] = np.repeat(np.arange(len(paths)), num_elements)
@@ -324,7 +322,7 @@ def _cmd_synthesize(args) -> int:
         floats[0][lo:hi] = np.repeat([p.amplitude for p in paths], num_elements)
         for column, values in zip(
             floats[1:],
-            (aaf, table.amplitudes, table.delays, table.phases, table.distances),
+            (table.aaf, table.amplitudes, table.delays, table.phases, table.distances),
         ):
             column[lo:hi] = values.T.ravel()
         lo = hi
@@ -645,7 +643,7 @@ def _write_samples(out, label, metric, values) -> None:
         ["index", "value"],
         [np.arange(values.size), values],
     )
-    finite = np.sort(values)
+    finite = np.sort(values[np.isfinite(values)])
     probs = (np.arange(finite.size) + 1) / finite.size
     write_table(
         os.path.join(out, f"{label}_{safe}_cdf.csv"),

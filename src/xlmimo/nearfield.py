@@ -9,8 +9,9 @@ as the effective source (specular reflections preserve the spherical
 wavefront); scattered paths treat the scattering point itself as the source
 and keep the arrival direction fixed.  Plane waves, the far-field baseline,
 are the infinite-distance limit of the same expansion.  One function,
-:func:`expand_path`, expands a path under any of these models, and both the
-wideband weights and the per-element path table derive from its output.
+:func:`expand_path`, expands a path under any of these models.  A synthesis
+expands each path once, in ``channel.path_table``; ``channel.assemble``
+reads the same expansions for the wideband weights.
 
 Arrival directions are propagation directions at the receiver (pointing away
 from the array), so for a direct path the arrival direction equals the
@@ -369,7 +370,8 @@ def build_a_tensor(
     Each path is expanded under its own wavefront model, or as a plane wave
     when ``force_ff`` is set; see :func:`expand_path`.  This is the
     reference route for :func:`xlmimo.channel.assemble`, which sums the same
-    per-path matrices one at a time and never holds this tensor.
+    per-path matrices one at a time, from the expansions of
+    ``channel.path_table``, and never holds this tensor.
 
     Parameters
     ----------

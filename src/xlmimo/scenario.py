@@ -220,9 +220,12 @@ def preset(name: str) -> dict:
     return _PRESETS[name]()
 
 
-def _require(mapping, key, kind, context):
+def _require(mapping, key, kind, context, default=None):
+    """``mapping[key]`` checked as ``kind``; a ``default`` is set when missing."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context} must be a mapping")
+    if default is not None:
+        mapping.setdefault(key, default)
     if key not in mapping:
         raise ConfigError(f"{context} is missing required key {key!r}")
     value = mapping[key]
@@ -284,12 +287,7 @@ def validate_config(config: dict) -> dict:
     arr["spacing_m"] = _require(arr, "spacing_m", float, "array")
     arr["axis"] = _vec3(arr.setdefault("axis", [1.0, 0.0, 0.0]), "array.axis")
     arr["origin"] = _vec3(arr.setdefault("origin", [0.0, 0.0, 0.0]), "array.origin")
-    arr["reference_index"] = _require(
-        {"reference_index": arr.setdefault("reference_index", 0)},
-        "reference_index",
-        int,
-        "array",
-    )
+    arr["reference_index"] = _require(arr, "reference_index", int, "array", default=0)
 
     grid = _require(cfg, "grid", dict, "config")
     grid["f_low_hz"] = _require(grid, "f_low_hz", float, "grid")
@@ -309,10 +307,7 @@ def validate_config(config: dict) -> dict:
         if kind not in ("omnidirectional", "gaussian_lobe"):
             raise ConfigError(f"patterns.{side}.kind {kind!r} is not supported")
         pat["gain_dbi"] = _require(
-            {"gain_dbi": pat.setdefault("gain_dbi", 0.0)},
-            "gain_dbi",
-            float,
-            f"patterns.{side}",
+            pat, "gain_dbi", float, f"patterns.{side}", default=0.0
         )
         if kind == "gaussian_lobe":
             pat["boresight"] = _vec3(
@@ -344,9 +339,7 @@ def validate_config(config: dict) -> dict:
         ref["point"] = _vec3(_require(ref, "point", list, ctx), f"{ctx}.point")
         ref["normal"] = _vec3(_require(ref, "normal", list, ctx), f"{ctx}.normal")
         ref["loss_db"] = _require(ref, "loss_db", float, ctx)
-        ref["phase_rad"] = _require(
-            {"phase_rad": ref.setdefault("phase_rad", 0.0)}, "phase_rad", float, ctx
-        )
+        ref["phase_rad"] = _require(ref, "phase_rad", float, ctx, default=0.0)
         ref.setdefault("sns", True)
         if not isinstance(ref["sns"], bool):
             raise ConfigError(f"{ctx}.sns must be a boolean")
@@ -358,9 +351,7 @@ def validate_config(config: dict) -> dict:
         ctx = f"scatterers[{i}]"
         sc["position"] = _vec3(_require(sc, "position", list, ctx), f"{ctx}.position")
         sc["loss_db"] = _require(sc, "loss_db", float, ctx)
-        sc["phase_rad"] = _require(
-            {"phase_rad": sc.setdefault("phase_rad", 0.0)}, "phase_rad", float, ctx
-        )
+        sc["phase_rad"] = _require(sc, "phase_rad", float, ctx, default=0.0)
         sc.setdefault("sns", True)
         if not isinstance(sc["sns"], bool):
             raise ConfigError(f"{ctx}.sns must be a boolean")

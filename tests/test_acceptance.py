@@ -279,8 +279,12 @@ def test_06_far_field_model_underestimates_capacity():
         tx, rx = sc.build_patterns(vcfg)
         values = np.stack(
             [
-                ch.assemble(paths, geom, tx, rx, grid,
-                            np.ones((geom.num_elements, len(paths))), variant)
+                ch.assemble(
+                    paths,
+                    path_table(paths, geom, tx, rx, grid.carrier_hz,
+                               np.ones((geom.num_elements, len(paths))), variant),
+                    grid,
+                )
                 for paths in sc.build_all_paths(vcfg)
             ]
         )

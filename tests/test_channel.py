@@ -12,7 +12,6 @@ from xlmimo.channel import (
     build_variant_aaf,
     multi_user,
     path_table,
-    reference_response,
 )
 from xlmimo.geometry import (
     SPEED_OF_LIGHT,
@@ -44,6 +43,19 @@ def los_path(distance=1.5, azimuth=0.4, amplitude=1.0, phase=0.2,
 OMNI = AntennaPattern()
 
 
+def synth(paths, geom, tx, rx, grid, aaf, variant="nf-sns"):
+    """``assemble`` from the ``path_table`` of the same arguments."""
+    table = path_table(paths, geom, tx, rx, grid.carrier_hz, aaf, variant)
+    return assemble(paths, table, grid)
+
+
+def reference_response(paths, f):
+    """Reference-element responses ``amplitude * exp(-2j*pi*f*delay)``, (L, K)."""
+    return np.array([p.amplitude for p in paths])[:, None] * np.exp(
+        -2j * np.pi * np.outer([p.delay for p in paths], f)
+    )
+
+
 class TestFrequencyGrid:
     def test_points_and_derived_quantities(self):
         grid = FrequencyGrid(90e9, 110e9, 2001)
@@ -52,12 +64,10 @@ class TestFrequencyGrid:
         assert pts[0] == 90e9 and pts[-1] == 110e9
         assert_allclose(np.diff(pts), 10e6, rtol=1e-12)
         assert grid.carrier_hz == 100e9
-        assert grid.bandwidth_hz == 20e9
 
     def test_single_point_grid(self):
         grid = FrequencyGrid(100e9, 100e9, 1)
         assert_allclose(grid.points(), [100e9])
-        assert grid.bandwidth_hz == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -72,17 +82,25 @@ class TestFrequencyGrid:
 
 
 class TestReferenceResponse:
+    """A one-element array sums the paths' reference-element responses."""
+
+    @staticmethod
+    def response(paths, grid):
+        geom = ArrayGeometry(num_elements=1, spacing=0.001)
+        return synth(paths, geom, OMNI, OMNI, grid, np.ones((1, len(paths))), "ff-ss")[0]
+
     def test_full_turn_phase_is_identity(self):
-        paths = [los_path(amplitude=1.0)]
+        paths = [los_path(amplitude=1.0, phase=0.0)]
         paths[0].delay = 1e-9
-        out = reference_response(paths, np.array([1e9]))
-        assert_allclose(out[0, 0], 1.0 + 0.0j, atol=1e-12)
+        out = self.response(paths, FrequencyGrid(1e9, 1e9, 1))
+        assert_allclose(out[0], 1.0 + 0.0j, atol=1e-12)
 
     def test_amplitude_and_phase_oracle(self):
-        p1, p2 = los_path(amplitude=0.5), los_path(amplitude=2.0)
+        p1, p2 = los_path(amplitude=0.5, phase=0.0), los_path(amplitude=2.0, phase=0.0)
         p1.delay, p2.delay = 3e-9, 7e-9
-        f = np.array([92e9, 100e9])
-        out = reference_response([p1, p2], f)
+        grid = FrequencyGrid(92e9, 100e9, 2)
+        f = grid.points()
+        out = np.array([self.response([p], grid) for p in (p1, p2)])
         want = np.array(
             [0.5 * np.exp(-2j * np.pi * f * 3e-9),
              2.0 * np.exp(-2j * np.pi * f * 7e-9)]
@@ -93,13 +111,15 @@ class TestReferenceResponse:
         # combined response repeats every 1/delta_tau in frequency
         p1, p2 = los_path(amplitude=1.0), los_path(amplitude=0.7)
         p1.delay, p2.delay = 0.0, 1e-9
-        f = np.linspace(100e9, 101e9, 11)  # 0.1 GHz steps, period 1 GHz
-        total = reference_response([p1, p2], f).sum(axis=0)
+        grid = FrequencyGrid(100e9, 101e9, 11)  # 0.1 GHz steps, period 1 GHz
+        total = self.response([p1, p2], grid)
         assert_allclose(total[0], total[10], rtol=1e-9)
 
     def test_empty_paths_rejected(self):
+        geom = ArrayGeometry(num_elements=1, spacing=0.001)
+        table = path_table([los_path()], geom, OMNI, OMNI, 1e9, np.ones((1, 1)))
         with pytest.raises(ValueError):
-            reference_response([], np.array([1e9]))
+            assemble([], table, FrequencyGrid(1e9, 1e9, 1))
 
 
 def visibility_column(m, rng):
@@ -211,7 +231,7 @@ class TestAssemble:
             los_path(distance=1.1, azimuth=0.3, amplitude=0.8, phase=0.5),
             los_path(distance=2.4, azimuth=-0.9, amplitude=0.3, phase=-1.2),
         ]
-        out = assemble(paths, geom, OMNI, OMNI, grid, np.ones((3, 2)), "nf-ss")
+        out = synth(paths, geom, OMNI, OMNI, grid, np.ones((3, 2)), "nf-ss")
         freqs = grid.points()
         want = np.zeros((3, 4), dtype=complex)
         for l, p in enumerate(paths):
@@ -238,7 +258,7 @@ class TestAssemble:
             los_path(distance=2.0, azimuth=-0.5, amplitude=0.4, phase=1.7,
                      model=WavefrontModel.SPM),
         ]
-        out = assemble(paths, geom, OMNI, OMNI, grid, np.ones((8, 2)), "nf-ss")
+        out = synth(paths, geom, OMNI, OMNI, grid, np.ones((8, 2)), "nf-ss")
         f = grid.points()
         want = sum(
             p.amplitude * np.exp(-1j * (2 * np.pi * f * p.delay + p.phase))
@@ -249,7 +269,7 @@ class TestAssemble:
     def test_single_plane_wave_magnitude_is_flat(self):
         geom = ArrayGeometry(num_elements=16, spacing=0.0015)
         grid = FrequencyGrid(100e9, 100e9, 1)
-        out = assemble([los_path(amplitude=0.7)], geom, OMNI, OMNI, grid,
+        out = synth([los_path(amplitude=0.7)], geom, OMNI, OMNI, grid,
                        np.ones((16, 1)), "ff-ss")
         assert_allclose(np.abs(out), 0.7, rtol=1e-12)
 
@@ -257,7 +277,7 @@ class TestAssemble:
         geom = ArrayGeometry(num_elements=8, spacing=0.0015)
         grid = FrequencyGrid(95e9, 105e9, 3)
         p = los_path(distance=1.2, azimuth=0.6, amplitude=0.5)
-        out = assemble([p], geom, OMNI, OMNI, grid, np.ones((8, 1)), "ff-ss")
+        out = synth([p], geom, OMNI, OMNI, grid, np.ones((8, 1)), "ff-ss")
         f = grid.points()
         # closed form: exp(j(2*pi*f*spacing*u*(m - ref)/c - phase))
         u = np.dot(direction_vector(p.aod), geom.axis)
@@ -272,8 +292,8 @@ class TestAssemble:
                  los_path(distance=2.0, azimuth=0.7, amplitude=0.5)]
         aaf = np.ones((4, 2))
         aaf[:, 0] = 0.0
-        masked = assemble(paths, geom, OMNI, OMNI, grid, aaf)
-        only_second = assemble([paths[1]], geom, OMNI, OMNI, grid, np.ones((4, 1)))
+        masked = synth(paths, geom, OMNI, OMNI, grid, aaf)
+        only_second = synth([paths[1]], geom, OMNI, OMNI, grid, np.ones((4, 1)))
         assert_allclose(masked, only_second, rtol=1e-12)
 
     def test_generated_variant_is_deterministic(self):
@@ -281,7 +301,7 @@ class TestAssemble:
         grid = FrequencyGrid(90e9, 110e9, 4)
         paths = [los_path(stationarity=Stationarity.NON_STATIONARY)]
         a, b = (
-            assemble(paths, geom, OMNI, OMNI, grid,
+            synth(paths, geom, OMNI, OMNI, grid,
                      build_variant_aaf(paths, 32, "nf-sns", seed=9), "nf-sns")
             for _ in range(2)
         )
@@ -291,19 +311,19 @@ class TestAssemble:
         geom = ArrayGeometry(num_elements=4, spacing=0.01)
         grid = FrequencyGrid(90e9, 110e9, 3)
         with pytest.raises(ValueError):
-            assemble([los_path()], geom, OMNI, OMNI, grid, np.ones((4, 1)), "bogus")
+            synth([los_path()], geom, OMNI, OMNI, grid, np.ones((4, 1)), "bogus")
         with pytest.raises(ValueError):
-            assemble([los_path()], geom, OMNI, OMNI, grid, np.ones((3, 1)))
+            synth([los_path()], geom, OMNI, OMNI, grid, np.ones((3, 1)))
         with pytest.raises(ValueError):
-            assemble([los_path()], geom, OMNI, OMNI, grid, -np.ones((4, 1)))
+            synth([los_path()], geom, OMNI, OMNI, grid, -np.ones((4, 1)))
         with pytest.raises(ValueError):
-            assemble([los_path()], geom, OMNI, OMNI, grid, np.full((4, 1), np.nan))
+            synth([los_path()], geom, OMNI, OMNI, grid, np.full((4, 1), np.nan))
 
 
 class TestStreamingAssembly:
     """``assemble`` sums path by path; the (M, L, K) tensor is the reference."""
 
-    @pytest.mark.parametrize("variant", ["nf-sns", "nf-ss", "ff-sns", "vr"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize(
         "elements, num_paths, points",
         [(301, 5, 201), (2048, 3, 21), (7, 1, 5)],
@@ -325,13 +345,15 @@ class TestStreamingAssembly:
                              reference_index=elements // 3)
         grid = FrequencyGrid(90e9, 110e9, points)
         tx = AntennaPattern("gaussian_lobe", 10.0, np.array([0.0, 1.0, 0.0]), 1.0, 1.0)
+        rx = AntennaPattern("gaussian_lobe", 4.0, np.array([0.6, -0.8, 0.0]), 0.7, 1.3)
         aaf = build_variant_aaf(paths, elements, variant, seed=4)
         aaf[:, 0] = 0.0  # a path no element sees
         f = grid.points()
-        tensor = build_a_tensor(paths, geom, tx, OMNI, f, grid.carrier_hz,
-                                force_ff=variant in ("ff-sns", "vr"))
+        tensor = build_a_tensor(paths, geom, tx, rx, f, grid.carrier_hz,
+                                force_ff=variant in ("ff-sns", "ff-ss", "vr"))
         want = np.einsum("mlk,ml,lk->mk", tensor, aaf, reference_response(paths, f))
-        got = assemble(paths, geom, tx, OMNI, grid, aaf, variant)
+        table = path_table(paths, geom, tx, rx, grid.carrier_hz, aaf, variant)
+        got = assemble(paths, table, grid)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # signed zeros too
@@ -342,7 +364,7 @@ class TestMultiUser:
         geom = ArrayGeometry(num_elements=4, spacing=0.01)
         grid = FrequencyGrid(90e9, 110e9, 3)
         h1, h2 = (
-            assemble([los_path(azimuth=az)], geom, OMNI, OMNI, grid,
+            synth([los_path(azimuth=az)], geom, OMNI, OMNI, grid,
                      np.ones((4, 1)), "nf-ss")
             for az in (0.1, 0.9)
         )
@@ -448,8 +470,8 @@ class TestPathTable:
         else:
             tx = rx = OMNI
         aaf = np.random.default_rng(aaf_seed).uniform(0.0, 1.0, (num_elements, len(records)))
-        chan = assemble(records, geom, tx, rx, grid, aaf, variant)
         table = path_table(records, geom, tx, rx, grid.carrier_hz, aaf, variant=variant)
+        chan = assemble(records, table, grid)
         delays_ref = np.array([p.delay for p in records])
         terms = table.amplitudes * np.exp(
             -1j * (table.phases + 2 * np.pi * grid.carrier_hz * delays_ref)

@@ -105,7 +105,12 @@ class TestSynthesizeCommand:
         paths = sc.build_all_paths(cfg)
         want = np.stack(
             [
-                ch.assemble(p, geometry, tx, rx, grid, np.ones((8, len(p))), "nf-ss")
+                ch.assemble(
+                    p,
+                    ch.path_table(p, geometry, tx, rx, grid.carrier_hz,
+                                  np.ones((8, len(p))), "nf-ss"),
+                    grid,
+                )
                 for p in paths
             ]
         )
@@ -194,6 +199,19 @@ class TestSynthesizeCommand:
         ):
             assert (outs[0] / fn).read_bytes() == (outs[1] / fn).read_bytes(), fn
 
+    def test_expands_each_path_once(self, tmp_path, monkeypatch):
+        # case3: 12 users x 3 paths, each expanded by path_table alone
+        from xlmimo import channel as ch
+
+        calls = []
+        original = ch.expand_path
+        monkeypatch.setattr(
+            ch, "expand_path", lambda *a, **k: calls.append(a[0]) or original(*a, **k)
+        )
+        out = tmp_path / "out"
+        assert main(["synthesize", "--preset", "case3", "--out", str(out)]) == 0
+        assert len(calls) == 36
+
 
 def streaming_config(tmp_path, variant, points):
     """Six users with three paths each (line of sight and two SnS
@@ -242,9 +260,10 @@ class TestStreamingSynthesis:
             )
             tensor = nf.build_a_tensor(paths, geometry, tx, rx, f, grid.carrier_hz,
                                        force_ff=variant != "nf-sns")
-            responses.append(
-                np.einsum("mlk,ml,lk->mk", tensor, aaf, ch.reference_response(paths, f))
+            h_ref = np.array([p.amplitude for p in paths])[:, None] * np.exp(
+                -2j * np.pi * np.outer([p.delay for p in paths], f)
             )
+            responses.append(np.einsum("mlk,ml,lk->mk", tensor, aaf, h_ref))
         want = ch.multi_user(responses)
         assert np.array_equal(pool, want)
         assert pool.tobytes() == want.tobytes()
@@ -859,6 +878,28 @@ class TestEvaluateCommand:
         # compare drops the nan samples, as it drops other non-finite ones
         for metric in ("kfactor", "delay_spread"):
             assert float(read_rows(cmp / f"cvm_{metric}.csv")[0]["distance"]) == 0.0
+
+    def test_cdf_holds_only_finite_samples(self, tmp_path):
+        # vr leaves elements with no power (nan) or only the LoS path (inf)
+        chan, out = tmp_path / "c2", tmp_path / "o"
+        assert main(
+            ["synthesize", "--preset", "case2", "--variant", "vr", "--seed", "1",
+             "--out", str(chan)]
+        ) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(
+                ["evaluate", "--channel", str(chan / "channel"), "--out", str(out),
+                 "--metrics", "kfactor"]
+            )
+        assert code == 0
+        samples = [float(r["value"]) for r in read_rows(out / "channel_vr_kfactor_samples.csv")]
+        cdf = read_rows(out / "channel_vr_kfactor_cdf.csv")
+        assert len(samples) == 301 and len(cdf) == 176
+        finite = np.sort([v for v in samples if np.isfinite(v)])
+        assert np.array_equal([float(r["value"]) for r in cdf], finite)
+        probs = [float(r["probability"]) for r in cdf]
+        assert probs == [(i + 1) / 176 for i in range(176)] and probs[-1] == 1.0
 
     @pytest.mark.parametrize("order", [(2, 1), (1, 2)], ids=["two-then-one", "one-then-two"])
     def test_spatial_correlation_checks_every_user(self, tmp_path, capsys, order):

@@ -122,6 +122,19 @@ class TestValidateConfig:
         cfg["ues"] = [[0.1, 0.2]]
         with pytest.raises(ConfigError, match="ues"):
             validate_config(cfg)
+        # keys with a default are type-checked like required ones
+        cfg = minimal_config()
+        cfg["array"]["reference_index"] = 1.5
+        with pytest.raises(
+            ConfigError, match=r"^array\.reference_index must be an integer, got 1\.5$"
+        ):
+            validate_config(cfg)
+        cfg = minimal_config()
+        cfg["patterns"] = {"tx": {"gain_dbi": "3"}, "rx": {}}
+        with pytest.raises(
+            ConfigError, match=r"^patterns\.tx\.gain_dbi must be a number, got '3'$"
+        ):
+            validate_config(cfg)
 
     def test_empty_ues(self):
         cfg = minimal_config()
