@@ -1,15 +1,20 @@
 """Wideband channel assembly.
 
-The frequency response at element m is the sum over paths of three factors:
-the reference-element path response ``alpha_l * exp(-2j*pi*f*tau_l)``, the
-per-element propagation weight from the wavefront expansion, and the
-per-element amplitude attenuation factor.  Each path is expanded once in
-:func:`path_table`, whose table gives both the per-element path parameters
-and, read by :func:`assemble`, the wideband weights.  One user's response
-is an (elements, frequencies) array, summed path by path so that no
-per-path tensor is held; users sharing the array and frequency grid fill
-the (users, elements, frequencies) complex64 pool that ``channel.bin``
-stores.
+The frequency response at element m is the sum over paths of
+``amplitude * gain_m * aaf_m * exp(-j(2*pi*f*tau_m + phase_ref))``: the
+reference-element path amplitude, the per-element gain of the wavefront
+expansion, the per-element amplitude attenuation factor, and the path's
+delay at that element, ``tau_m = delay + excess_length_m / c``.  Each path
+is expanded once in :func:`path_table`, whose table gives both the
+per-element path parameters and the gains and excess lengths that
+:func:`assemble` reads.  On the uniform frequency grid each term is a
+geometric sequence in frequency, so :func:`assemble` evaluates one exact
+complex ``exp`` per element, path and block of 64 frequencies and reaches
+the rest of the block by one multiply with a table of exact step phasors.
+One user's response is an (elements, frequencies) array, summed path by
+path so that no per-path tensor is held; users sharing the array and
+frequency grid fill the (users, elements, frequencies) complex64 pool that
+``channel.bin`` stores.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry
-from . import nearfield
+from .geometry import SPEED_OF_LIGHT, ArrayGeometry
 from .nearfield import AntennaPattern, expand_path
-# The reference route of ``assemble``; perfbench/worker.py wraps it by this name.
+# Kept for the tests' reference route of ``assemble``; perfbench/worker.py
+# wraps it by this name.
 from .nearfield import build_a_tensor  # noqa: F401
 from .sns import AAFStatParams, build_aaf_matrix
 
@@ -35,6 +40,10 @@ VARIANTS = ("nf-sns", "nf-ss", "ff-sns", "ff-ss", "vr")
 #: covers.
 _VR_MIN_FRACTION = 0.3
 _VR_MAX_FRACTION = 0.8
+
+#: Frequencies per block of the wideband kernel in :func:`assemble`: each
+#: block costs one exact complex ``exp`` per element and path.
+_BLOCK = 64
 
 
 def _plane_wave(variant: str) -> bool:
@@ -147,8 +156,8 @@ def multi_user(responses) -> np.ndarray:
 class PathTable:
     """One user's paths expanded across the array.
 
-    ``expansions`` holds each path's :class:`NearFieldExpansion`, from
-    which :func:`assemble` takes the wideband weights.  The other arrays
+    ``expansions`` holds each path's :class:`NearFieldExpansion`, whose
+    gains and excess lengths :func:`assemble` reads.  The other arrays
     have shape (M, L): ``aaf`` is the checked attenuation-factor matrix,
     ``amplitudes`` include wavefront spreading, pattern weighting and the
     attenuation factors, and ``phases`` are the carrier-frequency
@@ -220,17 +229,35 @@ def path_table(
     )
 
 
+def _working_set_bytes(num_elements: int, num_points: int) -> int:
+    """Most memory :func:`assemble` holds: its complex128 (M, K) response,
+    its (M, B) step table and scratch, and two more (M, B) tables' worth of
+    per-block temporaries and numpy iteration buffers."""
+    return 16 * num_elements * (num_points + 4 * min(_BLOCK, num_points))
+
+
 def assemble(paths, table: PathTable, grid: FrequencyGrid) -> np.ndarray:
     """Synthesize one user's channel, a complex128 array of shape (M, K).
 
-    ``table`` is the :func:`path_table` of ``paths``.  The paths are summed
-    one at a time into one (M, K) accumulator, so the working set is a few
-    (M, K) arrays whatever the path count.  Each step is the einsum
-    ``"mk,m,k->mk"`` of the path's :func:`nearfield.nf_path_matrix`, its
-    ``table.aaf`` column and its reference-element response
-    ``amplitude * exp(-2j*pi*f*delay)``.  That gives the bits of the
-    reference route ``einsum("mlk,ml,lk->mk", build_a_tensor(...), aaf,
-    h_ref)``; plain ``w * aaf * h`` products do not.
+    ``table`` is the :func:`path_table` of ``paths``.  Path l contributes
+    ``coef_m * exp(-2j*pi*f_k*tau_m)`` at element m and frequency k, with
+    ``tau_m = delay + excess_length_m / c`` and
+    ``coef_m = amplitude * gain_m * aaf_ml * exp(-1j*phase_ref)``.  On the
+    uniform grid this is a geometric sequence in k, evaluated in blocks of
+    B = 64 frequencies:
+
+    - per path, one (M, B) table of exact step phasors
+      ``exp(-2j*pi*df*tau_m*j)``, j < B, with ``df`` the grid spacing (0
+      for a single point);
+    - per block, one exact ``coef_m * exp(-2j*pi*f_k0*tau_m)`` at the
+      block's first grid point ``f_k0``, multiplied into the step table and
+      added in place to the response through one (M, B) scratch.
+
+    The block-start phase is split as ``f_k0*delay`` (about 1e4 rad, rounded
+    once per path and block and shared by every element) plus
+    ``f_k0*excess_length_m/c``, so each entry carries the rounding of the
+    per-entry ``exp`` route it replaces, not more.  The working set is the
+    response and two (M, B) tables whatever the path count.
     """
     paths = list(paths)
     if len(paths) != len(table.expansions):
@@ -238,17 +265,29 @@ def assemble(paths, table: PathTable, grid: FrequencyGrid) -> np.ndarray:
             f"{len(paths)} paths for a table of {len(table.expansions)}"
         )
     frequencies = grid.points()
-    amplitudes = np.array([p.amplitude for p in paths])
-    delays = np.array([p.delay for p in paths])
-    h_ref = amplitudes[:, None] * np.exp(-2j * np.pi * np.outer(delays, frequencies))
-    response = np.zeros((table.aaf.shape[0], frequencies.size), dtype=complex)
-    for l, expansion in enumerate(table.expansions):
-        # nf_path_matrix is looked up on its module at call time, so a
-        # wrapped kernel is seen; its matrix is freed before the next path's.
-        response += np.einsum(
-            "mk,m,k->mk",
-            nearfield.nf_path_matrix(expansion, frequencies),
-            table.aaf[:, l],
-            h_ref[l],
+    num_points = frequencies.size
+    df = (
+        (grid.f_high_hz - grid.f_low_hz) / (num_points - 1) if num_points > 1 else 0.0
+    )
+    width = min(_BLOCK, num_points)
+    offsets = -2.0 * np.pi * df * np.arange(width)
+    response = np.zeros((table.aaf.shape[0], num_points), dtype=complex)
+    steps = np.empty((response.shape[0], width), dtype=complex)
+    scratch = np.empty_like(steps)
+    for l, (path, expansion) in enumerate(zip(paths, table.expansions)):
+        tau = path.delay + expansion.excess_lengths / SPEED_OF_LIGHT
+        rate = -2.0 * np.pi / SPEED_OF_LIGHT * expansion.excess_lengths
+        coef = path.amplitude * expansion.gains * table.aaf[:, l] * np.exp(
+            -1j * expansion.phases[expansion.reference_index]
         )
+        scratch.real = 0.0
+        np.multiply.outer(tau, offsets, out=scratch.imag)
+        np.exp(scratch, out=steps)
+        for k0 in range(0, num_points, width):
+            k1 = min(k0 + width, num_points)
+            start = np.exp(-2j * np.pi * (path.delay * frequencies[k0])) * coef
+            start *= np.exp(1j * (rate * frequencies[k0]))
+            block = scratch[:, : k1 - k0]
+            np.multiply(steps[:, : k1 - k0], start[:, None], out=block)
+            response[:, k0:k1] += block
     return response

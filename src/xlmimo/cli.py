@@ -32,12 +32,13 @@ from .errors import ConfigError, GeometryError, NumericError
 _MAX_TRIAL_USERS = 1_000_000
 
 #: Largest estimated memory of ``synthesize``: the (users, elements,
-#: frequencies) complex64 pool, one user's working set of at most four
-#: (elements, frequencies) complex128 arrays, and the nine 8-byte
-#: ``pathtable.csv`` columns of elements x paths rows.  The pool and working
-#: set are checked before any path is built, the columns once the paths are
-#: known; both before the pool is allocated or ``--out`` is made.  The case3
-#: preset needs about 97 MB.
+#: frequencies) complex64 pool, one user's working set (the complex128
+#: (elements, frequencies) response of ``channel.assemble`` and its
+#: (elements, 64) block tables), and the nine 8-byte ``pathtable.csv``
+#: columns of elements x paths rows.  The pool and working set are checked
+#: before any path is built, the columns once the paths are known; both
+#: before the pool is allocated or ``--out`` is made.  The case3 preset
+#: needs about 69 MB.
 _MAX_SYNTH_BYTES = 4 * 2**30
 
 _PATHTABLE_HEADER = (
@@ -243,7 +244,7 @@ def _cmd_synthesize(args) -> int:
     import numpy as np
 
     from . import scenario
-    from .channel import assemble, build_variant_aaf, path_table
+    from .channel import _working_set_bytes, assemble, build_variant_aaf, path_table
     from .serialization import (
         config_sha256,
         read_paths_csv,
@@ -259,8 +260,9 @@ def _cmd_synthesize(args) -> int:
     grid = scenario.build_grid(cfg)
     num_elements = geometry.num_elements
     num_ues = len(args.paths) if args.paths else len(cfg["ues"])
-    num_values = num_elements * grid.num_points
-    estimate = num_ues * num_values * 8 + num_values * 64
+    estimate = num_ues * num_elements * grid.num_points * 8 + _working_set_bytes(
+        num_elements, grid.num_points
+    )
     _check_synth_size(
         estimate,
         f"{num_ues} users x {num_elements} elements x {grid.num_points} frequencies",

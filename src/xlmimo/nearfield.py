@@ -11,7 +11,11 @@ and keep the arrival direction fixed.  Plane waves, the far-field baseline,
 are the infinite-distance limit of the same expansion.  One function,
 :func:`expand_path`, expands a path under any of these models.  A synthesis
 expands each path once, in ``channel.path_table``; ``channel.assemble``
-reads the same expansions for the wideband weights.
+reads the gains and excess lengths of the same expansions and sums the
+wideband response by a frequency recurrence, one exact ``exp`` per element,
+path and block of 64 frequencies.  :func:`nf_path_matrix` and
+:func:`build_a_tensor`, one complex ``exp`` per (element, path, frequency),
+remain as the reference route of that kernel.
 
 Arrival directions are propagation directions at the receiver (pointing away
 from the array), so for a direct path the arrival direction equals the
@@ -207,7 +211,8 @@ class NearFieldExpansion:
     All arrays have the array's M elements along the first axis.  The row at
     ``reference_index`` reproduces the reference parameters; ``gains`` is 1
     and ``excess_lengths`` is 0 there.  The path table reads ``amplitudes``,
-    ``delays`` and ``phases``; :func:`nf_path_matrix` reads ``gains``,
+    ``delays`` and ``phases``; the wideband kernel ``channel.assemble`` and
+    its reference route :func:`nf_path_matrix` read ``gains``,
     ``excess_lengths`` and the reference phase.
     """
 
@@ -342,6 +347,10 @@ def nf_path_matrix(expansion: NearFieldExpansion, frequencies) -> np.ndarray:
     where ``phase_ref`` is the expansion's phase at the reference element.
     The exponential and the gains are applied in place, so the call holds
     one complex (M, K) array and, briefly, the real phases.
+
+    This is a reference route, one complex ``exp`` per entry, kept for the
+    tests of the recurrence in ``channel.assemble`` and for the benchmark
+    worker, which looks it up by name.  Synthesis does not call it.
     """
     frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float))
     if not np.all(frequencies > 0.0):
@@ -368,10 +377,10 @@ def build_a_tensor(
     """Per-element weight tensor for a list of paths, shape (M, L, K).
 
     Each path is expanded under its own wavefront model, or as a plane wave
-    when ``force_ff`` is set; see :func:`expand_path`.  This is the
+    when ``force_ff`` is set; see :func:`expand_path`.  Its einsum with the
+    attenuation factors and the reference-element responses is the
     reference route for :func:`xlmimo.channel.assemble`, which sums the same
-    per-path matrices one at a time, from the expansions of
-    ``channel.path_table``, and never holds this tensor.
+    response by a frequency recurrence and never holds this tensor.
 
     Parameters
     ----------

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from xlmimo import channel
+from xlmimo import channel, scenario
 from xlmimo.channel import (
     FrequencyGrid,
     VARIANTS,
@@ -26,6 +28,7 @@ from xlmimo.nearfield import (
     WavefrontModel,
     build_a_tensor,
     expand_path,
+    nf_path_matrix,
 )
 
 
@@ -54,6 +57,18 @@ def reference_response(paths, f):
     return np.array([p.amplitude for p in paths])[:, None] * np.exp(
         -2j * np.pi * np.outer([p.delay for p in paths], f)
     )
+
+
+def assert_near_reference(got, want):
+    """``got`` is within 5e-12 of max|want| of the reference route's
+    ``want`` everywhere, and each complex64 component within one float32
+    spacing of that entry's |want|."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.abs(got - want).max() <= 5e-12 * np.abs(want).max()
+    spacing = np.spacing(np.abs(want).astype(np.float32))
+    got32, want32 = got.astype("<c8"), want.astype("<c8")
+    assert np.all(np.abs(got32.real - want32.real) <= spacing)
+    assert np.all(np.abs(got32.imag - want32.imag) <= spacing)
 
 
 class TestFrequencyGrid:
@@ -321,7 +336,8 @@ class TestAssemble:
 
 
 class TestStreamingAssembly:
-    """``assemble`` sums path by path; the (M, L, K) tensor is the reference."""
+    """``assemble`` against the reference route, the einsum of the (M, L, K)
+    weight tensor with the AAF and the reference-element responses."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize(
@@ -353,10 +369,113 @@ class TestStreamingAssembly:
                                 force_ff=variant in ("ff-sns", "ff-ss", "vr"))
         want = np.einsum("mlk,ml,lk->mk", tensor, aaf, reference_response(paths, f))
         table = path_table(paths, geom, tx, rx, grid.carrier_hz, aaf, variant)
+        assert_near_reference(assemble(paths, table, grid), want)
+
+    def test_peak_memory_is_response_plus_block_tables(self):
+        paths, table, grid = preset_user("case3", "nf-sns")
+        response = table.aaf.shape[0] * grid.num_points * 16
+        tracemalloc.start()
+        try:
+            assemble(paths, table, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # synthesize's size guard budgets the response and four (M, 64)
+        # complex128 tables per user; a padded (M, K/64, 64) block tensor
+        # would double the response.
+        assert response < peak < response + 4 * table.aaf.shape[0] * 64 * 16
+
+
+def preset_user(name, variant, reference=None, num_points=None, flat=False):
+    """The first user of a preset as ``(paths, table, grid)``, with optional
+    overrides of the reference element ("first", "middle" or "last"), the
+    grid size, and a single-frequency band (``f_high == f_low``)."""
+    cfg = scenario.preset(name)
+    cfg["variant"], cfg["seed"] = variant, 11
+    m = cfg["array"]["num_elements"]
+    if reference is not None:
+        cfg["array"]["reference_index"] = {"first": 0, "middle": m // 2, "last": m - 1}[reference]
+    if num_points is not None:
+        cfg["grid"]["num_points"] = num_points
+    if flat:
+        cfg["grid"]["f_high_hz"] = cfg["grid"]["f_low_hz"]
+    cfg = scenario.validate_config(cfg)
+    geometry, grid = scenario.build_geometry(cfg), scenario.build_grid(cfg)
+    tx, rx = scenario.build_patterns(cfg)
+    paths = scenario.build_all_paths(cfg)[0]
+    aaf = build_variant_aaf(paths, m, variant, params=scenario.build_aaf_params(cfg),
+                            seed=cfg["seed"], stream_key=(0,))
+    return paths, path_table(paths, geometry, tx, rx, grid.carrier_hz, aaf, variant), grid
+
+
+def einsum_route(paths, table, grid):
+    """The per-path reference: ``nf_path_matrix`` times the AAF column times
+    the reference-element response, one einsum per path."""
+    f = grid.points()
+    h_ref = reference_response(paths, f)
+    out = np.zeros((table.aaf.shape[0], f.size), dtype=complex)
+    for l, expansion in enumerate(table.expansions):
+        out += np.einsum("mk,m,k->mk", nf_path_matrix(expansion, f), table.aaf[:, l], h_ref[l])
+    return out
+
+
+def longdouble_oracle(paths, table, grid):
+    """``sum_l amplitude * gain_m * aaf_ml * exp(-j(2*pi*f_k*tau_m + phase_ref))``
+    with ``tau_m = delay + excess_m / c``, summed in ``np.clongdouble`` from
+    the same float64 inputs and the frequencies of ``grid.points()``.  The
+    phase (up to about 1e4 rad) is formed and reduced to [-pi, pi] in
+    extended precision; float64 cosine and sine of the reduced phase are
+    then accurate to about 1e-16."""
+    ld = np.longdouble
+    two_pi = 8 * np.arctan(ld(1))
+    f = grid.points().astype(ld)
+    real = np.zeros((table.aaf.shape[0], f.size), dtype=ld)
+    imag = np.zeros_like(real)
+    for l, (p, e) in enumerate(zip(paths, table.expansions)):
+        tau = ld(p.delay) + e.excess_lengths.astype(ld) / ld(SPEED_OF_LIGHT)
+        coef = (ld(p.amplitude) * e.gains.astype(ld) * table.aaf[:, l].astype(ld))[:, None]
+        cycles = np.multiply.outer(tau, f)
+        cycles -= np.round(cycles)
+        phase = (two_pi * cycles + ld(e.phases[e.reference_index])).astype(float)
+        real += coef * np.cos(phase)
+        imag -= coef * np.sin(phase)
+    return real + 1j * imag
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no wider than float64 here",
+)
+class TestRecurrenceOracle:
+    """The block recurrence of ``assemble`` against an extended-precision
+    oracle: at most twice the reference route's error and 5e-12 of max|H|,
+    and within one float32 spacing of the reference route in complex64."""
+
+    @staticmethod
+    def check(paths, table, grid):
         got = assemble(paths, table, grid)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()  # signed zeros too
+        want = einsum_route(paths, table, grid)
+        oracle = longdouble_oracle(paths, table, grid)
+        error = np.abs((got - oracle).astype(complex)).max()
+        assert error <= 2 * np.abs((want - oracle).astype(complex)).max()
+        assert error <= 5e-12 * np.abs(got).max()
+        assert_near_reference(got, want)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("name", scenario.preset_names())
+    def test_every_preset_and_variant(self, name, variant):
+        self.check(*preset_user(name, variant))
+
+    @pytest.mark.parametrize("variant", ["nf-sns", "vr"])
+    @pytest.mark.parametrize("num_points", [1, 63, 64, 65, 129, 2001])
+    @pytest.mark.parametrize("reference", ["first", "middle", "last"])
+    def test_reference_element_and_grid_size(self, reference, num_points, variant):
+        self.check(*preset_user("case4", variant, reference, num_points))
+
+    @pytest.mark.parametrize("reference", ["first", "middle", "last"])
+    def test_single_frequency_band_with_many_points(self, reference):
+        self.check(*preset_user("case4", "nf-sns", reference, num_points=65, flat=True))
+
 
 
 class TestMultiUser:

@@ -265,8 +265,11 @@ class TestStreamingSynthesis:
             )
             responses.append(np.einsum("mlk,ml,lk->mk", tensor, aaf, h_ref))
         want = ch.multi_user(responses)
-        assert np.array_equal(pool, want)
-        assert pool.tobytes() == want.tobytes()
+        assert pool.dtype == want.dtype and pool.shape == want.shape
+        # each component within one float32 spacing of the entry's |H|
+        spacing = np.spacing(np.abs(np.stack(responses)).astype(np.float32))
+        assert np.all(np.abs(pool.real - want.real) <= spacing)
+        assert np.all(np.abs(pool.imag - want.imag) <= spacing)
 
     def test_peak_memory_is_pool_plus_one_user(self, tmp_path):
         import tracemalloc
@@ -313,8 +316,10 @@ class TestStreamingSynthesis:
     ):
         from xlmimo import cli
 
-        # tiny_config: 2 users with one path each, 8 elements, 3 frequencies.
-        pool_and_working_set = 2 * 8 * 3 * 8 + 8 * 3 * 64
+        # tiny_config: 2 users with one path each, 8 elements, 3 frequencies:
+        # the complex64 pool, one complex128 response and four (8, 3)
+        # complex128 block tables.
+        pool_and_working_set = 2 * 8 * 3 * 8 + 16 * 8 * (3 + 4 * 3)
         columns = 9 * 8 * (8 * 2)
         argv = ["synthesize", "--config", write_config(tmp_path)]
         out = tmp_path / "out"
