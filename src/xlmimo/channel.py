@@ -9,12 +9,13 @@ is expanded once in :func:`path_table`, whose table gives both the
 per-element path parameters and the gains and excess lengths that
 :func:`assemble` reads.  On the uniform frequency grid each term is a
 geometric sequence in frequency, so :func:`assemble` evaluates one exact
-complex ``exp`` per element, path and block of 64 frequencies and reaches
-the rest of the block by one multiply with a table of exact step phasors.
-One user's response is an (elements, frequencies) array, summed path by
-path so that no per-path tensor is held; users sharing the array and
-frequency grid fill the (users, elements, frequencies) complex64 pool that
-``channel.bin`` stores.
+complex ``exp`` per element, path and block of b frequencies (b chosen from
+the grid size by :func:`_block_length`) and reaches the rest of the block
+by one multiply with a per-path table of exact step phasors.  One user's
+response is an (elements, frequencies) array, summed block by block in one
+(elements, b) accumulator; ``synthesize`` has each user's response written
+into one reusable complex64 row and streamed to ``channel.bin``, so no
+(users, elements, frequencies) pool is held.
 """
 
 from __future__ import annotations
@@ -41,9 +42,8 @@ VARIANTS = ("nf-sns", "nf-ss", "ff-sns", "ff-ss", "vr")
 _VR_MIN_FRACTION = 0.3
 _VR_MAX_FRACTION = 0.8
 
-#: Frequencies per block of the wideband kernel in :func:`assemble`: each
-#: block costs one exact complex ``exp`` per element and path.
-_BLOCK = 64
+#: Most frequencies per block of the wideband kernel in :func:`assemble`.
+_MAX_BLOCK = 64
 
 
 def _plane_wave(variant: str) -> bool:
@@ -134,8 +134,9 @@ def multi_user(responses) -> np.ndarray:
 
     Each value is rounded to complex64 exactly as ``astype("<c8")`` rounds
     it, so the pool holds the bytes that ``channel.bin`` stores.  This is the
-    reference route for ``synthesize``, which assigns each user's response
-    into its preallocated pool as soon as :func:`assemble` returns it.
+    reference route for ``synthesize``, which has :func:`assemble` write each
+    user's response into one complex64 row and streams it to
+    ``channel.bin``.
     """
     responses = list(responses)
     if not responses:
@@ -229,35 +230,55 @@ def path_table(
     )
 
 
-def _working_set_bytes(num_elements: int, num_points: int) -> int:
-    """Most memory :func:`assemble` holds: its complex128 (M, K) response,
-    its (M, B) step table and scratch, and two more (M, B) tables' worth of
-    per-block temporaries and numpy iteration buffers."""
-    return 16 * num_elements * (num_points + 4 * min(_BLOCK, num_points))
+def _block_length(num_points: int) -> int:
+    """Frequencies per block of :func:`assemble` for a K-point grid.
+
+    A block of b costs b exact ``exp`` per element and path for its step
+    table plus one per block start, ``b + ceil(K/b)`` in all; the smallest
+    cost for b in [1, 64] wins, the largest b on ties (17 at K=201, 49 at
+    K=2001).
+    """
+    return min(
+        range(1, _MAX_BLOCK + 1), key=lambda b: (b - (-num_points // b), -b)
+    )
 
 
-def assemble(paths, table: PathTable, grid: FrequencyGrid) -> np.ndarray:
-    """Synthesize one user's channel, a complex128 array of shape (M, K).
+def _working_set_bytes(num_elements: int, num_points: int, num_paths: int) -> int:
+    """Most memory :func:`assemble` holds besides its output: one (M, b)
+    complex128 step table per path, the (M, b) accumulator and scratch, and
+    two more (M, b) tables' worth of per-block temporaries and numpy
+    iteration buffers."""
+    return 16 * num_elements * _block_length(num_points) * (num_paths + 4)
+
+
+def assemble(paths, table: PathTable, grid: FrequencyGrid, out=None) -> np.ndarray:
+    """Synthesize one user's channel, an array of shape (M, K).
 
     ``table`` is the :func:`path_table` of ``paths``.  Path l contributes
     ``coef_m * exp(-2j*pi*f_k*tau_m)`` at element m and frequency k, with
     ``tau_m = delay + excess_length_m / c`` and
     ``coef_m = amplitude * gain_m * aaf_ml * exp(-1j*phase_ref)``.  On the
     uniform grid this is a geometric sequence in k, evaluated in blocks of
-    B = 64 frequencies:
+    b = ``_block_length(K)`` frequencies:
 
-    - per path, one (M, B) table of exact step phasors
-      ``exp(-2j*pi*df*tau_m*j)``, j < B, with ``df`` the grid spacing (0
+    - per path, one (M, b) table of exact step phasors
+      ``exp(-2j*pi*df*tau_m*j)``, j < b, with ``df`` the grid spacing (0
       for a single point);
-    - per block, one exact ``coef_m * exp(-2j*pi*f_k0*tau_m)`` at the
-      block's first grid point ``f_k0``, multiplied into the step table and
-      added in place to the response through one (M, B) scratch.
+    - per block, a zeroed (M, b) complex128 accumulator; for each path in
+      order, one exact ``coef_m * exp(-2j*pi*f_k0*tau_m)`` at the block's
+      first grid point ``f_k0``, multiplied into the step table and added
+      to the accumulator, which then goes to ``out[:, k0:k1]``.
 
     The block-start phase is split as ``f_k0*delay`` (about 1e4 rad, rounded
     once per path and block and shared by every element) plus
     ``f_k0*excess_length_m/c``, so each entry carries the rounding of the
-    per-entry ``exp`` route it replaces, not more.  The working set is the
-    response and two (M, B) tables whatever the path count.
+    per-entry ``exp`` route it replaces, not more.
+
+    ``out`` is an (M, K) array to write into, e.g. a reusable complex64
+    row; each entry is rounded as ``astype`` rounds the complex128 sum, so
+    ``assemble(..., out=c64)`` equals ``assemble(...).astype("<c8")``.
+    Without ``out`` a new complex128 array is returned.  Besides ``out`` the
+    working set is the L step tables and two (M, b) tables.
     """
     paths = list(paths)
     if len(paths) != len(table.expansions):
@@ -266,28 +287,38 @@ def assemble(paths, table: PathTable, grid: FrequencyGrid) -> np.ndarray:
         )
     frequencies = grid.points()
     num_points = frequencies.size
+    num_elements = table.aaf.shape[0]
+    if out is None:
+        out = np.empty((num_elements, num_points), dtype=complex)
+    elif out.shape != (num_elements, num_points):
+        raise ValueError(f"out shape {out.shape} != {(num_elements, num_points)}")
     df = (
         (grid.f_high_hz - grid.f_low_hz) / (num_points - 1) if num_points > 1 else 0.0
     )
-    width = min(_BLOCK, num_points)
+    width = _block_length(num_points)
     offsets = -2.0 * np.pi * df * np.arange(width)
-    response = np.zeros((table.aaf.shape[0], num_points), dtype=complex)
-    steps = np.empty((response.shape[0], width), dtype=complex)
-    scratch = np.empty_like(steps)
-    for l, (path, expansion) in enumerate(zip(paths, table.expansions)):
+    steps = np.empty((len(paths), num_elements, width), dtype=complex)
+    for step, path, expansion in zip(steps, paths, table.expansions):
         tau = path.delay + expansion.excess_lengths / SPEED_OF_LIGHT
-        rate = -2.0 * np.pi / SPEED_OF_LIGHT * expansion.excess_lengths
-        coef = path.amplitude * expansion.gains * table.aaf[:, l] * np.exp(
-            -1j * expansion.phases[expansion.reference_index]
-        )
-        scratch.real = 0.0
-        np.multiply.outer(tau, offsets, out=scratch.imag)
-        np.exp(scratch, out=steps)
-        for k0 in range(0, num_points, width):
-            k1 = min(k0 + width, num_points)
+        step.real = 0.0
+        np.multiply.outer(tau, offsets, out=step.imag)
+        np.exp(step, out=step)
+    # Whole-width blocks keep every operand contiguous; the last block's
+    # columns past K are computed and dropped.
+    block = np.empty((num_elements, width), dtype=complex)
+    term = np.empty_like(block)
+    for k0 in range(0, num_points, width):
+        block[...] = 0.0
+        for l, (step, path, expansion) in enumerate(
+            zip(steps, paths, table.expansions)
+        ):
+            coef = path.amplitude * expansion.gains * table.aaf[:, l] * np.exp(
+                -1j * expansion.phases[expansion.reference_index]
+            )
+            rate = -2.0 * np.pi / SPEED_OF_LIGHT * expansion.excess_lengths
             start = np.exp(-2j * np.pi * (path.delay * frequencies[k0])) * coef
             start *= np.exp(1j * (rate * frequencies[k0]))
-            block = scratch[:, : k1 - k0]
-            np.multiply(steps[:, : k1 - k0], start[:, None], out=block)
-            response[:, k0:k1] += block
-    return response
+            np.multiply(step, start[:, None], out=term)
+            block += term
+        out[:, k0 : k0 + width] = block[:, : num_points - k0]
+    return out

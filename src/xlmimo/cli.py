@@ -31,14 +31,15 @@ from .errors import ConfigError, GeometryError, NumericError
 #: 3,200.
 _MAX_TRIAL_USERS = 1_000_000
 
-#: Largest estimated memory of ``synthesize``: the (users, elements,
-#: frequencies) complex64 pool, one user's working set (the complex128
-#: (elements, frequencies) response of ``channel.assemble`` and its
-#: (elements, 64) block tables), and the nine 8-byte ``pathtable.csv``
-#: columns of elements x paths rows.  The pool and working set are checked
-#: before any path is built, the columns once the paths are known; both
-#: before the pool is allocated or ``--out`` is made.  The case3 preset
-#: needs about 69 MB.
+#: Largest estimate of ``synthesize``: the users x elements x frequencies
+#: complex64 values streamed to ``channel.bin`` (at least the one reusable
+#: (elements, frequencies) complex64 row they pass through), one user's
+#: ``channel.assemble`` working set (an (elements, b) complex128 step table
+#: per path plus four more, b <= 64 frequencies per block), and the nine
+#: 8-byte ``pathtable.csv`` columns of elements x paths rows.  The values
+#: and the path-free part of the working set are checked before any path is
+#: built, the step tables and the columns once the paths are known; both
+#: before ``--out`` is made.
 _MAX_SYNTH_BYTES = 4 * 2**30
 
 _PATHTABLE_HEADER = (
@@ -260,11 +261,9 @@ def _cmd_synthesize(args) -> int:
     grid = scenario.build_grid(cfg)
     num_elements = geometry.num_elements
     num_ues = len(args.paths) if args.paths else len(cfg["ues"])
-    estimate = num_ues * num_elements * grid.num_points * 8 + _working_set_bytes(
-        num_elements, grid.num_points
-    )
+    streamed = num_ues * num_elements * grid.num_points * 8
     _check_synth_size(
-        estimate,
+        streamed + _working_set_bytes(num_elements, grid.num_points, 0),
         f"{num_ues} users x {num_elements} elements x {grid.num_points} frequencies",
     )
     tx_pattern, rx_pattern = scenario.build_patterns(cfg)
@@ -284,8 +283,13 @@ def _cmd_synthesize(args) -> int:
     else:
         all_paths = scenario.build_all_paths(cfg)
     num_rows = num_elements * sum(len(paths) for paths in all_paths)
-    estimate += num_rows * 8 * len(_PATHTABLE_HEADER)
-    _check_synth_size(estimate, f"{num_rows} path-table rows and the channel")
+    max_paths = max(len(paths) for paths in all_paths)
+    _check_synth_size(
+        streamed
+        + _working_set_bytes(num_elements, grid.num_points, max_paths)
+        + num_rows * 8 * len(_PATHTABLE_HEADER),
+        f"{num_rows} path-table rows and the channel",
+    )
     if _needs_seed(variant, all_paths) and seed is None:
         raise ConfigError(
             "seed is required: the variant generates random attenuation factors"
@@ -293,45 +297,48 @@ def _cmd_synthesize(args) -> int:
 
     sha = config_sha256(cfg)
     out = _ensure_out(args)
-    pool = np.empty((num_ues, num_elements, grid.num_points), dtype="<c8")
     # pathtable.csv, one row per (ue, path, element) in that order
     ints = [np.empty(num_rows, dtype=np.int64) for _ in range(3)]
     floats = [np.empty(num_rows) for _ in range(6)]
-    lo = 0
-    for ue, paths in enumerate(all_paths):
-        aaf = build_variant_aaf(
-            paths,
-            num_elements,
-            variant,
-            params=params,
-            seed=seed,
-            stream_key=(ue,),
-        )
-        table = path_table(
-            paths,
-            geometry,
-            tx_pattern,
-            rx_pattern,
-            grid.carrier_hz,
-            aaf,
-            variant=variant,
-        )
-        pool[ue] = assemble(paths, table, grid)
-        hi = lo + num_elements * len(paths)
-        ints[0][lo:hi] = ue
-        ints[1][lo:hi] = np.repeat(np.arange(len(paths)), num_elements)
-        ints[2][lo:hi] = np.tile(np.arange(num_elements), len(paths))
-        floats[0][lo:hi] = np.repeat([p.amplitude for p in paths], num_elements)
-        for column, values in zip(
-            floats[1:],
-            (table.aaf, table.amplitudes, table.delays, table.phases, table.distances),
-        ):
-            column[lo:hi] = values.T.ravel()
-        lo = hi
+    row = np.empty((num_elements, grid.num_points), dtype="<c8")
+
+    def responses():
+        """Each user's response in ``row``, after its path-table rows."""
+        lo = 0
+        for ue, paths in enumerate(all_paths):
+            aaf = build_variant_aaf(
+                paths,
+                num_elements,
+                variant,
+                params=params,
+                seed=seed,
+                stream_key=(ue,),
+            )
+            table = path_table(
+                paths,
+                geometry,
+                tx_pattern,
+                rx_pattern,
+                grid.carrier_hz,
+                aaf,
+                variant=variant,
+            )
+            hi = lo + num_elements * len(paths)
+            ints[0][lo:hi] = ue
+            ints[1][lo:hi] = np.repeat(np.arange(len(paths)), num_elements)
+            ints[2][lo:hi] = np.tile(np.arange(num_elements), len(paths))
+            floats[0][lo:hi] = np.repeat([p.amplitude for p in paths], num_elements)
+            for column, values in zip(
+                floats[1:],
+                (table.aaf, table.amplitudes, table.delays, table.phases, table.distances),
+            ):
+                column[lo:hi] = values.T.ravel()
+            lo = hi
+            yield assemble(paths, table, grid, out=row)
 
     write_channel(
         os.path.join(out, "channel"),
-        pool,
+        responses(),
         grid,
         geometry,
         variant,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import os
 
@@ -79,13 +80,24 @@ _BLOCK_ROWS = 2048
 
 
 def _formatted(block):
-    """The cells of one column block as strings, formatted like ``_fmt``."""
+    """The cells of one column block as strings, formatted like ``_fmt``.
+
+    A float or int block whose runs of equal bit patterns number at most
+    half its rows formats one string per run and repeats it, so columns that
+    are constant over long stretches cost one ``repr`` per stretch.
+    """
     kind = block.dtype.kind if isinstance(block, np.ndarray) else None
-    if kind == "f":
-        return map(repr, block.tolist())
-    if kind in ("i", "u"):
-        return map(str, block.tolist())
-    return map(_fmt, block)
+    if kind not in ("f", "i", "u"):
+        return map(_fmt, block)
+    fmt = repr if kind == "f" else str
+    bits = block.view(f"u{block.itemsize}")
+    changes = bits[1:] != bits[:-1]
+    if 2 * (np.count_nonzero(changes) + 1) > block.size:
+        return map(fmt, block.tolist())
+    starts = np.flatnonzero(changes) + 1
+    counts = np.diff(starts, prepend=0, append=block.size).tolist()
+    strings = map(fmt, block[np.insert(starts, 0, 0)].tolist())
+    return itertools.chain.from_iterable(map(itertools.repeat, strings, counts))
 
 
 def write_table(path, header, columns) -> None:
@@ -235,49 +247,59 @@ def write_channel(
 ) -> None:
     """Write ``<basepath>.bin`` (little-endian complex64) and ``<basepath>.json``.
 
-    ``values`` has shape (users, elements, frequencies); a ``<c8`` C-order
-    array, such as the pool ``synthesize`` fills, is written without a
-    copy.  The header records the shape, the grid and array, and the
-    provenance: variant, seed, configuration hash and scenario name.
+    ``values`` is an iterable of per-user (elements, frequencies) arrays,
+    such as a (users, elements, frequencies) array or the generator that
+    ``synthesize`` feeds; each user is cast to ``<c8`` (a C-order ``<c8``
+    row without a copy), checked against the header's shape and appended to
+    the temporary ``.bin`` as it arrives.  The header records the shape and
+    the number of users written, the grid and array, and the provenance:
+    variant, seed, configuration hash and scenario name.  Both files
+    replace their targets only once every user is written; a user of the
+    wrong shape, or an iterable that raises, leaves no file behind.
     """
-    values = np.ascontiguousarray(values, "<c8")
-    if values.shape[1:] != (geometry.num_elements, grid.num_points):
-        raise ValueError(
-            f"values shape {values.shape} does not match "
-            f"({geometry.num_elements} elements, {grid.num_points} frequencies)"
-        )
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    meta = {
-        "format_version": TENSOR_FORMAT_VERSION,
-        "dtype": "complex64",
-        "byte_order": "little",
-        "order": "C",
-        "shape": list(values.shape),
-        "axes": ["user", "element", "frequency"],
-        "grid": {
-            "f_low_hz": grid.f_low_hz,
-            "f_high_hz": grid.f_high_hz,
-            "num_points": grid.num_points,
-        },
-        "array": {
-            "num_elements": geometry.num_elements,
-            "spacing_m": geometry.spacing,
-            "axis": [float(v) for v in geometry.axis],
-            "origin": [float(v) for v in geometry.origin],
-            "reference_index": geometry.reference_index,
-        },
-        "variant": variant,
-        "seed": seed,
-        "config_sha256": config_sha256,
-        "name": name,
-        "num_ues": values.shape[0],
-    }
+    user_shape = (geometry.num_elements, grid.num_points)
     # Both files are complete before either replaces its target.
     with _replacing(f"{basepath}.bin", "xb") as bin_fh, _replacing(
         f"{basepath}.json"
     ) as json_fh:
-        values.tofile(bin_fh)
+        num_ues = 0
+        for user in values:
+            user = np.ascontiguousarray(user, "<c8")
+            if user.shape != user_shape:
+                raise ValueError(
+                    f"user {num_ues} values shape {user.shape} does not match "
+                    f"({geometry.num_elements} elements, {grid.num_points} "
+                    f"frequencies)"
+                )
+            user.tofile(bin_fh)
+            num_ues += 1
+        meta = {
+            "format_version": TENSOR_FORMAT_VERSION,
+            "dtype": "complex64",
+            "byte_order": "little",
+            "order": "C",
+            "shape": [num_ues, *user_shape],
+            "axes": ["user", "element", "frequency"],
+            "grid": {
+                "f_low_hz": grid.f_low_hz,
+                "f_high_hz": grid.f_high_hz,
+                "num_points": grid.num_points,
+            },
+            "array": {
+                "num_elements": geometry.num_elements,
+                "spacing_m": geometry.spacing,
+                "axis": [float(v) for v in geometry.axis],
+                "origin": [float(v) for v in geometry.origin],
+                "reference_index": geometry.reference_index,
+            },
+            "variant": variant,
+            "seed": seed,
+            "config_sha256": config_sha256,
+            "name": name,
+            "num_ues": num_ues,
+        }
         _dump_json(json_fh, meta)
 
 

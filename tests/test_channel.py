@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -340,10 +341,11 @@ class TestStreamingAssembly:
     weight tensor with the AAF and the reference-element responses."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
+    # K=4161 = 64*65 + 1: b=64 and a last block of one frequency.
     @pytest.mark.parametrize(
         "elements, num_paths, points",
-        [(301, 5, 201), (2048, 3, 21), (7, 1, 5)],
-        ids=["301x5x201", "2048x3x21", "7x1x5"],
+        [(301, 5, 201), (2048, 3, 21), (7, 1, 5), (7, 2, 4161)],
+        ids=["301x5x201", "2048x3x21", "7x1x5", "7x2x4161"],
     )
     def test_bit_identical_to_tensor_route(self, variant, elements, num_paths, points):
         rng = np.random.default_rng(elements + num_paths)
@@ -371,19 +373,52 @@ class TestStreamingAssembly:
         table = path_table(paths, geom, tx, rx, grid.carrier_hz, aaf, variant)
         assert_near_reference(assemble(paths, table, grid), want)
 
+    @pytest.mark.parametrize("num_points", [1, 2, 17, 201, 203, 2001])
+    @pytest.mark.parametrize("variant", ["nf-sns", "vr"])
+    def test_complex64_out_is_the_rounded_response(self, variant, num_points):
+        paths, table, grid = preset_user("case4", variant, num_points=num_points)
+        want = assemble(paths, table, grid)
+        row = np.full(want.shape, np.nan, dtype="<c8")
+        assert assemble(paths, table, grid, out=row) is row
+        assert np.array_equal(row.view(np.uint32), want.astype("<c8").view(np.uint32))
+        wide = np.empty_like(want)
+        assemble(paths, table, grid, out=wide)
+        assert np.array_equal(wide.view(np.uint64), want.view(np.uint64))
+
+    def test_out_shape_checked(self):
+        paths, table, grid = preset_user("case4", "nf-ss", num_points=5)
+        with pytest.raises(ValueError, match="out shape"):
+            assemble(paths, table, grid, out=np.empty((table.aaf.shape[0], 4), "<c8"))
+
     def test_peak_memory_is_response_plus_block_tables(self):
         paths, table, grid = preset_user("case3", "nf-sns")
-        response = table.aaf.shape[0] * grid.num_points * 16
-        tracemalloc.start()
-        try:
-            assemble(paths, table, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # synthesize's size guard budgets the response and four (M, 64)
-        # complex128 tables per user; a padded (M, K/64, 64) block tensor
-        # would double the response.
-        assert response < peak < response + 4 * table.aaf.shape[0] * 64 * 16
+        m, k = table.aaf.shape[0], grid.num_points
+        steps = len(paths) * m * channel._block_length(k) * 16
+        budget = channel._working_set_bytes(m, k, len(paths))
+        assert budget == steps + 4 * m * channel._block_length(k) * 16
+        row = np.empty((m, k), dtype="<c8")
+        # Without ``out`` the complex128 response is allocated; with it,
+        # only the step tables and the per-block tables.  A padded
+        # (M, K/b, b) block tensor, or a complex128 response behind the
+        # complex64 row, would exceed the budget.
+        for out, response in ((None, m * k * 16), (row, 0)):
+            tracemalloc.start()
+            try:
+                assemble(paths, table, grid, out=out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert response + steps < peak < response + budget
+
+
+def test_block_length_is_the_cheapest_block():
+    for k in range(1, 5001):
+        cost = {b: b + math.ceil(k / b) for b in range(1, 65)}
+        cheapest = min(cost.values())
+        want = max(b for b, c in cost.items() if c == cheapest)
+        assert channel._block_length(k) == want, k
+    assert channel._block_length(201) == 17
+    assert channel._block_length(2001) == 49
 
 
 def preset_user(name, variant, reference=None, num_points=None, flat=False):
@@ -467,7 +502,11 @@ class TestRecurrenceOracle:
         self.check(*preset_user(name, variant))
 
     @pytest.mark.parametrize("variant", ["nf-sns", "vr"])
-    @pytest.mark.parametrize("num_points", [1, 63, 64, 65, 129, 2001])
+    # 203 = 17*12 - 1 and 205 = 17*12 + 1 around K=201's b=17; 2008 and
+    # 2010 around 49*41 for K=2001's b=49.
+    @pytest.mark.parametrize(
+        "num_points", [1, 63, 64, 65, 129, 2001, 201, 203, 205, 2008, 2010]
+    )
     @pytest.mark.parametrize("reference", ["first", "middle", "last"])
     def test_reference_element_and_grid_size(self, reference, num_points, variant):
         self.check(*preset_user("case4", variant, reference, num_points))

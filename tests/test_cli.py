@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -213,16 +214,19 @@ class TestSynthesizeCommand:
         assert len(calls) == 36
 
 
-def streaming_config(tmp_path, variant, points):
-    """Six users with three paths each (line of sight and two SnS
-    reflections) on a 301-element array."""
+def streaming_config(tmp_path, variant, points, users=6):
+    """Six users (or ``users``, in rows of six) with three paths each (line
+    of sight and two SnS reflections) on a 301-element array."""
     return write_config(
         tmp_path,
         variant=variant,
         seed=5,
         array={"num_elements": 301, "spacing_m": 0.0015},
         grid={"f_low_hz": 90.0e9, "f_high_hz": 110.0e9, "num_points": points},
-        ues=[[0.1 * u - 0.25, 0.7 + 0.1 * u, 0.0] for u in range(6)],
+        ues=[
+            [0.1 * (u % 6) - 0.25 + 0.01 * (u // 6), 0.7 + 0.1 * (u % 6), 0.0]
+            for u in range(users)
+        ],
         reflectors=[
             {"point": [0.0, 1.5, 0.0], "normal": [0.0, -1.0, 0.0],
              "loss_db": 7.0, "sns": True},
@@ -271,22 +275,41 @@ class TestStreamingSynthesis:
         assert np.all(np.abs(pool.real - want.real) <= spacing)
         assert np.all(np.abs(pool.imag - want.imag) <= spacing)
 
-    def test_peak_memory_is_pool_plus_one_user(self, tmp_path):
+    def test_peak_memory_is_one_user(self, tmp_path):
         import tracemalloc
 
-        cfg_file = streaming_config(tmp_path, "nf-sns", points=1001)
-        out = tmp_path / "out"
-        tracemalloc.start()
-        try:
-            assert main(["synthesize", "--config", cfg_file, "--out", str(out)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        values = 301 * 1001
-        pool = 6 * values * 8
-        # Holding every user's complex128 response, or a user's (M, L, K)
-        # weight tensor next to the finished responses, exceeds this.
-        assert pool < peak < pool + 5 * values * 16
+        from xlmimo.channel import _working_set_bytes
+
+        def peak(users):
+            run = tmp_path / f"users{users}"
+            run.mkdir()
+            argv = ["synthesize", "--config",
+                    streaming_config(run, "nf-sns", points=1001, users=users)]
+            assert main(argv + ["--out", str(run / "warm-up")]) == 0
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--out", str(run / "out")]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            meta = json.loads((run / "out" / "meta.json").read_text())
+            assert meta["num_paths"] == [3] * users
+            return peak
+
+        response = 301 * 1001 * 8
+        columns = 9 * 8 * 301 * 3  # pathtable.csv columns per user
+        # One user's path table, the input of assemble: five (M, L) arrays
+        # and, per path, six (M,) and two (M, 3) expansion arrays.
+        table = 8 * 301 * 3 * (5 + 6 + 2 * 3)
+        six, twenty_four = peak(6), peak(24)
+        # One complex64 row, one user's path table and assemble working set,
+        # and the columns: no (users, M, K) pool, no complex128 response.
+        assert response < six < (
+            response + table + _working_set_bytes(301, 1001, 3) + 6 * columns
+        )
+        # 18 more users add their columns and a little bookkeeping, far
+        # less than one more response.
+        assert twenty_four - six < 18 * columns + 128 * 1024
 
     @pytest.mark.parametrize("source", ["scenario", "paths"])
     def test_oversized_request_exits_2_before_paths(
@@ -316,10 +339,10 @@ class TestStreamingSynthesis:
     ):
         from xlmimo import cli
 
-        # tiny_config: 2 users with one path each, 8 elements, 3 frequencies:
-        # the complex64 pool, one complex128 response and four (8, 3)
-        # complex128 block tables.
-        pool_and_working_set = 2 * 8 * 3 * 8 + 16 * 8 * (3 + 4 * 3)
+        # tiny_config: 2 users with one path each, 8 elements, 3 frequencies
+        # (one block of b=3): the complex64 values streamed to channel.bin,
+        # and one (8, 3) complex128 step table plus four more.
+        pool_and_working_set = 2 * 8 * 3 * 8 + 16 * 8 * 3 * (1 + 4)
         columns = 9 * 8 * (8 * 2)
         argv = ["synthesize", "--config", write_config(tmp_path)]
         out = tmp_path / "out"

@@ -214,6 +214,33 @@ class TestTableFormatting:
         write_table(got, header, columns)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("n", [2047, 2048, 2049, 5000])
+    def test_runs_match_row_wise_reference(self, tmp_path, n):
+        # Columns constant over stretches take the one-string-per-run route;
+        # the stretches cross the 2047/2048/2049 block edges.
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], np.uint64)
+        f64 = np.repeat(
+            [0.1, -0.0, 0.0, np.nan, *nans.view(np.float64), np.inf, 1e-300, -2.5],
+            [2040, 5, 2, 1, 1, 1, 1, 3, n],
+        )[:n]
+        f32 = np.repeat(
+            np.array([1.5, -0.0, 0.0, 3e-39, 1 / 3], np.float32), [2047, 1, 1, 2, n]
+        )[:n]
+        columns = [
+            np.arange(n, dtype=np.int64) // 1000 - 2**62,
+            f64,
+            f32,
+            np.repeat(np.array([-1, 0, 2**63 - 1], np.int64), [2048, 1, n])[:n],
+            np.full(n, 0.25),
+            np.random.default_rng(n).standard_normal(n),
+        ]
+        header = ["ue", "f64", "f32", "i64", "constant", "distinct"]
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        reference_write_table(want, header, zip(*columns))
+        write_table(got, header, columns)
+        assert got.read_bytes() == want.read_bytes()
+        assert ",-0.0,1.5," in got.read_text() and ",0.0,1.5," in got.read_text()
+
     def test_column_count_and_lengths_checked(self, tmp_path):
         with pytest.raises(ValueError, match="2 columns for 3"):
             write_table(tmp_path / "a.csv", ["a", "b", "c"], [[1], [2]])
@@ -320,6 +347,39 @@ class TestChannelIO:
             with pytest.raises(ValueError):
                 write_channel(tmp_path / "c", values, GRID, GEOM, variant, 1, None, "x")
         assert not (tmp_path / "c.json").exists()
+
+    def test_streamed_users_write_the_bytes_of_the_array(self, tmp_path):
+        values = channel_values()
+        write_test_channel(tmp_path / "array", values)
+        write_test_channel(tmp_path / "stream", (user for user in values))
+        for suffix in (".bin", ".json"):
+            assert (tmp_path / f"stream{suffix}").read_bytes() == (
+                tmp_path / f"array{suffix}"
+            ).read_bytes()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize(
+        "failure, error, match",
+        [("raises", RuntimeError, "user 1 failed"), ("shape", ValueError, "user 1")],
+    )
+    def test_failed_stream_leaves_both_files(
+        self, tmp_path, existing, failure, error, match
+    ):
+        base = tmp_path / "chan"
+        if existing:
+            write_test_channel(base)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        values = channel_values()
+
+        def users():
+            yield values[0]
+            if failure == "raises":
+                raise RuntimeError("user 1 failed")
+            yield values[1][:, :2]
+
+        with pytest.raises(error, match=match):
+            write_test_channel(base, users())
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_write_makes_no_copy_of_a_complex64_pool(self, tmp_path):
         rng = np.random.default_rng(3)
