@@ -6,21 +6,22 @@ reference-element path amplitude, the per-element gain of the wavefront
 expansion, the per-element amplitude attenuation factor, and the path's
 delay at that element, ``tau_m = delay + excess_length_m / c``.  Each path
 is expanded once in :func:`path_table`, whose table gives both the
-per-element path parameters and the gains and excess lengths that
+per-element path parameters and the coefficients and excess lengths that
 :func:`assemble` reads.  On the uniform frequency grid each term is a
 geometric sequence in frequency, so :func:`assemble` evaluates one exact
 complex ``exp`` per element, path and block of b frequencies (b chosen from
 the grid size by :func:`_block_length`) and reaches the rest of the block
-by one multiply with a per-path table of exact step phasors.  One user's
-response is an (elements, frequencies) array, summed block by block in one
-(elements, b) accumulator; ``synthesize`` has each user's response written
-into one reusable complex64 row and streamed to ``channel.bin``, so no
-(users, elements, frequencies) pool is held.
+by one multiply with a per-path table of exact step phasors.  Every step is
+elementwise per element, so a row slice of the table gives those rows of
+the response.  ``synthesize`` has each user's response written in chunks
+of element rows (``_CHUNK_BYTES`` of complex64 each) into one reusable
+chunk that is streamed to ``channel.bin``, so neither a (users, elements,
+frequencies) pool nor one user's (elements, frequencies) row is held.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +45,10 @@ _VR_MAX_FRACTION = 0.8
 
 #: Most frequencies per block of the wideband kernel in :func:`assemble`.
 _MAX_BLOCK = 64
+
+#: Bytes of complex64 output per chunk of element rows that ``synthesize``
+#: has :func:`assemble` write (see :func:`_chunk_rows`).
+_CHUNK_BYTES = 2**20
 
 
 def _plane_wave(variant: str) -> bool:
@@ -135,8 +140,8 @@ def multi_user(responses) -> np.ndarray:
     Each value is rounded to complex64 exactly as ``astype("<c8")`` rounds
     it, so the pool holds the bytes that ``channel.bin`` stores.  This is the
     reference route for ``synthesize``, which has :func:`assemble` write each
-    user's response into one complex64 row and streams it to
-    ``channel.bin``.
+    user's response in chunks of element rows into one complex64 chunk and
+    streams each to ``channel.bin``.
     """
     responses = list(responses)
     if not responses:
@@ -155,22 +160,29 @@ def multi_user(responses) -> np.ndarray:
 
 @dataclass
 class PathTable:
-    """One user's paths expanded across the array.
+    """One user's paths expanded across the array: (M, L) arrays.
 
-    ``expansions`` holds each path's :class:`NearFieldExpansion`, whose
-    gains and excess lengths :func:`assemble` reads.  The other arrays
-    have shape (M, L): ``aaf`` is the checked attenuation-factor matrix,
-    ``amplitudes`` include wavefront spreading, pattern weighting and the
-    attenuation factors, and ``phases`` are the carrier-frequency
-    per-element phases including the reference phase.
+    ``aaf`` is the checked attenuation-factor matrix, ``amplitudes``
+    include wavefront spreading, pattern weighting and the attenuation
+    factors, and ``phases`` are the carrier-frequency per-element phases
+    including the reference phase.  :func:`assemble` reads
+    ``coefficients``, ``amplitude * gain_m * aaf_m * exp(-1j*phase_ref)``,
+    and ``excess_lengths``, the path lengths beyond the reference element's.
+    Each array other than ``aaf`` is column-major, one contiguous column per
+    path.  ``table[lo:hi]`` is the table of elements lo..hi-1 (views), a
+    complete input to :func:`assemble`.
     """
 
     aaf: np.ndarray
-    expansions: list
     amplitudes: np.ndarray
     delays: np.ndarray
     phases: np.ndarray
     distances: np.ndarray
+    coefficients: np.ndarray
+    excess_lengths: np.ndarray
+
+    def __getitem__(self, rows):
+        return PathTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
 def path_table(
@@ -182,10 +194,12 @@ def path_table(
     aaf: np.ndarray,
     variant: str = "nf-sns",
 ) -> PathTable:
-    """Expand each path once: per-element amplitudes, delays, phases, distances.
+    """Expand each path once: per-element amplitudes, delays, phases,
+    distances, and the coefficients and excess lengths of :func:`assemble`.
 
     Each path goes through :func:`expand_path` under its own wavefront
-    model, or as a plane wave when ``variant`` forces one (``ff-*``/``vr``).
+    model, or as a plane wave when ``variant`` forces one (``ff-*``/``vr``);
+    its expansion is dropped once its columns are filled.
 
     Parameters
     ----------
@@ -206,28 +220,28 @@ def path_table(
         raise ValueError("paths must be non-empty")
     plane_wave = _plane_wave(variant)
     aaf = np.asarray(aaf, dtype=float)
-    if aaf.shape != (geometry.num_elements, len(paths)):
-        raise ValueError(
-            f"aaf shape {aaf.shape} != {(geometry.num_elements, len(paths))}"
-        )
+    shape = (geometry.num_elements, len(paths))
+    if aaf.shape != shape:
+        raise ValueError(f"aaf shape {aaf.shape} != {shape}")
     if np.any(aaf < 0.0) or not np.all(np.isfinite(aaf)):
         raise ValueError("aaf entries must be finite and >= 0")
-    expansions = [
-        expand_path(path, geometry, carrier_hz, tx_pattern, rx_pattern, plane_wave)
-        for path in paths
-    ]
-
-    def column(name):
-        return np.stack([getattr(e, name) for e in expansions], axis=1)
-
-    return PathTable(
-        aaf=aaf,
-        expansions=expansions,
-        amplitudes=column("amplitudes") * aaf,
-        delays=column("delays"),
-        phases=column("phases"),
-        distances=column("distances"),
+    table = PathTable(
+        aaf,
+        *(np.empty(shape, order="F") for _ in range(4)),
+        np.empty(shape, dtype=complex, order="F"),
+        np.empty(shape, order="F"),
     )
+    for l, path in enumerate(paths):
+        e = expand_path(path, geometry, carrier_hz, tx_pattern, rx_pattern, plane_wave)
+        table.amplitudes[:, l] = e.amplitudes * aaf[:, l]
+        table.delays[:, l] = e.delays
+        table.phases[:, l] = e.phases
+        table.distances[:, l] = e.distances
+        table.coefficients[:, l] = (
+            path.amplitude * e.gains * aaf[:, l] * np.exp(-1j * e.phases[e.reference_index])
+        )
+        table.excess_lengths[:, l] = e.excess_lengths
+    return table
 
 
 def _block_length(num_points: int) -> int:
@@ -243,51 +257,87 @@ def _block_length(num_points: int) -> int:
     )
 
 
+def _chunk_rows(num_elements: int, num_points: int) -> int:
+    """Element rows per chunk of a response: as many complex64 rows of K
+    values as fit in ``_CHUNK_BYTES``, at least one and at most M."""
+    return max(1, min(num_elements, _CHUNK_BYTES // (8 * num_points)))
+
+
+def _assemble_bytes(num_rows: int, num_points: int, num_paths: int) -> int:
+    """Most memory :func:`assemble` holds besides its output for a table of
+    r element rows, all complex128 unless noted: the (L, r, b) step phasors
+    and their products; the (blocks, L, r) start phasors, and three more
+    tables of that size while they are built (the rotation and numpy's
+    iteration buffers); the (r, b) accumulator; two (L, r) tables' worth
+    of per-path temporaries; the grid's K float64 frequencies; and 64 KiB
+    of small objects."""
+    width = _block_length(num_points)
+    blocks = -(-num_points // width)
+    return (
+        8 * num_points
+        + 16 * num_rows * (num_paths * (2 * width + 4 * blocks + 2) + width)
+        + 2**16
+    )
+
+
 def _working_set_bytes(num_elements: int, num_points: int, num_paths: int) -> int:
-    """Most memory :func:`assemble` holds besides its output: one (M, b)
-    complex128 step table per path, the (M, b) accumulator and scratch, and
-    two more (M, b) tables' worth of per-block temporaries and numpy
-    iteration buffers."""
-    return 16 * num_elements * _block_length(num_points) * (num_paths + 4)
+    """Most memory one user's synthesis holds besides what it streams out:
+    its :class:`PathTable` (six float64 and one complex128 (M, L) arrays,
+    64 B per element and path), the expansion of the path being added
+    (twelve float64 per element), one complex64 chunk of
+    r = ``_chunk_rows(M, K)`` element rows, and :func:`assemble`'s tables
+    for that chunk."""
+    rows = _chunk_rows(num_elements, num_points)
+    return (
+        64 * num_elements * num_paths
+        + 96 * num_elements
+        + 8 * rows * num_points
+        + _assemble_bytes(rows, num_points, num_paths)
+    )
 
 
 def assemble(paths, table: PathTable, grid: FrequencyGrid, out=None) -> np.ndarray:
     """Synthesize one user's channel, an array of shape (M, K).
 
-    ``table`` is the :func:`path_table` of ``paths``.  Path l contributes
-    ``coef_m * exp(-2j*pi*f_k*tau_m)`` at element m and frequency k, with
-    ``tau_m = delay + excess_length_m / c`` and
-    ``coef_m = amplitude * gain_m * aaf_ml * exp(-1j*phase_ref)``.  On the
-    uniform grid this is a geometric sequence in k, evaluated in blocks of
-    b = ``_block_length(K)`` frequencies:
+    ``table`` is the :func:`path_table` of ``paths``, or a row slice of it
+    (``table[lo:hi]`` gives the response's rows lo..hi-1).  Path l
+    contributes ``coef_m * exp(-2j*pi*f_k*tau_m)`` at element m and
+    frequency k, with ``tau_m = delay + excess_length_m / c`` and
+    ``coef_m`` the table's coefficient.  On the uniform grid this is a
+    geometric sequence in k, evaluated in blocks of b = ``_block_length(K)``
+    frequencies:
 
     - per path, one (M, b) table of exact step phasors
       ``exp(-2j*pi*df*tau_m*j)``, j < b, with ``df`` the grid spacing (0
       for a single point);
-    - per block, a zeroed (M, b) complex128 accumulator; for each path in
-      order, one exact ``coef_m * exp(-2j*pi*f_k0*tau_m)`` at the block's
-      first grid point ``f_k0``, multiplied into the step table and added
-      to the accumulator, which then goes to ``out[:, k0:k1]``.
+    - per path and block, one exact start phasor
+      ``coef_m * exp(-2j*pi*f_k0*tau_m)`` at the block's first grid point
+      ``f_k0``, all of them computed at once;
+    - per block, the step tables times their start phasors, summed over the
+      paths in order into a zeroed (M, b) complex128 accumulator, which then
+      goes to ``out[:, k0:k1]``.
 
-    The block-start phase is split as ``f_k0*delay`` (about 1e4 rad, rounded
-    once per path and block and shared by every element) plus
+    The start phase is split as ``f_k0*delay`` (about 1e4 rad, rounded once
+    per path and block and shared by every element) plus
     ``f_k0*excess_length_m/c``, so each entry carries the rounding of the
-    per-entry ``exp`` route it replaces, not more.
+    per-entry ``exp`` route it replaces, not more.  Every operation is
+    elementwise per element, so a row slice of the table gives exactly the
+    same rows as the whole table.
 
     ``out`` is an (M, K) array to write into, e.g. a reusable complex64
-    row; each entry is rounded as ``astype`` rounds the complex128 sum, so
+    chunk; each entry is rounded as ``astype`` rounds the complex128 sum, so
     ``assemble(..., out=c64)`` equals ``assemble(...).astype("<c8")``.
     Without ``out`` a new complex128 array is returned.  Besides ``out`` the
-    working set is the L step tables and two (M, b) tables.
+    working set is the tables counted by ``_assemble_bytes``, which grow
+    with the table's rows: ``synthesize`` passes chunks of
+    ``_chunk_rows(M, K)`` rows.
     """
     paths = list(paths)
-    if len(paths) != len(table.expansions):
-        raise ValueError(
-            f"{len(paths)} paths for a table of {len(table.expansions)}"
-        )
+    num_elements, num_paths = table.coefficients.shape
+    if len(paths) != num_paths:
+        raise ValueError(f"{len(paths)} paths for a table of {num_paths}")
     frequencies = grid.points()
     num_points = frequencies.size
-    num_elements = table.aaf.shape[0]
     if out is None:
         out = np.empty((num_elements, num_points), dtype=complex)
     elif out.shape != (num_elements, num_points):
@@ -296,29 +346,34 @@ def assemble(paths, table: PathTable, grid: FrequencyGrid, out=None) -> np.ndarr
         (grid.f_high_hz - grid.f_low_hz) / (num_points - 1) if num_points > 1 else 0.0
     )
     width = _block_length(num_points)
-    offsets = -2.0 * np.pi * df * np.arange(width)
-    steps = np.empty((len(paths), num_elements, width), dtype=complex)
-    for step, path, expansion in zip(steps, paths, table.expansions):
-        tau = path.delay + expansion.excess_lengths / SPEED_OF_LIGHT
-        step.real = 0.0
-        np.multiply.outer(tau, offsets, out=step.imag)
-        np.exp(step, out=step)
+    delays = np.array([path.delay for path in paths])
+    excess = table.excess_lengths.T
+    # (L, M, b) step phasors exp(-2j*pi*df*tau_m*j).
+    tau = delays[:, None] + excess / SPEED_OF_LIGHT
+    steps = np.empty((num_paths, num_elements, width), dtype=complex)
+    steps.real = 0.0
+    np.multiply(tau[:, :, None], -2.0 * np.pi * df * np.arange(width), out=steps.imag)
+    np.exp(steps, out=steps)
+    # (blocks, L, M) start phasors at each block's first frequency f_k0.
+    firsts = frequencies[::width]
+    starts = (
+        np.exp(-2j * np.pi * np.multiply.outer(firsts, delays))[:, :, None]
+        * table.coefficients.T
+    )
+    rotation = np.empty_like(starts)
+    rotation.real = 0.0
+    np.multiply(-2.0 * np.pi / SPEED_OF_LIGHT * excess, firsts[:, None, None],
+                out=rotation.imag)
+    starts *= np.exp(rotation, out=rotation)
+    del rotation
     # Whole-width blocks keep every operand contiguous; the last block's
     # columns past K are computed and dropped.
+    terms = np.empty_like(steps)
     block = np.empty((num_elements, width), dtype=complex)
-    term = np.empty_like(block)
-    for k0 in range(0, num_points, width):
-        block[...] = 0.0
-        for l, (step, path, expansion) in enumerate(
-            zip(steps, paths, table.expansions)
-        ):
-            coef = path.amplitude * expansion.gains * table.aaf[:, l] * np.exp(
-                -1j * expansion.phases[expansion.reference_index]
-            )
-            rate = -2.0 * np.pi / SPEED_OF_LIGHT * expansion.excess_lengths
-            start = np.exp(-2j * np.pi * (path.delay * frequencies[k0])) * coef
-            start *= np.exp(1j * (rate * frequencies[k0]))
-            np.multiply(step, start[:, None], out=term)
-            block += term
+    for k0, start in zip(range(0, num_points, width), starts):
+        np.multiply(steps, start[:, :, None], out=terms)
+        # ((0 + term_0) + term_1) + ..., path by path as numpy reduces an
+        # outer axis; the +0 start fixes the sign of an all-zero sum.
+        np.add.reduce(terms, axis=0, out=block, initial=0.0)
         out[:, k0 : k0 + width] = block[:, : num_points - k0]
     return out

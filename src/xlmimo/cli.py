@@ -31,15 +31,15 @@ from .errors import ConfigError, GeometryError, NumericError
 #: 3,200.
 _MAX_TRIAL_USERS = 1_000_000
 
-#: Largest estimate of ``synthesize``: the users x elements x frequencies
-#: complex64 values streamed to ``channel.bin`` (at least the one reusable
-#: (elements, frequencies) complex64 row they pass through), one user's
-#: ``channel.assemble`` working set (an (elements, b) complex128 step table
-#: per path plus four more, b <= 64 frequencies per block), and the nine
-#: 8-byte ``pathtable.csv`` columns of elements x paths rows.  The values
-#: and the path-free part of the working set are checked before any path is
-#: built, the step tables and the columns once the paths are known; both
-#: before ``--out`` is made.
+#: Largest estimate of ``synthesize``.  Two terms are streamed output: the
+#: users x elements x frequencies complex64 values of ``channel.bin`` and 72
+#: bytes per ``pathtable.csv`` row (elements x paths of every user).  The
+#: rest is what one user holds (``channel._working_set_bytes``): its path
+#: table, one complex64 chunk of element rows with ``channel.assemble``'s
+#: tables for it, complex128 step phasors per path and block frequency
+#: (b <= 64) and start phasors per path and block.  The channel values and
+#: the path-free part of the working set are checked before any path is
+#: built, the rest once the paths are known; both before ``--out`` is made.
 _MAX_SYNTH_BYTES = 4 * 2**30
 
 _PATHTABLE_HEADER = (
@@ -245,14 +245,20 @@ def _cmd_synthesize(args) -> int:
     import numpy as np
 
     from . import scenario
-    from .channel import _working_set_bytes, assemble, build_variant_aaf, path_table
+    from .channel import (
+        _chunk_rows,
+        _working_set_bytes,
+        assemble,
+        build_variant_aaf,
+        path_table,
+    )
     from .serialization import (
         config_sha256,
         read_paths_csv,
+        table_writer,
         write_channel,
         write_json,
         write_paths_csv,
-        write_table,
         write_yaml,
     )
 
@@ -297,61 +303,63 @@ def _cmd_synthesize(args) -> int:
 
     sha = config_sha256(cfg)
     out = _ensure_out(args)
-    # pathtable.csv, one row per (ue, path, element) in that order
-    ints = [np.empty(num_rows, dtype=np.int64) for _ in range(3)]
-    floats = [np.empty(num_rows) for _ in range(6)]
-    row = np.empty((num_elements, grid.num_points), dtype="<c8")
+    rows = _chunk_rows(num_elements, grid.num_points)
+    chunk = np.empty((rows, grid.num_points), dtype="<c8")
 
-    def responses():
-        """Each user's response in ``row``, after its path-table rows."""
-        lo = 0
+    def responses(append_rows):
+        """Each user's response as complex64 chunks of element rows, all
+        written into ``chunk``, after its ``pathtable.csv`` rows are
+        appended: one per (path, element) in that order."""
         for ue, paths in enumerate(all_paths):
-            aaf = build_variant_aaf(
-                paths,
-                num_elements,
-                variant,
-                params=params,
-                seed=seed,
-                stream_key=(ue,),
-            )
             table = path_table(
                 paths,
                 geometry,
                 tx_pattern,
                 rx_pattern,
                 grid.carrier_hz,
-                aaf,
+                build_variant_aaf(
+                    paths,
+                    num_elements,
+                    variant,
+                    params=params,
+                    seed=seed,
+                    stream_key=(ue,),
+                ),
                 variant=variant,
             )
-            hi = lo + num_elements * len(paths)
-            ints[0][lo:hi] = ue
-            ints[1][lo:hi] = np.repeat(np.arange(len(paths)), num_elements)
-            ints[2][lo:hi] = np.tile(np.arange(num_elements), len(paths))
-            floats[0][lo:hi] = np.repeat([p.amplitude for p in paths], num_elements)
-            for column, values in zip(
-                floats[1:],
-                (table.aaf, table.amplitudes, table.delays, table.phases, table.distances),
-            ):
-                column[lo:hi] = values.T.ravel()
-            lo = hi
-            yield assemble(paths, table, grid, out=row)
+            append_rows(
+                [
+                    np.full(num_elements * len(paths), ue),
+                    np.repeat(np.arange(len(paths)), num_elements),
+                    np.tile(np.arange(num_elements), len(paths)),
+                    np.repeat([p.amplitude for p in paths], num_elements),
+                    *(
+                        getattr(table, name).T.ravel()
+                        for name in ("aaf", "amplitudes", "delays", "phases", "distances")
+                    ),
+                ]
+            )
+            for lo in range(0, num_elements, rows):
+                hi = min(lo + rows, num_elements)
+                yield assemble(paths, table[lo:hi], grid, out=chunk[: hi - lo])
+            del table  # before the next user's is built
 
-    write_channel(
-        os.path.join(out, "channel"),
-        responses(),
-        grid,
-        geometry,
-        variant,
-        seed,
-        sha,
-        cfg["name"],
-    )
+    with table_writer(
+        os.path.join(out, "pathtable.csv"), _PATHTABLE_HEADER
+    ) as append_rows:
+        write_channel(
+            os.path.join(out, "channel"),
+            responses(append_rows),
+            grid,
+            geometry,
+            variant,
+            seed,
+            sha,
+            cfg["name"],
+        )
     write_yaml(os.path.join(out, "scenario.yaml"), cfg)
     for ue, paths in enumerate(all_paths):
         write_paths_csv(os.path.join(out, f"paths_ue{ue:03d}.csv"), paths)
-    write_table(
-        os.path.join(out, "pathtable.csv"), _PATHTABLE_HEADER, ints + floats
-    )
     write_json(
         os.path.join(out, "meta.json"),
         {

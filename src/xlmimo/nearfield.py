@@ -10,10 +10,11 @@ wavefront); scattered paths treat the scattering point itself as the source
 and keep the arrival direction fixed.  Plane waves, the far-field baseline,
 are the infinite-distance limit of the same expansion.  One function,
 :func:`expand_path`, expands a path under any of these models.  A synthesis
-expands each path once, in ``channel.path_table``; ``channel.assemble``
-reads the gains and excess lengths of the same expansions and sums the
-wideband response by a frequency recurrence, one exact ``exp`` per element,
-path and block of 64 frequencies.  :func:`nf_path_matrix` and
+expands each path once, in ``channel.path_table``, which keeps each
+element's coefficient (amplitude, gain, attenuation factor and reference
+phase) and excess length; ``channel.assemble`` sums the wideband response
+from them by a frequency recurrence, one exact ``exp`` per element, path
+and block of up to 64 frequencies.  :func:`nf_path_matrix` and
 :func:`build_a_tensor`, one complex ``exp`` per (element, path, frequency),
 remain as the reference route of that kernel.
 
@@ -211,9 +212,10 @@ class NearFieldExpansion:
     All arrays have the array's M elements along the first axis.  The row at
     ``reference_index`` reproduces the reference parameters; ``gains`` is 1
     and ``excess_lengths`` is 0 there.  The path table reads ``amplitudes``,
-    ``delays`` and ``phases``; the wideband kernel ``channel.assemble`` and
-    its reference route :func:`nf_path_matrix` read ``gains``,
-    ``excess_lengths`` and the reference phase.
+    ``delays``, ``phases`` and ``distances``, and keeps ``excess_lengths``
+    and the coefficients built from ``gains`` and the reference phase for
+    the wideband kernel ``channel.assemble``; its reference route
+    :func:`nf_path_matrix` reads the same three.
     """
 
     distances: np.ndarray  # metres, (M,)

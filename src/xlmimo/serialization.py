@@ -100,36 +100,51 @@ def _formatted(block):
     return itertools.chain.from_iterable(map(itertools.repeat, strings, counts))
 
 
-def write_table(path, header, columns) -> None:
-    """Write a CSV table with deterministic float formatting.
+@contextlib.contextmanager
+def table_writer(path, header):
+    """Write a CSV table with deterministic float formatting, rows appended
+    as they come; yields ``append``.
 
-    ``columns`` holds one sequence per ``header`` name (a numpy array or a
-    list), all of the same length; float and int arrays are formatted a
-    block of rows at a time, other cells one by one with ``_fmt``.  When
-    every column is a 1-D float or int array, no cell can need quoting, so
-    each block's rows are joined with ``,`` and newlines directly; a table
-    with any list, string or bool column goes through ``csv`` quoting.
-    Both give the same bytes.
+    ``append(columns)`` writes rows: one sequence per ``header`` name (a
+    numpy array or a list), all of the same length.  Float and int arrays
+    are formatted a block of rows at a time, other cells one by one with
+    ``_fmt``.  When every column is a 1-D float or int array, no cell can
+    need quoting, so each block's rows are joined with ``,`` and newlines
+    directly; rows with any list, string or bool column go through ``csv``
+    quoting.  Both give the same bytes.  The table replaces ``path`` when
+    the block completes; if it raises, ``path`` is left as it was.
     """
-    columns = list(columns)
-    if len(columns) != len(header):
-        raise ValueError(f"{len(columns)} columns for {len(header)} header names")
-    num_rows = len(columns[0]) if columns else 0
-    if any(len(c) != num_rows for c in columns):
-        raise ValueError(f"column lengths differ: {[len(c) for c in columns]}")
-    numeric = all(
-        isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "fiu"
-        for c in columns
-    )
     with _replacing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for lo in range(0, num_rows, _BLOCK_ROWS):
-            blocks = (_formatted(c[lo : lo + _BLOCK_ROWS]) for c in columns)
-            if numeric:
-                fh.write("\n".join(map(",".join, zip(*blocks))) + "\n")
-            else:
-                writer.writerows(zip(*blocks))
+
+        def append(columns):
+            columns = list(columns)
+            if len(columns) != len(header):
+                raise ValueError(
+                    f"{len(columns)} columns for {len(header)} header names"
+                )
+            num_rows = len(columns[0]) if columns else 0
+            if any(len(c) != num_rows for c in columns):
+                raise ValueError(f"column lengths differ: {[len(c) for c in columns]}")
+            numeric = all(
+                isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "fiu"
+                for c in columns
+            )
+            for lo in range(0, num_rows, _BLOCK_ROWS):
+                blocks = (_formatted(c[lo : lo + _BLOCK_ROWS]) for c in columns)
+                if numeric:
+                    fh.write("\n".join(map(",".join, zip(*blocks))) + "\n")
+                else:
+                    writer.writerows(zip(*blocks))
+
+        yield append
+
+
+def write_table(path, header, columns) -> None:
+    """Write a whole CSV table: one ``append(columns)`` of :func:`table_writer`."""
+    with table_writer(path, header) as append:
+        append(columns)
 
 
 def _dump_json(fh, obj) -> None:
@@ -247,40 +262,49 @@ def write_channel(
 ) -> None:
     """Write ``<basepath>.bin`` (little-endian complex64) and ``<basepath>.json``.
 
-    ``values`` is an iterable of per-user (elements, frequencies) arrays,
-    such as a (users, elements, frequencies) array or the generator that
-    ``synthesize`` feeds; each user is cast to ``<c8`` (a C-order ``<c8``
-    row without a copy), checked against the header's shape and appended to
-    the temporary ``.bin`` as it arrives.  The header records the shape and
-    the number of users written, the grid and array, and the provenance:
-    variant, seed, configuration hash and scenario name.  Both files
-    replace their targets only once every user is written; a user of the
-    wrong shape, or an iterable that raises, leaves no file behind.
+    ``values`` is an iterable of (rows, frequencies) arrays, each the next
+    element rows of the current user, users in order: a (users, elements,
+    frequencies) array gives one whole user at a time, and the generator
+    that ``synthesize`` feeds gives chunks of element rows.  Each is cast to
+    ``<c8`` (a C-order ``<c8`` array without a copy), checked to fit in the
+    current user and appended to the temporary ``.bin`` as it arrives.  The
+    header records the shape and the number of users written, the grid and
+    array, and the provenance: variant, seed, configuration hash and
+    scenario name.  Both files replace their targets only once every user
+    is written; a chunk of the wrong shape, a last user left incomplete, or
+    an iterable that raises leaves no file behind.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    user_shape = (geometry.num_elements, grid.num_points)
+    num_elements, num_points = geometry.num_elements, grid.num_points
     # Both files are complete before either replaces its target.
     with _replacing(f"{basepath}.bin", "xb") as bin_fh, _replacing(
         f"{basepath}.json"
     ) as json_fh:
-        num_ues = 0
-        for user in values:
-            user = np.ascontiguousarray(user, "<c8")
-            if user.shape != user_shape:
+        num_rows = 0
+        for chunk in values:
+            chunk = np.ascontiguousarray(chunk, "<c8")
+            user, done = divmod(num_rows, num_elements)
+            left = num_elements - done
+            if chunk.ndim != 2 or chunk.shape[0] > left or chunk.shape[1] != num_points:
                 raise ValueError(
-                    f"user {num_ues} values shape {user.shape} does not match "
-                    f"({geometry.num_elements} elements, {grid.num_points} "
-                    f"frequencies)"
+                    f"user {user} values shape {chunk.shape} does not fit its "
+                    f"{left} remaining of {num_elements} elements x "
+                    f"{num_points} frequencies"
                 )
-            user.tofile(bin_fh)
-            num_ues += 1
+            chunk.tofile(bin_fh)
+            num_rows += chunk.shape[0]
+        num_ues, done = divmod(num_rows, num_elements)
+        if done:
+            raise ValueError(
+                f"user {num_ues} has {done} of {num_elements} element rows"
+            )
         meta = {
             "format_version": TENSOR_FORMAT_VERSION,
             "dtype": "complex64",
             "byte_order": "little",
             "order": "C",
-            "shape": [num_ues, *user_shape],
+            "shape": [num_ues, num_elements, num_points],
             "axes": ["user", "element", "frequency"],
             "grid": {
                 "f_low_hz": grid.f_low_hz,

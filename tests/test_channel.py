@@ -376,7 +376,7 @@ class TestStreamingAssembly:
     @pytest.mark.parametrize("num_points", [1, 2, 17, 201, 203, 2001])
     @pytest.mark.parametrize("variant", ["nf-sns", "vr"])
     def test_complex64_out_is_the_rounded_response(self, variant, num_points):
-        paths, table, grid = preset_user("case4", variant, num_points=num_points)
+        paths, table, grid, _ = preset_user("case4", variant, num_points=num_points)
         want = assemble(paths, table, grid)
         row = np.full(want.shape, np.nan, dtype="<c8")
         assert assemble(paths, table, grid, out=row) is row
@@ -386,25 +386,29 @@ class TestStreamingAssembly:
         assert np.array_equal(wide.view(np.uint64), want.view(np.uint64))
 
     def test_out_shape_checked(self):
-        paths, table, grid = preset_user("case4", "nf-ss", num_points=5)
+        paths, table, grid, _ = preset_user("case4", "nf-ss", num_points=5)
         with pytest.raises(ValueError, match="out shape"):
             assemble(paths, table, grid, out=np.empty((table.aaf.shape[0], 4), "<c8"))
 
     def test_peak_memory_is_response_plus_block_tables(self):
-        paths, table, grid = preset_user("case3", "nf-sns")
+        paths, table, grid, _ = preset_user("case3", "nf-sns")
         m, k = table.aaf.shape[0], grid.num_points
-        steps = len(paths) * m * channel._block_length(k) * 16
-        budget = channel._working_set_bytes(m, k, len(paths))
-        assert budget == steps + 4 * m * channel._block_length(k) * 16
-        row = np.empty((m, k), dtype="<c8")
+        rows = channel._chunk_rows(m, k)
+        assert rows == 65  # 2**20 // (8 * 2001)
+        chunk = table[:rows]
+        steps = len(paths) * rows * channel._block_length(k) * 16
+        budget = channel._assemble_bytes(rows, k, len(paths))
+        assert budget < 8 * m * k  # less than one complex64 (M, K) response
+        c64 = np.empty((rows, k), dtype="<c8")
         # Without ``out`` the complex128 response is allocated; with it,
-        # only the step tables and the per-block tables.  A padded
-        # (M, K/b, b) block tensor, or a complex128 response behind the
-        # complex64 row, would exceed the budget.
-        for out, response in ((None, m * k * 16), (row, 0)):
+        # only the step tables and the per-block tables, which grow with
+        # the table's rows, not with M.  A padded (rows, K/b, b) block
+        # tensor, or a complex128 response behind the complex64 chunk,
+        # would exceed the budget.
+        for out, response in ((None, rows * k * 16), (c64, 0)):
             tracemalloc.start()
             try:
-                assemble(paths, table, grid, out=out)
+                assemble(paths, chunk, grid, out=out)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -422,9 +426,11 @@ def test_block_length_is_the_cheapest_block():
 
 
 def preset_user(name, variant, reference=None, num_points=None, flat=False):
-    """The first user of a preset as ``(paths, table, grid)``, with optional
-    overrides of the reference element ("first", "middle" or "last"), the
-    grid size, and a single-frequency band (``f_high == f_low``)."""
+    """The first user of a preset as ``(paths, table, grid, expansions)``,
+    with optional overrides of the reference element ("first", "middle" or
+    "last"), the grid size, and a single-frequency band
+    (``f_high == f_low``).  ``expansions`` are the paths' expansions as
+    ``path_table`` makes them, for the reference routes."""
     cfg = scenario.preset(name)
     cfg["variant"], cfg["seed"] = variant, 11
     m = cfg["array"]["num_elements"]
@@ -440,21 +446,24 @@ def preset_user(name, variant, reference=None, num_points=None, flat=False):
     paths = scenario.build_all_paths(cfg)[0]
     aaf = build_variant_aaf(paths, m, variant, params=scenario.build_aaf_params(cfg),
                             seed=cfg["seed"], stream_key=(0,))
-    return paths, path_table(paths, geometry, tx, rx, grid.carrier_hz, aaf, variant), grid
+    table = path_table(paths, geometry, tx, rx, grid.carrier_hz, aaf, variant)
+    force_ff = variant in ("ff-sns", "ff-ss", "vr")
+    expansions = [expand_path(p, geometry, grid.carrier_hz, tx, rx, force_ff) for p in paths]
+    return paths, table, grid, expansions
 
 
-def einsum_route(paths, table, grid):
+def einsum_route(paths, table, grid, expansions):
     """The per-path reference: ``nf_path_matrix`` times the AAF column times
     the reference-element response, one einsum per path."""
     f = grid.points()
     h_ref = reference_response(paths, f)
     out = np.zeros((table.aaf.shape[0], f.size), dtype=complex)
-    for l, expansion in enumerate(table.expansions):
+    for l, expansion in enumerate(expansions):
         out += np.einsum("mk,m,k->mk", nf_path_matrix(expansion, f), table.aaf[:, l], h_ref[l])
     return out
 
 
-def longdouble_oracle(paths, table, grid):
+def longdouble_oracle(paths, table, grid, expansions):
     """``sum_l amplitude * gain_m * aaf_ml * exp(-j(2*pi*f_k*tau_m + phase_ref))``
     with ``tau_m = delay + excess_m / c``, summed in ``np.clongdouble`` from
     the same float64 inputs and the frequencies of ``grid.points()``.  The
@@ -466,7 +475,7 @@ def longdouble_oracle(paths, table, grid):
     f = grid.points().astype(ld)
     real = np.zeros((table.aaf.shape[0], f.size), dtype=ld)
     imag = np.zeros_like(real)
-    for l, (p, e) in enumerate(zip(paths, table.expansions)):
+    for l, (p, e) in enumerate(zip(paths, expansions)):
         tau = ld(p.delay) + e.excess_lengths.astype(ld) / ld(SPEED_OF_LIGHT)
         coef = (ld(p.amplitude) * e.gains.astype(ld) * table.aaf[:, l].astype(ld))[:, None]
         cycles = np.multiply.outer(tau, f)
@@ -487,10 +496,10 @@ class TestRecurrenceOracle:
     and within one float32 spacing of the reference route in complex64."""
 
     @staticmethod
-    def check(paths, table, grid):
+    def check(paths, table, grid, expansions):
         got = assemble(paths, table, grid)
-        want = einsum_route(paths, table, grid)
-        oracle = longdouble_oracle(paths, table, grid)
+        want = einsum_route(paths, table, grid, expansions)
+        oracle = longdouble_oracle(paths, table, grid, expansions)
         error = np.abs((got - oracle).astype(complex)).max()
         assert error <= 2 * np.abs((want - oracle).astype(complex)).max()
         assert error <= 5e-12 * np.abs(got).max()

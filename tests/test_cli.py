@@ -278,7 +278,7 @@ class TestStreamingSynthesis:
     def test_peak_memory_is_one_user(self, tmp_path):
         import tracemalloc
 
-        from xlmimo.channel import _working_set_bytes
+        from xlmimo import channel
 
         def peak(users):
             run = tmp_path / f"users{users}"
@@ -296,20 +296,81 @@ class TestStreamingSynthesis:
             assert meta["num_paths"] == [3] * users
             return peak
 
-        response = 301 * 1001 * 8
-        columns = 9 * 8 * 301 * 3  # pathtable.csv columns per user
-        # One user's path table, the input of assemble: five (M, L) arrays
-        # and, per path, six (M,) and two (M, 3) expansion arrays.
-        table = 8 * 301 * 3 * (5 + 6 + 2 * 3)
+        rows = channel._chunk_rows(301, 1001)
+        assert rows == 130  # three chunks of at most 1 MiB
+        chunk = rows * 1001 * 8
+        steps = 16 * rows * 3 * channel._block_length(1001)
         six, twenty_four = peak(6), peak(24)
-        # One complex64 row, one user's path table and assemble working set,
-        # and the columns: no (users, M, K) pool, no complex128 response.
-        assert response < six < (
-            response + table + _working_set_bytes(301, 1001, 3) + 6 * columns
+        # One complex64 chunk with assemble's tables for it, and one user's
+        # path table: less than one (M, K) complex64 response.
+        assert chunk + steps < six < min(
+            channel._working_set_bytes(301, 1001, 3), 301 * 1001 * 8
         )
-        # 18 more users add their columns and a little bookkeeping, far
-        # less than one more response.
-        assert twenty_four - six < 18 * columns + 128 * 1024
+        # 18 more users add only a little bookkeeping: their path-table
+        # rows are written as each user is built.
+        assert twenty_four - six < 128 * 1024
+
+    @pytest.mark.parametrize("variant", ["nf-sns", "vr"])
+    @pytest.mark.parametrize("points", [1, 201, 2001])
+    def test_chunk_budget_leaves_every_byte(self, tmp_path, monkeypatch, variant, points):
+        # case4, M=531 elements: chunks of 1 row, of 100 rows (5 chunks
+        # and a last one of 31) and of the whole array write the bytes of
+        # the default budget.
+        from xlmimo import channel
+        from xlmimo.scenario import preset
+
+        calls = []
+        original = channel.assemble
+        monkeypatch.setattr(
+            channel, "assemble", lambda *a, **k: calls.append(0) or original(*a, **k)
+        )
+        cfg = preset("case4")
+        cfg["variant"], cfg["seed"] = variant, 4
+        cfg["grid"]["num_points"] = points
+        write_yaml(tmp_path / "case4.yaml", cfg)
+        argv = ["synthesize", "--config", str(tmp_path / "case4.yaml")]
+        assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+        want = {
+            fn: (tmp_path / "default" / fn).read_bytes()
+            for fn in ("channel.bin", "pathtable.csv")
+        }
+        for rows in (1, 100, 531):
+            monkeypatch.setattr(channel, "_CHUNK_BYTES", rows * points * 8)
+            calls.clear()
+            out = tmp_path / f"rows{rows}"
+            assert main(argv + ["--out", str(out)]) == 0
+            assert len(calls) == -(-531 // rows)
+            for fn, data in want.items():
+                assert (out / fn).read_bytes() == data, (rows, fn)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_in_a_late_user_leaves_no_partial_output(
+        self, tmp_path, monkeypatch, existing
+    ):
+        # Six users of three paths: the fifth user's first path fails to
+        # expand after four users' rows and chunks are written.
+        from xlmimo import channel
+        from xlmimo.errors import NumericError
+
+        argv = ["synthesize", "--config", streaming_config(tmp_path, "nf-sns", 201)]
+        out = tmp_path / "out"
+        if existing:
+            assert main(argv + ["--out", str(out)]) == 0
+            (out / "pathtable.csv").write_text("previous\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if existing else {}
+        calls = []
+        original = channel.expand_path
+
+        def expand(*args, **kwargs):
+            calls.append(0)
+            if len(calls) == 13:
+                raise NumericError("late user failed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "expand_path", expand)
+        assert main(argv + ["--out", str(out)]) == 3
+        assert len(calls) == 13
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("source", ["scenario", "paths"])
     def test_oversized_request_exits_2_before_paths(
@@ -340,9 +401,18 @@ class TestStreamingSynthesis:
         from xlmimo import cli
 
         # tiny_config: 2 users with one path each, 8 elements, 3 frequencies
-        # (one block of b=3): the complex64 values streamed to channel.bin,
-        # and one (8, 3) complex128 step table plus four more.
-        pool_and_working_set = 2 * 8 * 3 * 8 + 16 * 8 * 3 * (1 + 4)
+        # (one block of b=3, one chunk of all 8 rows).  Streamed: the
+        # complex64 values of channel.bin.  Held: one user's path table (64
+        # B per element and path) and the expansion being built (96 B per
+        # element), the complex64 chunk, and assemble's tables for it: the
+        # frequencies, 16 B x 8 rows x (1 path x (2 x 3 step columns + 4 x 1
+        # block + 2) + 3 accumulator columns), and 64 KiB of small objects.
+        pool_and_working_set = (
+            2 * 8 * 3 * 8
+            + 64 * 8 + 96 * 8
+            + 8 * 8 * 3
+            + 8 * 3 + 16 * 8 * (1 * (2 * 3 + 4 * 1 + 2) + 3) + 2**16
+        )
         columns = 9 * 8 * (8 * 2)
         argv = ["synthesize", "--config", write_config(tmp_path)]
         out = tmp_path / "out"

@@ -21,6 +21,7 @@ from xlmimo.serialization import (
     read_json,
     read_paths_csv,
     read_yaml,
+    table_writer,
     write_channel,
     write_json,
     write_paths_csv,
@@ -241,6 +242,24 @@ class TestTableFormatting:
         assert got.read_bytes() == want.read_bytes()
         assert ",-0.0,1.5," in got.read_text() and ",0.0,1.5," in got.read_text()
 
+    @pytest.mark.parametrize("cuts", [(0, 5000), (1, 2048, 2049, 4999), (903, 1806)])
+    def test_appended_rows_give_the_bytes_of_one_table(self, tmp_path, cuts):
+        # Each append formats its own blocks; runs and blocks restart at
+        # every cut, the bytes do not change.
+        n = 5000
+        columns = [
+            np.repeat(np.arange(6, dtype=np.int64), 903)[:n],
+            np.tile(np.arange(301, dtype=np.int64), 17)[:n],
+            np.random.default_rng(5).standard_normal(n),
+            np.repeat([0.5, -0.0, np.nan], [2500, 1, n])[:n],
+        ]
+        header = ["ue", "element", "value", "runs"]
+        write_table(tmp_path / "want.csv", header, columns)
+        with table_writer(tmp_path / "got.csv", header) as append:
+            for lo, hi in zip((0, *cuts), (*cuts, n)):
+                append([c[lo:hi] for c in columns])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_column_count_and_lengths_checked(self, tmp_path):
         with pytest.raises(ValueError, match="2 columns for 3"):
             write_table(tmp_path / "a.csv", ["a", "b", "c"], [[1], [2]])
@@ -352,10 +371,28 @@ class TestChannelIO:
         values = channel_values()
         write_test_channel(tmp_path / "array", values)
         write_test_channel(tmp_path / "stream", (user for user in values))
-        for suffix in (".bin", ".json"):
-            assert (tmp_path / f"stream{suffix}").read_bytes() == (
-                tmp_path / f"array{suffix}"
-            ).read_bytes()
+        # chunks of 3 and 1 element rows per 4-element user
+        write_test_channel(
+            tmp_path / "chunks", (part for user in values for part in (user[:3], user[3:]))
+        )
+        for name in ("stream", "chunks"):
+            for suffix in (".bin", ".json"):
+                assert (tmp_path / f"{name}{suffix}").read_bytes() == (
+                    tmp_path / f"array{suffix}"
+                ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "parts, match",
+        [((3, 3), "user 0 values shape \\(3, 3\\) does not fit its 1 remaining"),
+         ((4, 3), "user 1 has 3 of 4 element rows")],
+        ids=["across-users", "incomplete-user"],
+    )
+    def test_element_rows_must_make_whole_users(self, tmp_path, parts, match):
+        rows = channel_values().reshape(8, 3)
+        chunks = np.split(rows[: sum(parts)], np.cumsum(parts)[:-1])
+        with pytest.raises(ValueError, match=match):
+            write_test_channel(tmp_path / "c", chunks)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("existing", [False, True])
     @pytest.mark.parametrize(
