@@ -21,6 +21,7 @@ frequencies) pool nor one user's (elements, frequencies) row is held.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -244,13 +245,14 @@ def path_table(
     return table
 
 
+@functools.cache
 def _block_length(num_points: int) -> int:
     """Frequencies per block of :func:`assemble` for a K-point grid.
 
     A block of b costs b exact ``exp`` per element and path for its step
     table plus one per block start, ``b + ceil(K/b)`` in all; the smallest
     cost for b in [1, 64] wins, the largest b on ties (17 at K=201, 49 at
-    K=2001).
+    K=2001).  Cached, since every chunk that ``assemble`` writes asks.
     """
     return min(
         range(1, _MAX_BLOCK + 1), key=lambda b: (b - (-num_points // b), -b)
@@ -296,7 +298,9 @@ def _working_set_bytes(num_elements: int, num_points: int, num_paths: int) -> in
     )
 
 
-def assemble(paths, table: PathTable, grid: FrequencyGrid, out=None) -> np.ndarray:
+def assemble(
+    paths, table: PathTable, grid: FrequencyGrid, out=None, frequencies=None
+) -> np.ndarray:
     """Synthesize one user's channel, an array of shape (M, K).
 
     ``table`` is the :func:`path_table` of ``paths``, or a row slice of it
@@ -336,7 +340,8 @@ def assemble(paths, table: PathTable, grid: FrequencyGrid, out=None) -> np.ndarr
     num_elements, num_paths = table.coefficients.shape
     if len(paths) != num_paths:
         raise ValueError(f"{len(paths)} paths for a table of {num_paths}")
-    frequencies = grid.points()
+    if frequencies is None:
+        frequencies = grid.points()
     num_points = frequencies.size
     if out is None:
         out = np.empty((num_elements, num_points), dtype=complex)

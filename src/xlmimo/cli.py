@@ -33,25 +33,28 @@ _MAX_TRIAL_USERS = 1_000_000
 
 #: Largest estimate of ``synthesize``.  Two terms are streamed output: the
 #: users x elements x frequencies complex64 values of ``channel.bin`` and 72
-#: bytes per ``pathtable.csv`` row (elements x paths of every user).  The
-#: rest is what one user holds (``channel._working_set_bytes``): its path
-#: table, one complex64 chunk of element rows with ``channel.assemble``'s
-#: tables for it, complex128 step phasors per path and block frequency
-#: (b <= 64) and start phasors per path and block.  The channel values and
+#: bytes per path-table row (elements x paths of every user), the size of
+#: one ``pathtable.npy`` record.  The rest is what one user holds
+#: (``channel._working_set_bytes``): its path table, one complex64 chunk of
+#: element rows with ``channel.assemble``'s tables for it, complex128 step
+#: phasors per path and block frequency (b <= 64) and start phasors per
+#: path and block.  The channel values and
 #: the path-free part of the working set are checked before any path is
 #: built, the rest once the paths are known; both before ``--out`` is made.
 _MAX_SYNTH_BYTES = 4 * 2**30
 
-_PATHTABLE_HEADER = (
-    "ue",
-    "path",
-    "element",
-    "alpha_ref",
-    "aaf",
-    "amplitude",
-    "delay_s",
-    "phase_rad",
-    "distance_m",
+#: The path table's fields in order: the ``pathtable.npy`` record dtype and
+#: the ``pathtable.csv`` columns.
+_PATHTABLE_FIELDS = (
+    ("ue", "<i8"),
+    ("path", "<i8"),
+    ("element", "<i8"),
+    ("alpha_ref", "<f8"),
+    ("aaf", "<f8"),
+    ("amplitude", "<f8"),
+    ("delay_s", "<f8"),
+    ("phase_rad", "<f8"),
+    ("distance_m", "<f8"),
 )
 
 
@@ -254,6 +257,7 @@ def _cmd_synthesize(args) -> int:
     )
     from .serialization import (
         config_sha256,
+        npy_writer,
         read_paths_csv,
         table_writer,
         write_channel,
@@ -293,7 +297,7 @@ def _cmd_synthesize(args) -> int:
     _check_synth_size(
         streamed
         + _working_set_bytes(num_elements, grid.num_points, max_paths)
-        + num_rows * 8 * len(_PATHTABLE_HEADER),
+        + num_rows * 8 * len(_PATHTABLE_FIELDS),
         f"{num_rows} path-table rows and the channel",
     )
     if _needs_seed(variant, all_paths) and seed is None:
@@ -305,11 +309,13 @@ def _cmd_synthesize(args) -> int:
     out = _ensure_out(args)
     rows = _chunk_rows(num_elements, grid.num_points)
     chunk = np.empty((rows, grid.num_points), dtype="<c8")
+    frequencies = grid.points()
+    dtype = np.dtype(list(_PATHTABLE_FIELDS))
 
-    def responses(append_rows):
+    def responses(append_csv, append_npy):
         """Each user's response as complex64 chunks of element rows, all
-        written into ``chunk``, after its ``pathtable.csv`` rows are
-        appended: one per (path, element) in that order."""
+        written into ``chunk``, after its path-table records are appended
+        to both files: one per (path, element) in that order."""
         for ue, paths in enumerate(all_paths):
             table = path_table(
                 paths,
@@ -327,29 +333,42 @@ def _cmd_synthesize(args) -> int:
                 ),
                 variant=variant,
             )
-            append_rows(
-                [
-                    np.full(num_elements * len(paths), ue),
-                    np.repeat(np.arange(len(paths)), num_elements),
-                    np.tile(np.arange(num_elements), len(paths)),
-                    np.repeat([p.amplitude for p in paths], num_elements),
-                    *(
-                        getattr(table, name).T.ravel()
-                        for name in ("aaf", "amplitudes", "delays", "phases", "distances")
-                    ),
-                ]
-            )
+            records = np.empty((len(paths), num_elements), dtype)
+            records["ue"] = ue
+            records["path"] = np.arange(len(paths))[:, None]
+            records["element"] = np.arange(num_elements)
+            records["alpha_ref"] = np.array([p.amplitude for p in paths])[:, None]
+            for name, column in (
+                ("aaf", table.aaf),
+                ("amplitude", table.amplitudes),
+                ("delay_s", table.delays),
+                ("phase_rad", table.phases),
+                ("distance_m", table.distances),
+            ):
+                records[name] = column.T
+            records = records.ravel()
+            append_csv([records[name] for name in dtype.names])
+            append_npy(records)
+            del records  # before the chunks are assembled
             for lo in range(0, num_elements, rows):
                 hi = min(lo + rows, num_elements)
-                yield assemble(paths, table[lo:hi], grid, out=chunk[: hi - lo])
+                yield assemble(
+                    paths,
+                    table[lo:hi],
+                    grid,
+                    out=chunk[: hi - lo],
+                    frequencies=frequencies,
+                )
             del table  # before the next user's is built
 
     with table_writer(
-        os.path.join(out, "pathtable.csv"), _PATHTABLE_HEADER
-    ) as append_rows:
+        os.path.join(out, "pathtable.csv"), dtype.names
+    ) as append_csv, npy_writer(
+        os.path.join(out, "pathtable.npy"), dtype, num_rows
+    ) as append_npy:
         write_channel(
             os.path.join(out, "channel"),
-            responses(append_rows),
+            responses(append_csv, append_npy),
             grid,
             geometry,
             variant,
@@ -506,45 +525,47 @@ _PATH_METRICS = ("gain", "kfactor", "delay-spread", "spatial-correlation")
 
 
 def _read_pathtable(directory: str):
-    """Per-user amplitude/delay/aaf/alpha matrices from pathtable.csv.
+    """Per-user amplitude/delay/aaf/alpha matrices from pathtable.npy.
 
-    Every user shares the element count; each user's rows must cover every
+    The file must hold a 1-D array of ``_PATHTABLE_FIELDS`` records.  Every
+    user shares the element count; each user's rows must cover every
     (path, element) pair exactly once, in any order, with finite,
     non-negative values.
     """
-    import warnings
-
     import numpy as np
 
-    table_path = os.path.join(directory, "pathtable.csv")
+    table_path = os.path.join(directory, "pathtable.npy")
     if not os.path.exists(table_path):
         raise ConfigError(
             f"{table_path} not found: per-path metrics need the synthesize "
             f"output directory"
         )
-    names = ("ue", "path", "element", "alpha_ref", "aaf", "amplitude", "delay_s")
-    with open(table_path, newline="") as fh:
-        header = fh.readline().strip().split(",")
-        try:
-            columns = [header.index(name) for name in names]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # an empty body is reported below
-                data = np.loadtxt(fh, delimiter=",", usecols=columns, ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{table_path}: {exc}") from exc
-    if data.shape[0] == 0:
+    dtype = np.dtype(list(_PATHTABLE_FIELDS))
+    try:
+        with open(table_path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            trailing = fh.read(1)
+    except (ValueError, EOFError, OSError) as exc:
+        raise ConfigError(f"{table_path}: not a readable .npy table: {exc}") from exc
+    if not isinstance(data, np.ndarray) or trailing:
+        raise ConfigError(f"{table_path}: not a single .npy array")
+    if data.ndim != 1 or data.dtype != dtype:
+        raise ConfigError(
+            f"{table_path}: expected a 1-D array of {dtype}, got "
+            f"{data.dtype} of shape {data.shape}"
+        )
+    if data.size == 0:
         raise ConfigError(f"{table_path}: empty table")
-    fields = data[:, 3:]
-    if not np.all(np.isfinite(fields) & (fields >= 0.0)):
+    fields = ("alpha_ref", "aaf", "amplitude", "delay_s")
+    if not all(np.all(np.isfinite(data[f]) & (data[f] >= 0.0)) for f in fields):
         raise ConfigError(
             f"{table_path}: alpha_ref, aaf, amplitude and delay_s must be "
             f"finite and >= 0"
         )
-    rows = data.shape[0]
-    index = data[:, :3]
-    if not np.all((index >= 0) & (index < rows) & (index == np.floor(index))):
+    rows = data.size
+    ue, path, element = data["ue"], data["path"], data["element"]
+    if not all(np.all((i >= 0) & (i < rows)) for i in (ue, path, element)):
         raise ConfigError(f"{table_path}: invalid ue/path/element index")
-    ue, path, element = index.astype(int).T
     num_elements = int(element.max()) + 1
     num_paths = np.zeros(int(ue.max()) + 1, dtype=int)
     np.maximum.at(num_paths, ue, path + 1)
@@ -559,16 +580,17 @@ def _read_pathtable(directory: str):
             f"{table_path}: rows must cover every (ue, path, element) exactly "
             f"once for {num_elements} elements"
         )
-    ordered = np.empty_like(data[:, 3:])
-    ordered[slot] = data[:, 3:]
+    row_of = np.empty(rows, dtype=int)
+    row_of[slot] = np.arange(rows)
     out = []
     for lo, hi, paths in zip(bounds[:-1], bounds[1:], num_paths):
-        # (paths, elements, field) -> per-field (elements, paths) matrices
-        block = ordered[lo:hi].reshape(paths, num_elements, 4)
+        # the (elements, paths) rows of one user's records, C-ordered so that
+        # every field gathered by it is too
+        index = np.ascontiguousarray(row_of[lo:hi].reshape(paths, num_elements).T)
         aaf, amplitude, delay = (
-            np.ascontiguousarray(block[:, :, i].T) for i in (1, 2, 3)
+            data[name][index] for name in ("aaf", "amplitude", "delay_s")
         )
-        alpha = block[:, 0, 0].copy()  # alpha_ref repeats on every element
+        alpha = data["alpha_ref"][index[0]]  # repeats on every element
         out.append(
             {"amplitude": amplitude, "delay": delay, "aaf": aaf, "alpha": alpha}
         )

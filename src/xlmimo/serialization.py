@@ -5,6 +5,7 @@ serialized with ``repr`` (shortest round-trip form), JSON keys are sorted,
 and no timestamps or environment details are recorded.  Channel tensors are
 stored as little-endian complex64 binaries in C order next to a JSON header
 describing shape, grid, and provenance (seed and configuration hash).
+Record tables such as the path table are 1-D structured ``.npy`` arrays.
 
 Every writer is atomic: it writes a temporary file in the target's
 directory and renames it over the target only once it is complete, so a
@@ -139,6 +140,47 @@ def table_writer(path, header):
                     writer.writerows(zip(*blocks))
 
         yield append
+
+
+@contextlib.contextmanager
+def npy_writer(path, dtype, num_rows):
+    """Write a 1-D ``.npy`` array of ``num_rows`` records of ``dtype``,
+    records appended as they come; yields ``append``.
+
+    The format 1.0 header goes first and gives the total row count, so the
+    complete file has the bytes of ``np.save`` on the whole array.
+    ``append(records)`` writes a 1-D array of exactly ``dtype``.  The file
+    replaces ``path`` when the block completes with ``num_rows`` records
+    written; a wrong dtype, shape or row count raises ``ValueError`` and
+    leaves ``path`` as it was.
+    """
+    dtype = np.dtype(dtype)
+    with _replacing(path, "xb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh,
+            {
+                "descr": np.lib.format.dtype_to_descr(dtype),
+                "fortran_order": False,
+                "shape": (num_rows,),
+            },
+        )
+        written = 0
+
+        def append(records):
+            nonlocal written
+            if records.dtype != dtype or records.ndim != 1:
+                raise ValueError(
+                    f"records of dtype {records.dtype} and shape {records.shape} "
+                    f"for a 1-D table of {dtype}"
+                )
+            if written + records.size > num_rows:
+                raise ValueError(f"more than {num_rows} records")
+            records.tofile(fh)
+            written += records.size
+
+        yield append
+        if written != num_rows:
+            raise ValueError(f"{written} of {num_rows} records written")
 
 
 def write_table(path, header, columns) -> None:

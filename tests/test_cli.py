@@ -20,7 +20,7 @@ from xlmimo.serialization import (
     read_json,
     write_yaml,
 )
-from xlmimo.scenario import validate_config
+from xlmimo.scenario import preset_names, validate_config
 
 
 def tiny_config(**overrides):
@@ -178,7 +178,8 @@ class TestSynthesizeCommand:
         )
         assert code == 0
         assert (direct / "channel.bin").read_bytes() == (staged / "channel.bin").read_bytes()
-        assert (direct / "pathtable.csv").read_bytes() == (staged / "pathtable.csv").read_bytes()
+        for fn in ("pathtable.csv", "pathtable.npy"):
+            assert (direct / fn).read_bytes() == (staged / fn).read_bytes(), fn
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_file = write_config(
@@ -195,7 +196,7 @@ class TestSynthesizeCommand:
             assert main(["synthesize", "--config", cfg_file, "--out", str(out)]) == 0
             outs.append(out)
         for fn in (
-            "channel.bin", "channel.json", "pathtable.csv",
+            "channel.bin", "channel.json", "pathtable.csv", "pathtable.npy",
             "scenario.yaml", "paths_ue000.csv", "paths_ue001.csv", "meta.json",
         ):
             assert (outs[0] / fn).read_bytes() == (outs[1] / fn).read_bytes(), fn
@@ -332,7 +333,7 @@ class TestStreamingSynthesis:
         assert main(argv + ["--out", str(tmp_path / "default")]) == 0
         want = {
             fn: (tmp_path / "default" / fn).read_bytes()
-            for fn in ("channel.bin", "pathtable.csv")
+            for fn in ("channel.bin", "pathtable.csv", "pathtable.npy")
         }
         for rows in (1, 100, 531):
             monkeypatch.setattr(channel, "_CHUNK_BYTES", rows * points * 8)
@@ -357,6 +358,7 @@ class TestStreamingSynthesis:
         if existing:
             assert main(argv + ["--out", str(out)]) == 0
             (out / "pathtable.csv").write_text("previous\n")
+            (out / "pathtable.npy").write_text("previous\n")
         before = {p.name: p.read_bytes() for p in out.iterdir()} if existing else {}
         calls = []
         original = channel.expand_path
@@ -803,17 +805,19 @@ class TestEvaluateCommand:
 
         calls = {"read_channel": 0, "fromfile": 0}
 
-        def counted(module, name):
+        def counted(module, name, counts=lambda *args: True):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name] += counts(*args)
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
 
         counted(serialization, "read_channel")
-        counted(np, "fromfile")
+        # np.load reads pathtable.npy through np.fromfile too; count only
+        # the tensor's reads
+        counted(np, "fromfile", lambda file, *args: str(file).endswith("channel.bin"))
         nf, _ = synthesized
         code = main(
             [
@@ -832,7 +836,7 @@ class TestEvaluateCommand:
         nf, _ = synthesized
         cut = tmp_path / "cut"
         cut.mkdir()
-        for name in ("channel.json", "pathtable.csv"):
+        for name in ("channel.json", "pathtable.npy"):
             (cut / name).write_bytes((nf / name).read_bytes())
         (cut / "channel.bin").write_bytes((nf / "channel.bin").read_bytes()[:-8])
         code = main(
@@ -861,13 +865,15 @@ class TestEvaluateCommand:
 
     @staticmethod
     def _copy_with_table(nf, dest, edit):
+        """The channel of ``nf`` in ``dest``, with ``edit`` applied to the
+        records of its pathtable.npy."""
         dest.mkdir()
         for suffix in (".bin", ".json"):
             (dest / f"channel{suffix}").write_bytes(
                 (nf / f"channel{suffix}").read_bytes()
             )
-        header, *rows = (nf / "pathtable.csv").read_text().splitlines(keepends=True)
-        (dest / "pathtable.csv").write_text(header + "".join(edit(rows)))
+        records = np.load(nf / "pathtable.npy", allow_pickle=False)
+        np.save(dest / "pathtable.npy", edit(records), allow_pickle=False)
 
     def test_pathtable_rows_in_any_order(self, synthesized, tmp_path):
         nf, _ = synthesized
@@ -888,8 +894,8 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda rows: rows[:5] + rows[6:],  # missing row
-            lambda rows: rows + rows[-1:],  # duplicated row
+            lambda rows: np.delete(rows, 5),  # missing row
+            lambda rows: np.concatenate([rows, rows[-1:]]),  # duplicated row
         ],
         ids=["missing", "duplicate"],
     )
@@ -906,17 +912,16 @@ class TestEvaluateCommand:
         assert "exactly once" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "column, value",
-        [(5, "nan"), (6, "inf"), (4, "-0.5")],
+        "field, value",
+        [("amplitude", np.nan), ("delay_s", np.inf), ("aaf", -0.5)],
         ids=["amplitude-nan", "delay-inf", "aaf-negative"],
     )
     def test_pathtable_bad_values_rejected(
-        self, synthesized, tmp_path, capsys, column, value
+        self, synthesized, tmp_path, capsys, field, value
     ):
         def edit(rows):
-            cells = rows[3].rstrip("\n").split(",")
-            cells[column] = value
-            return rows[:3] + [",".join(cells) + "\n"] + rows[4:]
+            rows[3][field] = value
+            return rows
 
         nf, _ = synthesized
         self._copy_with_table(nf, tmp_path / "bad", edit)
@@ -928,7 +933,7 @@ class TestEvaluateCommand:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "pathtable.csv" in err and "finite and >= 0" in err
+        assert "pathtable.npy" in err and "finite and >= 0" in err
 
     def test_shadowed_elements_give_nan_samples(self, tmp_path):
         # both paths of the only user get a fixed AAF that is 0 on the first
@@ -1069,11 +1074,10 @@ class TestEvaluateCommand:
         from test_metrics import per_lag_correlation
 
         def edit(rows):
-            for i, row in enumerate(rows):
-                cells = row.split(",")
-                if cells[0] == "1" or (cells[0], cells[2]) in (("0", "0"), ("0", "3")):
-                    cells[4] = "0.0"
-                    rows[i] = ",".join(cells)
+            flat = (rows["ue"] == 1) | (
+                (rows["ue"] == 0) & np.isin(rows["element"], [0, 3])
+            )
+            rows["aaf"][flat] = 0.0
             return rows
 
         chan = tmp_path / "chan"
@@ -1091,11 +1095,10 @@ class TestEvaluateCommand:
         assert "skipping 3 constant-row pairs in spatial correlation" in messages
         assert "skipping 300 constant-row pairs in spatial correlation" in messages
         users = {}
-        for r in read_rows(tmp_path / "flat" / "pathtable.csv"):
-            matrix = users.setdefault(int(r["ue"]), np.empty((301, 3)))
-            matrix[int(r["element"]), int(r["path"])] = (
-                float(r["aaf"]) * float(r["alpha_ref"])
-            )
+        for r in np.load(tmp_path / "flat" / "pathtable.npy").tolist():
+            ue, path, element, alpha_ref, aaf = r[:5]
+            matrix = users.setdefault(ue, np.empty((301, 3)))
+            matrix[element, path] = aaf * alpha_ref
         lines = ["lag,value"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -1105,6 +1108,194 @@ class TestEvaluateCommand:
                 lines.append(f"{lag},{float(np.nanmean(values))!r}")
         got = (out / "channel_nf-sns_spatial_correlation.csv").read_text()
         assert got == "\n".join(lines) + "\n"
+
+
+PATHTABLE_DTYPE = np.dtype(
+    [("ue", "<i8"), ("path", "<i8"), ("element", "<i8")]
+    + [(name, "<f8") for name in (
+        "alpha_ref", "aaf", "amplitude", "delay_s", "phase_rad", "distance_m"
+    )]
+)
+
+
+@st.composite
+def path_table_records(draw):
+    """A valid path table of random size with random finite, non-negative
+    values (``alpha_ref`` constant per path), rows shuffled, and the cuts
+    at which it is appended."""
+    num_elements = draw(st.integers(1, 6))
+    num_paths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = np.array([0.0, 5e-324, 1e-300, 1.0, 1e300])
+    users = []
+    for ue, paths in enumerate(num_paths):
+        records = np.empty((paths, num_elements), PATHTABLE_DTYPE)
+        records["ue"] = ue
+        records["path"] = np.arange(paths)[:, None]
+        records["element"] = np.arange(num_elements)
+        records["alpha_ref"] = rng.choice(special, paths)[:, None]
+        for name in PATHTABLE_DTYPE.names[4:]:
+            records[name] = np.where(
+                rng.random(records.shape) < 0.2,
+                rng.choice(special, records.shape),
+                rng.exponential(size=records.shape),
+            )
+        users.append(records.ravel())
+    table = np.concatenate(users)[rng.permutation(sum(num_paths) * num_elements)]
+    cuts = sorted(draw(st.lists(st.integers(0, table.size), max_size=3)))
+    return table, num_paths, num_elements, cuts
+
+
+class TestPathTableFile:
+    """pathtable.npy: the records that evaluate reads, the same values as
+    the pathtable.csv text."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(path_table_records())
+    def test_shuffled_tables_round_trip(self, tmp_path_factory, drawn):
+        import xlmimo.cli as cli
+        from xlmimo.serialization import npy_writer
+
+        table, num_paths, num_elements, cuts = drawn
+        directory = tmp_path_factory.mktemp("table")
+        with npy_writer(directory / "pathtable.npy", table.dtype, table.size) as append:
+            for lo, hi in zip((0, *cuts), (*cuts, table.size)):
+                append(table[lo:hi])
+        got = cli._read_pathtable(str(directory))
+
+        assert len(got) == len(num_paths)
+        for ue, (tables, paths) in enumerate(zip(got, num_paths)):
+            want = {key: np.full((num_elements, paths), np.nan)
+                    for key in ("amplitude", "delay", "aaf")}
+            alpha = np.full(paths, np.nan)
+            for row in table.tolist():
+                if row[0] != ue:
+                    continue
+                _, l, m, alpha_ref, aaf, amplitude, delay, *_ = row
+                want["amplitude"][m, l] = amplitude
+                want["delay"][m, l] = delay
+                want["aaf"][m, l] = aaf
+                alpha[l] = alpha_ref
+            assert sorted(tables) == ["aaf", "alpha", "amplitude", "delay"]
+            for key, value in want.items():
+                assert tables[key].flags.c_contiguous
+                assert tables[key].dtype == np.float64
+                assert np.array_equal(tables[key], value), (ue, key)
+            assert np.array_equal(tables["alpha"], alpha)
+
+    @staticmethod
+    def _wrong_names(path, records):
+        names = list(records.dtype.names)
+        names[5] = "amp"
+        renamed = records.copy()
+        renamed.dtype.names = names
+        np.save(path, renamed)
+
+    @staticmethod
+    def _truncated(path, records):
+        np.save(path, records)
+        path.write_bytes(path.read_bytes()[:-5])
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            _wrong_names,
+            lambda p, r: np.save(p, r.astype(
+                [(n, "<i4" if n == "ue" else t) for n, t in r.dtype.descr])),
+            lambda p, r: np.save(p, r.astype(
+                [(n, ">f8" if t == "<f8" else t) for n, t in r.dtype.descr])),
+            lambda p, r: np.save(p, np.stack([r["amplitude"], r["delay_s"]], axis=1)),
+            lambda p, r: np.save(p, r.reshape(-1, 2)),
+            _truncated,
+            lambda p, r: p.write_bytes(p.read_bytes() + b"\0" * 72),
+            lambda p, r: p.write_bytes(p.read_bytes()[:40]),
+            lambda p, r: p.write_bytes(b""),
+            lambda p, r: np.save(p, np.array([{"ue": 0}], dtype=object), allow_pickle=True),
+            lambda p, r: p.write_bytes((p.parent / "pathtable.csv").read_bytes()),
+            lambda p, r: np.savez(p.with_suffix(""), table=r) or p.with_suffix(".npz").rename(p),
+            lambda p, r: np.save(p, r[:0]),
+            lambda p, r: p.unlink(),
+        ],
+        ids=[
+            "wrong-names", "int32-ue", "big-endian-floats", "plain-2-d",
+            "2-d-records", "truncated-data", "trailing-record", "truncated-header",
+            "empty-file",
+            "object-pickle", "csv-text", "npz", "no-rows", "missing",
+        ],
+    )
+    def test_malformed_file_exits_2(self, synthesized, tmp_path, capsys, write):
+        nf, _ = synthesized
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for name in ("channel.bin", "channel.json", "pathtable.csv", "pathtable.npy"):
+            (copy / name).write_bytes((nf / name).read_bytes())
+        target = copy / "pathtable.npy"
+        write(target, np.load(target))
+        out = tmp_path / "o"
+        code = main(
+            ["evaluate", "--channel", str(copy / "channel"), "--out", str(out),
+             "--metrics", "gain"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"error: {target}") and "Traceback" not in err
+        assert not out.exists()
+
+    @staticmethod
+    def assert_files_agree(directory):
+        """Every pathtable.npy field is float() or int() of its
+        pathtable.csv cell, bit for bit, in the same rows and order."""
+        with open(directory / "pathtable.npy", "rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+        records = np.load(directory / "pathtable.npy", allow_pickle=False)
+        with open(directory / "pathtable.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert records.dtype == PATHTABLE_DTYPE
+        assert tuple(header) == PATHTABLE_DTYPE.names
+        assert records.shape == (len(rows),)
+        for name, cells in zip(header, zip(*rows)):
+            kind = int if records.dtype[name].kind == "i" else float
+            want = np.array([kind(cell) for cell in cells], dtype=records.dtype[name])
+            got = np.ascontiguousarray(records[name])
+            assert np.array_equal(want.view(np.uint64), got.view(np.uint64)), name
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_npy_and_csv_hold_the_same_values(self, tmp_path, name):
+        from xlmimo.scenario import preset
+
+        cfg = preset(name)
+        cfg["grid"]["num_points"] = 1  # the path table uses only the carrier
+        cfg["seed"] = 9
+        write_yaml(tmp_path / "cfg.yaml", cfg)
+        for variant in ("nf-sns", "nf-ss", "ff-sns", "ff-ss", "vr"):
+            out = tmp_path / variant
+            assert main(
+                ["synthesize", "--config", str(tmp_path / "cfg.yaml"),
+                 "--variant", variant, "--out", str(out)]
+            ) == 0
+            self.assert_files_agree(out)
+
+    def test_npy_and_csv_hold_the_same_values_from_paths(self, tmp_path):
+        # two case3 users' path lists, the second staged with a fixed aaf
+        assert main(["scenario", "--preset", "case3", "--out", str(tmp_path / "scn")]) == 0
+        staged = tmp_path / "staged.csv"
+        rows = read_rows(tmp_path / "scn" / "paths_ue001.csv")
+        rows[1].update(stationarity="sns", aaf=";".join(
+            repr(v) for v in np.linspace(0.0, 1.0, 301).tolist()))
+        with open(staged, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "out"
+        assert main(
+            ["synthesize", "--preset", "case3", "--seed", "2",
+             "--paths", str(tmp_path / "scn" / "paths_ue000.csv"),
+             "--paths", str(staged), "--out", str(out)]
+        ) == 0
+        self.assert_files_agree(out)
+        records = np.load(out / "pathtable.npy")
+        fixed = records[(records["ue"] == 1) & (records["path"] == 1)]
+        assert np.array_equal(fixed["aaf"], np.linspace(0.0, 1.0, 301))
 
 
 class TestCompareCommand:

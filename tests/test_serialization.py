@@ -16,6 +16,7 @@ from xlmimo.serialization import (
     PATH_COLUMNS,
     _fmt,
     config_sha256,
+    npy_writer,
     read_channel,
     read_channel_header,
     read_json,
@@ -577,6 +578,61 @@ class TestChannelIO:
         assert pool.dtype == np.dtype("<c8") and pool.nbytes == size
         # the header and Python objects take a few kB on top
         assert size <= peak <= size + 64 * 1024
+
+
+RECORD = np.dtype([("ue", "<i8"), ("element", "<i8"), ("value", "<f8")])
+
+
+def records(n, seed=0):
+    out = np.empty(n, RECORD)
+    out["ue"] = np.arange(n) // 7
+    out["element"] = np.arange(n) % 7
+    out["value"] = np.random.default_rng(seed).standard_normal(n)
+    return out
+
+
+class TestNpyWriter:
+    @pytest.mark.parametrize("cuts", [(), (1,), (7, 8, 300), (0, 0, 500)])
+    def test_appended_records_give_the_bytes_of_np_save(self, tmp_path, cuts):
+        n = 500
+        want = records(n)
+        np.save(tmp_path / "want.npy", want, allow_pickle=False)
+        with npy_writer(tmp_path / "got.npy", RECORD, n) as append:
+            for lo, hi in zip((0, *cuts), (*cuts, n)):
+                append(want[lo:hi])
+        assert (tmp_path / "got.npy").read_bytes() == (tmp_path / "want.npy").read_bytes()
+        got = np.load(tmp_path / "got.npy", allow_pickle=False)
+        assert got.dtype == RECORD and np.array_equal(got, want)
+
+    def test_empty_table(self, tmp_path):
+        with npy_writer(tmp_path / "t.npy", RECORD, 0):
+            pass
+        assert np.load(tmp_path / "t.npy").shape == (0,)
+
+    @pytest.mark.parametrize(
+        "appended, message",
+        [
+            ([records(3)], "3 of 4 records"),
+            ([records(3), records(2)], "more than 4"),
+            ([records(4).astype([("ue", "<i8"), ("element", "<i8"), ("value", "<f4")])],
+             "dtype"),
+            ([records(4).reshape(2, 2)], "shape"),
+            ([np.zeros(4)], "dtype"),
+        ],
+        ids=["too-few", "too-many", "field-dtype", "2-d", "plain-float"],
+    )
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_wrong_records_leave_target(self, tmp_path, appended, message, existing):
+        target = tmp_path / "t.npy"
+        if existing:
+            target.write_bytes(b"previous\n")
+        with pytest.raises(ValueError, match=message):
+            with npy_writer(target, RECORD, 4) as append:
+                for r in appended:
+                    append(r)
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["t.npy"] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"previous\n"
 
 
 class Unprintable:
