@@ -298,9 +298,16 @@ def _working_set_bytes(num_elements: int, num_points: int, num_paths: int) -> in
     )
 
 
-def assemble(
-    paths, table: PathTable, grid: FrequencyGrid, out=None, frequencies=None
-) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _points(f_low_hz: float, f_high_hz: float, num_points: int) -> np.ndarray:
+    """:meth:`FrequencyGrid.points` as a read-only array, cached by value,
+    since every chunk that ``assemble`` writes asks."""
+    points = np.linspace(f_low_hz, f_high_hz, num_points)
+    points.flags.writeable = False
+    return points
+
+
+def assemble(paths, table: PathTable, grid: FrequencyGrid, out=None) -> np.ndarray:
     """Synthesize one user's channel, an array of shape (M, K).
 
     ``table`` is the :func:`path_table` of ``paths``, or a row slice of it
@@ -340,8 +347,7 @@ def assemble(
     num_elements, num_paths = table.coefficients.shape
     if len(paths) != num_paths:
         raise ValueError(f"{len(paths)} paths for a table of {num_paths}")
-    if frequencies is None:
-        frequencies = grid.points()
+    frequencies = _points(grid.f_low_hz, grid.f_high_hz, grid.num_points)
     num_points = frequencies.size
     if out is None:
         out = np.empty((num_elements, num_points), dtype=complex)

@@ -309,7 +309,6 @@ def _cmd_synthesize(args) -> int:
     out = _ensure_out(args)
     rows = _chunk_rows(num_elements, grid.num_points)
     chunk = np.empty((rows, grid.num_points), dtype="<c8")
-    frequencies = grid.points()
     dtype = np.dtype(list(_PATHTABLE_FIELDS))
 
     def responses(append_csv, append_npy):
@@ -352,13 +351,7 @@ def _cmd_synthesize(args) -> int:
             del records  # before the chunks are assembled
             for lo in range(0, num_elements, rows):
                 hi = min(lo + rows, num_elements)
-                yield assemble(
-                    paths,
-                    table[lo:hi],
-                    grid,
-                    out=chunk[: hi - lo],
-                    frequencies=frequencies,
-                )
+                yield assemble(paths, table[lo:hi], grid, out=chunk[: hi - lo])
             del table  # before the next user's is built
 
     with table_writer(
@@ -541,19 +534,35 @@ def _read_pathtable(directory: str):
             f"output directory"
         )
     dtype = np.dtype(list(_PATHTABLE_FIELDS))
+    fmt = np.lib.format
+    # The header is checked against the file size before any record is
+    # read, so a header that declares more rows than the file holds fails
+    # here instead of allocating them.
     try:
         with open(table_path, "rb") as fh:
-            data = np.load(fh, allow_pickle=False)
-            trailing = fh.read(1)
+            version = fmt.read_magic(fh)
+            read_header = {
+                (1, 0): fmt.read_array_header_1_0,
+                (2, 0): fmt.read_array_header_2_0,
+            }.get(version)
+            if read_header is None:
+                raise ValueError(f"unsupported .npy format version {version}")
+            shape, _, stored = read_header(fh)
+            if len(shape) != 1 or stored != dtype:
+                raise ConfigError(
+                    f"{table_path}: expected a 1-D array of {dtype}, got "
+                    f"{stored} of shape {shape}"
+                )
+            expected = fh.tell() + shape[0] * dtype.itemsize
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise ConfigError(
+                    f"{table_path}: {size} bytes where the header's "
+                    f"{shape[0]} rows take {expected}"
+                )
+            data = np.fromfile(fh, dtype=dtype, count=shape[0])
     except (ValueError, EOFError, OSError) as exc:
         raise ConfigError(f"{table_path}: not a readable .npy table: {exc}") from exc
-    if not isinstance(data, np.ndarray) or trailing:
-        raise ConfigError(f"{table_path}: not a single .npy array")
-    if data.ndim != 1 or data.dtype != dtype:
-        raise ConfigError(
-            f"{table_path}: expected a 1-D array of {dtype}, got "
-            f"{data.dtype} of shape {data.shape}"
-        )
     if data.size == 0:
         raise ConfigError(f"{table_path}: empty table")
     fields = ("alpha_ref", "aaf", "amplitude", "delay_s")

@@ -381,10 +381,6 @@ class TestStreamingAssembly:
         row = np.full(want.shape, np.nan, dtype="<c8")
         assert assemble(paths, table, grid, out=row) is row
         assert np.array_equal(row.view(np.uint32), want.astype("<c8").view(np.uint32))
-        # the grid points a caller takes once give the same bits
-        given_points = np.empty_like(row)
-        assemble(paths, table, grid, out=given_points, frequencies=grid.points())
-        assert np.array_equal(given_points.view(np.uint32), row.view(np.uint32))
         wide = np.empty_like(want)
         assemble(paths, table, grid, out=wide)
         assert np.array_equal(wide.view(np.uint64), want.view(np.uint64))

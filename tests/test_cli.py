@@ -1196,6 +1196,15 @@ class TestPathTableFile:
         np.save(path, records)
         path.write_bytes(path.read_bytes()[:-5])
 
+    @staticmethod
+    def _huge_row_count(path, records):
+        # a header that declares far more rows than follow it
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": np.lib.format.dtype_to_descr(records.dtype),
+                     "fortran_order": False, "shape": (10**12,)})
+            records.tofile(fh)
+
     @pytest.mark.parametrize(
         "write",
         [
@@ -1207,6 +1216,7 @@ class TestPathTableFile:
             lambda p, r: np.save(p, np.stack([r["amplitude"], r["delay_s"]], axis=1)),
             lambda p, r: np.save(p, r.reshape(-1, 2)),
             _truncated,
+            _huge_row_count,
             lambda p, r: p.write_bytes(p.read_bytes() + b"\0" * 72),
             lambda p, r: p.write_bytes(p.read_bytes()[:40]),
             lambda p, r: p.write_bytes(b""),
@@ -1218,7 +1228,7 @@ class TestPathTableFile:
         ],
         ids=[
             "wrong-names", "int32-ue", "big-endian-floats", "plain-2-d",
-            "2-d-records", "truncated-data", "trailing-record", "truncated-header",
+            "2-d-records", "truncated-data", "huge-row-count", "trailing-record", "truncated-header",
             "empty-file",
             "object-pickle", "csv-text", "npz", "no-rows", "missing",
         ],
