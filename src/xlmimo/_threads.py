@@ -29,7 +29,7 @@ def apply_thread_env() -> None:
     value = os.environ.get(ENV_VAR)
     if value is None:
         return
-    if not value.isdigit() or int(value) < 1:
+    if not (value.isascii() and value.isdigit()) or int(value) < 1:
         raise ConfigError(f"{ENV_VAR} must be a positive integer, got {value!r}")
     for var in _BACKEND_VARS:
         os.environ.setdefault(var, value)

@@ -32,9 +32,9 @@ from .errors import ConfigError, GeometryError, NumericError
 _MAX_TRIAL_USERS = 1_000_000
 
 #: Largest estimate of ``synthesize``.  Two terms are streamed output: the
-#: users x elements x frequencies complex64 values of ``channel.bin`` and 72
-#: bytes per path-table row (elements x paths of every user), the size of
-#: one ``pathtable.npy`` record.  The rest is what one user holds
+#: users x elements x frequencies complex64 values of ``channel.bin`` and one
+#: ``serialization.PATHTABLE_DTYPE`` record (72 bytes) per path-table row
+#: (elements x paths of every user).  The rest is what one user holds
 #: (``channel._working_set_bytes``): its path table, one complex64 chunk of
 #: element rows with ``channel.assemble``'s tables for it, complex128 step
 #: phasors per path and block frequency (b <= 64) and start phasors per
@@ -43,19 +43,13 @@ _MAX_TRIAL_USERS = 1_000_000
 #: built, the rest once the paths are known; both before ``--out`` is made.
 _MAX_SYNTH_BYTES = 4 * 2**30
 
-#: The path table's fields in order: the ``pathtable.npy`` record dtype and
-#: the ``pathtable.csv`` columns.
-_PATHTABLE_FIELDS = (
-    ("ue", "<i8"),
-    ("path", "<i8"),
-    ("element", "<i8"),
-    ("alpha_ref", "<f8"),
-    ("aaf", "<f8"),
-    ("amplitude", "<f8"),
-    ("delay_s", "<f8"),
-    ("phase_rad", "<f8"),
-    ("distance_m", "<f8"),
-)
+#: Bytes ``generate-aaf`` holds per element of every sequence (its float64
+#: values and ACF, the int64 index columns of its tables) and per element of
+#: the sequence being drawn (Beta and normal draws, ``sns._ar1_filter``'s two
+#: lists of Python floats and result, the argsort, rank, arange and sorted
+#: arrays, and ``sns.acf``'s work arrays); checked against
+#: ``_MAX_SYNTH_BYTES`` before ``--out`` is made.
+_AAF_BYTES_PER_VALUE, _AAF_BYTES_PER_ELEMENT = 32, 152
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,10 +230,10 @@ def _needs_seed(variant: str, all_paths) -> bool:
     )
 
 
-def _check_synth_size(estimate: int, what: str) -> None:
+def _check_size(estimate: int, what: str, command: str = "synthesize") -> None:
     if estimate > _MAX_SYNTH_BYTES:
         raise ConfigError(
-            f"synthesize would need about {estimate / 2**30:.1f} GiB for "
+            f"{command} would need about {estimate / 2**30:.1f} GiB for "
             f"{what}; the limit is {_MAX_SYNTH_BYTES / 2**30:.0f} GiB"
         )
 
@@ -256,10 +250,10 @@ def _cmd_synthesize(args) -> int:
         path_table,
     )
     from .serialization import (
+        PATHTABLE_DTYPE,
         config_sha256,
-        npy_writer,
+        pathtable_writer,
         read_paths_csv,
-        table_writer,
         write_channel,
         write_json,
         write_paths_csv,
@@ -272,7 +266,7 @@ def _cmd_synthesize(args) -> int:
     num_elements = geometry.num_elements
     num_ues = len(args.paths) if args.paths else len(cfg["ues"])
     streamed = num_ues * num_elements * grid.num_points * 8
-    _check_synth_size(
+    _check_size(
         streamed + _working_set_bytes(num_elements, grid.num_points, 0),
         f"{num_ues} users x {num_elements} elements x {grid.num_points} frequencies",
     )
@@ -294,10 +288,10 @@ def _cmd_synthesize(args) -> int:
         all_paths = scenario.build_all_paths(cfg)
     num_rows = num_elements * sum(len(paths) for paths in all_paths)
     max_paths = max(len(paths) for paths in all_paths)
-    _check_synth_size(
+    _check_size(
         streamed
         + _working_set_bytes(num_elements, grid.num_points, max_paths)
-        + num_rows * 8 * len(_PATHTABLE_FIELDS),
+        + num_rows * PATHTABLE_DTYPE.itemsize,
         f"{num_rows} path-table rows and the channel",
     )
     if _needs_seed(variant, all_paths) and seed is None:
@@ -309,12 +303,10 @@ def _cmd_synthesize(args) -> int:
     out = _ensure_out(args)
     rows = _chunk_rows(num_elements, grid.num_points)
     chunk = np.empty((rows, grid.num_points), dtype="<c8")
-    dtype = np.dtype(list(_PATHTABLE_FIELDS))
 
-    def responses(append_csv, append_npy):
+    def responses(append_table):
         """Each user's response as complex64 chunks of element rows, all
-        written into ``chunk``, after its path-table records are appended
-        to both files: one per (path, element) in that order."""
+        written into ``chunk``, after its path-table records are appended."""
         for ue, paths in enumerate(all_paths):
             table = path_table(
                 paths,
@@ -332,36 +324,16 @@ def _cmd_synthesize(args) -> int:
                 ),
                 variant=variant,
             )
-            records = np.empty((len(paths), num_elements), dtype)
-            records["ue"] = ue
-            records["path"] = np.arange(len(paths))[:, None]
-            records["element"] = np.arange(num_elements)
-            records["alpha_ref"] = np.array([p.amplitude for p in paths])[:, None]
-            for name, column in (
-                ("aaf", table.aaf),
-                ("amplitude", table.amplitudes),
-                ("delay_s", table.delays),
-                ("phase_rad", table.phases),
-                ("distance_m", table.distances),
-            ):
-                records[name] = column.T
-            records = records.ravel()
-            append_csv([records[name] for name in dtype.names])
-            append_npy(records)
-            del records  # before the chunks are assembled
+            append_table(ue, paths, table)
             for lo in range(0, num_elements, rows):
                 hi = min(lo + rows, num_elements)
                 yield assemble(paths, table[lo:hi], grid, out=chunk[: hi - lo])
             del table  # before the next user's is built
 
-    with table_writer(
-        os.path.join(out, "pathtable.csv"), dtype.names
-    ) as append_csv, npy_writer(
-        os.path.join(out, "pathtable.npy"), dtype, num_rows
-    ) as append_npy:
+    with pathtable_writer(out, num_rows) as append_table:
         write_channel(
             os.path.join(out, "channel"),
-            responses(append_csv, append_npy),
+            responses(append_table),
             grid,
             geometry,
             variant,
@@ -411,6 +383,11 @@ def _cmd_generate_aaf(args) -> int:
         params = build_aaf_params(read_yaml(args.config) if args.config else {})
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"aaf: {exc}") from exc
+    _check_size(
+        args.elements * (args.sequences * _AAF_BYTES_PER_VALUE + _AAF_BYTES_PER_ELEMENT),
+        f"{args.sequences} sequences x {args.elements} elements",
+        "generate-aaf",
+    )
 
     out = _ensure_out(args)
     shape = (args.sequences, args.elements)
@@ -517,101 +494,14 @@ def _load_channels(args, with_values: bool) -> list:
 _PATH_METRICS = ("gain", "kfactor", "delay-spread", "spatial-correlation")
 
 
-def _read_pathtable(directory: str):
-    """Per-user amplitude/delay/aaf/alpha matrices from pathtable.npy.
-
-    The file must hold a 1-D array of ``_PATHTABLE_FIELDS`` records.  Every
-    user shares the element count; each user's rows must cover every
-    (path, element) pair exactly once, in any order, with finite,
-    non-negative values.
-    """
-    import numpy as np
-
-    table_path = os.path.join(directory, "pathtable.npy")
-    if not os.path.exists(table_path):
-        raise ConfigError(
-            f"{table_path} not found: per-path metrics need the synthesize "
-            f"output directory"
-        )
-    dtype = np.dtype(list(_PATHTABLE_FIELDS))
-    fmt = np.lib.format
-    # The header is checked against the file size before any record is
-    # read, so a header that declares more rows than the file holds fails
-    # here instead of allocating them.
-    try:
-        with open(table_path, "rb") as fh:
-            version = fmt.read_magic(fh)
-            read_header = {
-                (1, 0): fmt.read_array_header_1_0,
-                (2, 0): fmt.read_array_header_2_0,
-            }.get(version)
-            if read_header is None:
-                raise ValueError(f"unsupported .npy format version {version}")
-            shape, _, stored = read_header(fh)
-            if len(shape) != 1 or stored != dtype:
-                raise ConfigError(
-                    f"{table_path}: expected a 1-D array of {dtype}, got "
-                    f"{stored} of shape {shape}"
-                )
-            expected = fh.tell() + shape[0] * dtype.itemsize
-            size = os.fstat(fh.fileno()).st_size
-            if size != expected:
-                raise ConfigError(
-                    f"{table_path}: {size} bytes where the header's "
-                    f"{shape[0]} rows take {expected}"
-                )
-            data = np.fromfile(fh, dtype=dtype, count=shape[0])
-    except (ValueError, EOFError, OSError) as exc:
-        raise ConfigError(f"{table_path}: not a readable .npy table: {exc}") from exc
-    if data.size == 0:
-        raise ConfigError(f"{table_path}: empty table")
-    fields = ("alpha_ref", "aaf", "amplitude", "delay_s")
-    if not all(np.all(np.isfinite(data[f]) & (data[f] >= 0.0)) for f in fields):
-        raise ConfigError(
-            f"{table_path}: alpha_ref, aaf, amplitude and delay_s must be "
-            f"finite and >= 0"
-        )
-    rows = data.size
-    ue, path, element = data["ue"], data["path"], data["element"]
-    if not all(np.all((i >= 0) & (i < rows)) for i in (ue, path, element)):
-        raise ConfigError(f"{table_path}: invalid ue/path/element index")
-    num_elements = int(element.max()) + 1
-    num_paths = np.zeros(int(ue.max()) + 1, dtype=int)
-    np.maximum.at(num_paths, ue, path + 1)
-    bounds = np.concatenate([[0], np.cumsum(num_paths * num_elements)])
-    slot = bounds[ue] + path * num_elements + element
-    if (
-        bounds[-1] != rows
-        or np.any(num_paths == 0)
-        or np.any(np.bincount(slot, minlength=rows) != 1)
-    ):
-        raise ConfigError(
-            f"{table_path}: rows must cover every (ue, path, element) exactly "
-            f"once for {num_elements} elements"
-        )
-    row_of = np.empty(rows, dtype=int)
-    row_of[slot] = np.arange(rows)
-    out = []
-    for lo, hi, paths in zip(bounds[:-1], bounds[1:], num_paths):
-        # the (elements, paths) rows of one user's records, C-ordered so that
-        # every field gathered by it is too
-        index = np.ascontiguousarray(row_of[lo:hi].reshape(paths, num_elements).T)
-        aaf, amplitude, delay = (
-            data[name][index] for name in ("aaf", "amplitude", "delay_s")
-        )
-        alpha = data["alpha_ref"][index[0]]  # repeats on every element
-        out.append(
-            {"amplitude": amplitude, "delay": delay, "aaf": aaf, "alpha": alpha}
-        )
-    return out
-
-
 def _checked_tables(loaded, metrics, args) -> list:
     """Each channel's path tables (None without per-path metrics).
 
     Every channel is checked against the trial arguments and the metrics
     here, before ``evaluate`` makes ``--out`` or writes any file.
     """
+    from .serialization import read_pathtable
+
     trials = "capacity" in metrics or "demmel" in metrics
     if trials and args.seed is None:
         raise ConfigError("--seed is required for capacity/demmel trials")
@@ -623,7 +513,7 @@ def _checked_tables(loaded, metrics, args) -> list:
             )
         tables = None
         if any(m in _PATH_METRICS for m in metrics):
-            tables = _read_pathtable(directory)
+            tables = read_pathtable(directory)
         if "spatial-correlation" in metrics:
             num_paths = min(t["aaf"].shape[1] for t in tables)
             if num_paths < 2:

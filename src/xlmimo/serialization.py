@@ -5,7 +5,9 @@ serialized with ``repr`` (shortest round-trip form), JSON keys are sorted,
 and no timestamps or environment details are recorded.  Channel tensors are
 stored as little-endian complex64 binaries in C order next to a JSON header
 describing shape, grid, and provenance (seed and configuration hash).
-Record tables such as the path table are 1-D structured ``.npy`` arrays.
+The path table is a 1-D structured ``.npy`` array of ``PATHTABLE_DTYPE``
+records with the same values as CSV text next to it, both written from one
+append per user.
 
 Every writer is atomic: it writes a temporary file in the target's
 directory and renames it over the target only once it is complete, so a
@@ -101,81 +103,104 @@ def _formatted(block):
     return itertools.chain.from_iterable(map(itertools.repeat, strings, counts))
 
 
-@contextlib.contextmanager
-def table_writer(path, header):
-    """Write a CSV table with deterministic float formatting, rows appended
-    as they come; yields ``append``.
+def _csv_appender(fh, header):
+    """Write the CSV ``header`` row to ``fh``; return ``append(columns)``,
+    which writes rows with deterministic float formatting.
 
-    ``append(columns)`` writes rows: one sequence per ``header`` name (a
-    numpy array or a list), all of the same length.  Float and int arrays
-    are formatted a block of rows at a time, other cells one by one with
-    ``_fmt``.  When every column is a 1-D float or int array, no cell can
-    need quoting, so each block's rows are joined with ``,`` and newlines
-    directly; rows with any list, string or bool column go through ``csv``
-    quoting.  Both give the same bytes.  The table replaces ``path`` when
-    the block completes; if it raises, ``path`` is left as it was.
+    ``columns`` holds one sequence per ``header`` name (a numpy array or a
+    list), all of the same length.  Float and int arrays are formatted a
+    block of rows at a time, other cells one by one with ``_fmt``.  When
+    every column is a 1-D float or int array, no cell can need quoting, so
+    each block's rows are joined with ``,`` and newlines directly; rows with
+    any list, string or bool column go through ``csv`` quoting.  Both give
+    the same bytes, and so do rows split over several appends.
     """
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+
+    def append(columns):
+        columns = list(columns)
+        if len(columns) != len(header):
+            raise ValueError(f"{len(columns)} columns for {len(header)} header names")
+        num_rows = len(columns[0]) if columns else 0
+        if any(len(c) != num_rows for c in columns):
+            raise ValueError(f"column lengths differ: {[len(c) for c in columns]}")
+        numeric = all(
+            isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "fiu"
+            for c in columns
+        )
+        for lo in range(0, num_rows, _BLOCK_ROWS):
+            blocks = (_formatted(c[lo : lo + _BLOCK_ROWS]) for c in columns)
+            if numeric:
+                fh.write("\n".join(map(",".join, zip(*blocks))) + "\n")
+            else:
+                writer.writerows(zip(*blocks))
+
+    return append
+
+
+def write_table(path, header, columns) -> None:
+    """Write a CSV table (see :func:`_csv_appender`); it replaces ``path``
+    once complete, and a failed write leaves ``path`` as it was."""
     with _replacing(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        _csv_appender(fh, header)(columns)
 
-        def append(columns):
-            columns = list(columns)
-            if len(columns) != len(header):
-                raise ValueError(
-                    f"{len(columns)} columns for {len(header)} header names"
-                )
-            num_rows = len(columns[0]) if columns else 0
-            if any(len(c) != num_rows for c in columns):
-                raise ValueError(f"column lengths differ: {[len(c) for c in columns]}")
-            numeric = all(
-                isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "fiu"
-                for c in columns
-            )
-            for lo in range(0, num_rows, _BLOCK_ROWS):
-                blocks = (_formatted(c[lo : lo + _BLOCK_ROWS]) for c in columns)
-                if numeric:
-                    fh.write("\n".join(map(",".join, zip(*blocks))) + "\n")
-                else:
-                    writer.writerows(zip(*blocks))
 
-        yield append
+#: The path table's records: one per (user, path, element), the
+#: ``pathtable.npy`` dtype and the ``pathtable.csv`` columns.
+PATHTABLE_DTYPE = np.dtype(
+    [(name, "<i8") for name in ("ue", "path", "element")]
+    + [
+        (name, "<f8")
+        for name in ("alpha_ref", "aaf", "amplitude", "delay_s", "phase_rad", "distance_m")
+    ]
+)
 
 
 @contextlib.contextmanager
-def npy_writer(path, dtype, num_rows):
-    """Write a 1-D ``.npy`` array of ``num_rows`` records of ``dtype``,
-    records appended as they come; yields ``append``.
+def pathtable_writer(directory, num_rows):
+    """Write ``pathtable.npy`` and ``pathtable.csv`` in ``directory``, users
+    appended as they come; yields ``append(ue, paths, table)``.
 
-    The format 1.0 header goes first and gives the total row count, so the
-    complete file has the bytes of ``np.save`` on the whole array.
-    ``append(records)`` writes a 1-D array of exactly ``dtype``.  The file
-    replaces ``path`` when the block completes with ``num_rows`` records
-    written; a wrong dtype, shape or row count raises ``ValueError`` and
-    leaves ``path`` as it was.
+    Each call builds the records of user ``ue`` once, one per (path,
+    element) in that order, from its path list and its
+    :class:`xlmimo.channel.PathTable`, and appends them to both files.  The
+    ``.npy`` format 1.0 header goes first and gives the total row count, so
+    the complete file has the bytes of ``np.save`` on the whole table; the
+    ``.csv`` file has the bytes of one :func:`write_table`.  Both files
+    replace their targets once ``num_rows`` records are written; more or
+    fewer raise ``ValueError`` and leave both targets as they were.
     """
-    dtype = np.dtype(dtype)
-    with _replacing(path, "xb") as fh:
+    with _replacing(
+        os.path.join(directory, "pathtable.csv"), newline=""
+    ) as csv_fh, _replacing(os.path.join(directory, "pathtable.npy"), "xb") as npy_fh:
+        append_csv = _csv_appender(csv_fh, PATHTABLE_DTYPE.names)
         np.lib.format.write_array_header_1_0(
-            fh,
+            npy_fh,
             {
-                "descr": np.lib.format.dtype_to_descr(dtype),
+                "descr": np.lib.format.dtype_to_descr(PATHTABLE_DTYPE),
                 "fortran_order": False,
                 "shape": (num_rows,),
             },
         )
         written = 0
 
-        def append(records):
+        def append(ue, paths, table):
             nonlocal written
-            if records.dtype != dtype or records.ndim != 1:
-                raise ValueError(
-                    f"records of dtype {records.dtype} and shape {records.shape} "
-                    f"for a 1-D table of {dtype}"
-                )
-            if written + records.size > num_rows:
+            num_elements = table.amplitudes.shape[0]
+            if written + len(paths) * num_elements > num_rows:
                 raise ValueError(f"more than {num_rows} records")
-            records.tofile(fh)
+            records = np.empty((len(paths), num_elements), PATHTABLE_DTYPE)
+            records["ue"] = ue
+            records["path"] = np.arange(len(paths))[:, None]
+            records["element"] = np.arange(num_elements)
+            records["alpha_ref"] = np.array([p.amplitude for p in paths])[:, None]
+            columns = (table.aaf, table.amplitudes, table.delays, table.phases, table.distances)
+            for name, column in zip(PATHTABLE_DTYPE.names[4:], columns):
+                records[name] = column.T
+            records = records.ravel()
+            append_csv([records[name] for name in PATHTABLE_DTYPE.names])
+            records.tofile(npy_fh)
             written += records.size
 
         yield append
@@ -183,10 +208,90 @@ def npy_writer(path, dtype, num_rows):
             raise ValueError(f"{written} of {num_rows} records written")
 
 
-def write_table(path, header, columns) -> None:
-    """Write a whole CSV table: one ``append(columns)`` of :func:`table_writer`."""
-    with table_writer(path, header) as append:
-        append(columns)
+def read_pathtable(directory) -> list:
+    """Per-user amplitude/delay/aaf/alpha matrices from pathtable.npy.
+
+    The file must hold a 1-D array of ``PATHTABLE_DTYPE`` records.  Every
+    user shares the element count; each user's rows must cover every
+    (path, element) pair exactly once, in any order, with finite,
+    non-negative values.
+    """
+    table_path = os.path.join(directory, "pathtable.npy")
+    if not os.path.exists(table_path):
+        raise ConfigError(
+            f"{table_path} not found: per-path metrics need the synthesize "
+            f"output directory"
+        )
+    fmt = np.lib.format
+    # The header is checked against the file size before any record is
+    # read, so a header that declares more rows than the file holds fails
+    # here instead of allocating them.
+    try:
+        with open(table_path, "rb") as fh:
+            version = fmt.read_magic(fh)
+            read_header = {
+                (1, 0): fmt.read_array_header_1_0,
+                (2, 0): fmt.read_array_header_2_0,
+            }.get(version)
+            if read_header is None:
+                raise ValueError(f"unsupported .npy format version {version}")
+            shape, _, stored = read_header(fh)
+            if len(shape) != 1 or stored != PATHTABLE_DTYPE:
+                raise ConfigError(
+                    f"{table_path}: expected a 1-D array of {PATHTABLE_DTYPE}, got "
+                    f"{stored} of shape {shape}"
+                )
+            expected = fh.tell() + shape[0] * PATHTABLE_DTYPE.itemsize
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise ConfigError(
+                    f"{table_path}: {size} bytes where the header's "
+                    f"{shape[0]} rows take {expected}"
+                )
+            data = np.fromfile(fh, dtype=PATHTABLE_DTYPE, count=shape[0])
+    except (ValueError, EOFError, OSError) as exc:
+        raise ConfigError(f"{table_path}: not a readable .npy table: {exc}") from exc
+    if data.size == 0:
+        raise ConfigError(f"{table_path}: empty table")
+    fields = ("alpha_ref", "aaf", "amplitude", "delay_s")
+    if not all(np.all(np.isfinite(data[f]) & (data[f] >= 0.0)) for f in fields):
+        raise ConfigError(
+            f"{table_path}: alpha_ref, aaf, amplitude and delay_s must be "
+            f"finite and >= 0"
+        )
+    rows = data.size
+    ue, path, element = data["ue"], data["path"], data["element"]
+    if not all(np.all((i >= 0) & (i < rows)) for i in (ue, path, element)):
+        raise ConfigError(f"{table_path}: invalid ue/path/element index")
+    num_elements = int(element.max()) + 1
+    num_paths = np.zeros(int(ue.max()) + 1, dtype=int)
+    np.maximum.at(num_paths, ue, path + 1)
+    bounds = np.concatenate([[0], np.cumsum(num_paths * num_elements)])
+    slot = bounds[ue] + path * num_elements + element
+    if (
+        bounds[-1] != rows
+        or np.any(num_paths == 0)
+        or np.any(np.bincount(slot, minlength=rows) != 1)
+    ):
+        raise ConfigError(
+            f"{table_path}: rows must cover every (ue, path, element) exactly "
+            f"once for {num_elements} elements"
+        )
+    row_of = np.empty(rows, dtype=int)
+    row_of[slot] = np.arange(rows)
+    out = []
+    for lo, hi, paths in zip(bounds[:-1], bounds[1:], num_paths):
+        # the (elements, paths) rows of one user's records, C-ordered so that
+        # every field gathered by it is too
+        index = np.ascontiguousarray(row_of[lo:hi].reshape(paths, num_elements).T)
+        aaf, amplitude, delay = (
+            data[name][index] for name in ("aaf", "amplitude", "delay_s")
+        )
+        alpha = data["alpha_ref"][index[0]]  # repeats on every element
+        out.append(
+            {"amplitude": amplitude, "delay": delay, "aaf": aaf, "alpha": alpha}
+        )
+    return out
 
 
 def _dump_json(fh, obj) -> None:

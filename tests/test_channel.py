@@ -415,6 +415,63 @@ class TestStreamingAssembly:
             assert response + steps < peak < response + budget
 
 
+@st.composite
+def assembly_inputs(draw):
+    """One user of 1-4 paths over any wavefront models, an array of 1-300
+    elements with any reference element, a grid of 1-300 points (some
+    single-frequency), AAF columns with zeros, and a row slice lo..hi-1."""
+    m = draw(st.integers(1, 300))
+    k = draw(st.integers(1, 300))
+    models = draw(st.lists(st.sampled_from(list(WavefrontModel)), min_size=1, max_size=4))
+    reference = draw(st.integers(0, m - 1))
+    variant = draw(st.sampled_from(VARIANTS))
+    flat = draw(st.booleans())
+    zero_columns = draw(st.lists(st.booleans(), min_size=len(models), max_size=len(models)))
+    lo = draw(st.integers(0, m - 1))
+    hi = draw(st.integers(lo + 1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    paths = [
+        los_path(
+            distance=rng.uniform(0.5, 6.0), azimuth=rng.uniform(-1.4, 1.4),
+            amplitude=rng.uniform(0.05, 1.0), phase=rng.uniform(-np.pi, np.pi),
+            model=model, stationarity=Stationarity.NON_STATIONARY,
+        )
+        for model in models
+    ]
+    geom = ArrayGeometry(num_elements=m, spacing=1.364e-3, reference_index=reference)
+    f_low = rng.uniform(90e9, 110e9)
+    grid = FrequencyGrid(f_low, f_low if flat else f_low + rng.uniform(1e6, 20e9), k)
+    aaf = rng.uniform(0.0, 1.0, (m, len(paths)))
+    aaf[rng.random((m, len(paths))) < 0.1] = 0.0
+    aaf[:, zero_columns] = 0.0
+    tx = AntennaPattern("gaussian_lobe", 10.0, np.array([0.0, 1.0, 0.0]), 1.0, 1.0)
+    table = path_table(paths, geom, tx, OMNI, grid.carrier_hz, aaf, variant)
+    return paths, table, grid, lo, hi
+
+
+@settings(max_examples=30, deadline=None)
+@given(assembly_inputs())
+def test_row_slices_of_any_grid_give_the_rows_of_the_whole(drawn):
+    paths, table, grid, lo, hi = drawn
+    whole = assemble(paths, table, grid)
+    rows = np.full((hi - lo, grid.num_points), np.nan, dtype="<c8")
+    assemble(paths, table[lo:hi], grid, out=rows)
+    want = whole[lo:hi].astype("<c8")
+    assert np.array_equal(rows.view(np.uint32), want.view(np.uint32))
+    # the per-entry route: coef_m * exp(-2j*pi*f_k*tau_m), one exp of the
+    # delay's phase and one of the excess length's per entry
+    f = grid.points()
+    delays = np.array([p.delay for p in paths])
+    reference = np.zeros_like(whole)
+    for l, delay in enumerate(delays):
+        reference += (
+            table.coefficients[:, l, None]
+            * np.exp(-2j * np.pi * delay * f)
+            * np.exp(-2j * np.pi / SPEED_OF_LIGHT * np.outer(table.excess_lengths[:, l], f))
+        )
+    assert_near_reference(whole, reference)
+
+
 def test_block_length_is_the_cheapest_block():
     for k in range(1, 5001):
         cost = {b: b + math.ceil(k / b) for b in range(1, 65)}

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -615,6 +616,22 @@ class TestGenerateAafCommand:
     def test_invalid_arguments(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
 
+    def test_oversized_request_exits_2_before_allocating(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["generate-aaf", "--elements", "1000000000000", "--sequences", "1",
+                "--seed", "1", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "the limit is 4 GiB" in err and "Traceback" not in err
+        assert not out.exists()
+        assert peak < 2**20
+
 
 @pytest.fixture(scope="module")
 def synthesized(tmp_path_factory):
@@ -775,12 +792,12 @@ class TestEvaluateCommand:
         assert code == 2
 
     def test_pathtable_parsed_once_per_channel(self, synthesized, tmp_path, monkeypatch):
-        import xlmimo.cli as cli
+        import xlmimo.serialization as serialization
 
         calls = []
-        original = cli._read_pathtable
+        original = serialization.read_pathtable
         monkeypatch.setattr(
-            cli, "_read_pathtable", lambda d: calls.append(d) or original(d)
+            serialization, "read_pathtable", lambda d: calls.append(d) or original(d)
         )
         nf, ff = synthesized
         code = main(
@@ -849,10 +866,10 @@ class TestEvaluateCommand:
         assert "size" in capsys.readouterr().err
 
     def test_pathtable_matches_row_loop_reference(self, synthesized):
-        import xlmimo.cli as cli
+        from xlmimo.serialization import read_pathtable
 
         nf, _ = synthesized
-        tables = cli._read_pathtable(str(nf))
+        tables = read_pathtable(str(nf))
         rows = read_rows(nf / "pathtable.csv")
         assert sum(t["amplitude"].size for t in tables) == len(rows)
         for r in rows:
@@ -1121,8 +1138,7 @@ PATHTABLE_DTYPE = np.dtype(
 @st.composite
 def path_table_records(draw):
     """A valid path table of random size with random finite, non-negative
-    values (``alpha_ref`` constant per path), rows shuffled, and the cuts
-    at which it is appended."""
+    values (``alpha_ref`` constant per path), rows shuffled."""
     num_elements = draw(st.integers(1, 6))
     num_paths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1142,8 +1158,7 @@ def path_table_records(draw):
             )
         users.append(records.ravel())
     table = np.concatenate(users)[rng.permutation(sum(num_paths) * num_elements)]
-    cuts = sorted(draw(st.lists(st.integers(0, table.size), max_size=3)))
-    return table, num_paths, num_elements, cuts
+    return table, num_paths, num_elements
 
 
 class TestPathTableFile:
@@ -1153,15 +1168,12 @@ class TestPathTableFile:
     @settings(max_examples=60, deadline=None)
     @given(path_table_records())
     def test_shuffled_tables_round_trip(self, tmp_path_factory, drawn):
-        import xlmimo.cli as cli
-        from xlmimo.serialization import npy_writer
+        from xlmimo.serialization import read_pathtable
 
-        table, num_paths, num_elements, cuts = drawn
+        table, num_paths, num_elements = drawn
         directory = tmp_path_factory.mktemp("table")
-        with npy_writer(directory / "pathtable.npy", table.dtype, table.size) as append:
-            for lo, hi in zip((0, *cuts), (*cuts, table.size)):
-                append(table[lo:hi])
-        got = cli._read_pathtable(str(directory))
+        np.save(directory / "pathtable.npy", table, allow_pickle=False)
+        got = read_pathtable(str(directory))
 
         assert len(got) == len(num_paths)
         for ue, (tables, paths) in enumerate(zip(got, num_paths)):
@@ -1530,18 +1542,19 @@ class TestThreadEnv:
         assert os.environ["MKL_NUM_THREADS"] == "2"
 
     def test_apply_rejects_bad_values(self, monkeypatch):
-        monkeypatch.setenv("XLMIMO_NUM_THREADS", "0")
-        with pytest.raises(ConfigError):
-            apply_thread_env()
-        monkeypatch.setenv("XLMIMO_NUM_THREADS", "-3")
-        with pytest.raises(ConfigError):
-            apply_thread_env()
+        # "²" and "٣" are str.isdigit() digits but not ASCII decimals
+        for value in ("0", "-3", "²", "٣"):
+            monkeypatch.setenv("XLMIMO_NUM_THREADS", value)
+            with pytest.raises(ConfigError):
+                apply_thread_env()
 
     def test_unset_is_noop(self, monkeypatch):
         monkeypatch.delenv("XLMIMO_NUM_THREADS", raising=False)
         apply_thread_env()
 
-    @pytest.mark.parametrize("value", ["0", "abc"])
+    @pytest.mark.parametrize(
+        "value", ["0", "abc", "²", "٣"], ids=["0", "abc", "superscript-2", "arabic-indic-3"]
+    )
     def test_invalid_value_exits_2_from_a_fresh_process(self, tmp_path, value):
         # a fresh interpreter imports the package with the bad value set, as
         # `python -m xlmimo.cli` and the installed script do
@@ -1673,6 +1686,20 @@ class TestScipyFree:
 
 
 class TestEntryPoint:
+    def test_cli_import_defers_serialization_and_yaml(self):
+        # the writers and their yaml import load with the first command
+        # that needs them, not with the module
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, xlmimo.cli; print(','.join(sorted(m for m in sys.modules "
+                "if m == 'xlmimo.serialization' or m.split('.')[0] in ('yaml', '_yaml'))))",
+            ],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "out"
         proc = subprocess.run(

@@ -2,27 +2,28 @@ import csv
 import hashlib
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlmimo.channel import FrequencyGrid
+from xlmimo.channel import FrequencyGrid, PathTable
 from xlmimo.errors import ConfigError
 from xlmimo.geometry import Angles, ArrayGeometry
 from xlmimo.nearfield import PathRecord, Stationarity, WavefrontModel
 from xlmimo.serialization import (
     PATH_COLUMNS,
+    PATHTABLE_DTYPE,
     _fmt,
     config_sha256,
-    npy_writer,
+    pathtable_writer,
     read_channel,
     read_channel_header,
     read_json,
     read_paths_csv,
     read_yaml,
-    table_writer,
     write_channel,
     write_json,
     write_paths_csv,
@@ -245,21 +246,27 @@ class TestTableFormatting:
 
     @pytest.mark.parametrize("cuts", [(0, 5000), (1, 2048, 2049, 4999), (903, 1806)])
     def test_appended_rows_give_the_bytes_of_one_table(self, tmp_path, cuts):
-        # Each append formats its own blocks; runs and blocks restart at
-        # every cut, the bytes do not change.
-        n = 5000
-        columns = [
-            np.repeat(np.arange(6, dtype=np.int64), 903)[:n],
-            np.tile(np.arange(301, dtype=np.int64), 17)[:n],
-            np.random.default_rng(5).standard_normal(n),
-            np.repeat([0.5, -0.0, np.nan], [2500, 1, n])[:n],
-        ]
-        header = ["ue", "element", "value", "runs"]
-        write_table(tmp_path / "want.csv", header, columns)
-        with table_writer(tmp_path / "got.csv", header) as append:
-            for lo, hi in zip((0, *cuts), (*cuts, n)):
-                append([c[lo:hi] for c in columns])
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        # Each user's append formats its own blocks; runs and blocks restart
+        # at every user, the bytes do not change.
+        rng = np.random.default_rng(5)
+
+        def fill(shape):
+            # runs of equal values in even paths, distinct values in odd ones
+            values = rng.standard_normal(shape)
+            values[..., ::2] = rng.choice([0.5, -0.0, np.nan], shape[-1])[::2]
+            return values
+
+        users, want = path_table_users(cut_users(cuts, 5000), fill)
+        with pathtable_writer(tmp_path, want.size) as append:
+            for ue, (paths, table) in enumerate(users):
+                append(ue, paths, table)
+        write_table(
+            tmp_path / "want.csv", PATHTABLE_DTYPE.names,
+            [want[name] for name in PATHTABLE_DTYPE.names],
+        )
+        assert (tmp_path / "pathtable.csv").read_bytes() == (
+            tmp_path / "want.csv"
+        ).read_bytes()
 
     def test_column_count_and_lengths_checked(self, tmp_path):
         with pytest.raises(ValueError, match="2 columns for 3"):
@@ -580,59 +587,112 @@ class TestChannelIO:
         assert size <= peak <= size + 64 * 1024
 
 
-RECORD = np.dtype([("ue", "<i8"), ("element", "<i8"), ("value", "<f8")])
+def path_table_users(shapes, fill):
+    """One user per (paths, elements) shape: the ``(paths, table)`` that
+    :func:`pathtable_writer` appends, each field drawn by ``fill(shape)``,
+    and the records a row-by-row loop makes of them, users in order."""
+    users, rows = [], []
+    for ue, (num_paths, num_elements) in enumerate(shapes):
+        alpha = fill((num_paths,))
+        fields = [fill((num_elements, num_paths)) for _ in range(5)]
+        paths = [SimpleNamespace(amplitude=a) for a in alpha]
+        users.append((paths, PathTable(*fields, None, None)))
+        rows += [
+            (ue, l, m, alpha[l], *(f[m, l] for f in fields))
+            for l in range(num_paths)
+            for m in range(num_elements)
+        ]
+    return users, np.array(rows, PATHTABLE_DTYPE)
 
 
-def records(n, seed=0):
-    out = np.empty(n, RECORD)
-    out["ue"] = np.arange(n) // 7
-    out["element"] = np.arange(n) % 7
-    out["value"] = np.random.default_rng(seed).standard_normal(n)
-    return out
+def cut_users(cuts, num_rows):
+    """(paths, elements) shapes of users whose rows lie between ``cuts`` in
+    0..num_rows: two paths where the row count is even, else one."""
+    counts = np.diff((0, *cuts, num_rows)).tolist()
+    return [(2, n // 2) if n % 2 == 0 else (1, n) for n in counts]
+
+
+def normal_fill():
+    rng = np.random.default_rng(0)
+    return lambda shape: rng.standard_normal(shape)
 
 
 class TestNpyWriter:
+    """pathtable.npy as :func:`pathtable_writer` writes it next to
+    pathtable.csv."""
+
     @pytest.mark.parametrize("cuts", [(), (1,), (7, 8, 300), (0, 0, 500)])
     def test_appended_records_give_the_bytes_of_np_save(self, tmp_path, cuts):
-        n = 500
-        want = records(n)
+        users, want = path_table_users(cut_users(cuts, 500), normal_fill())
         np.save(tmp_path / "want.npy", want, allow_pickle=False)
-        with npy_writer(tmp_path / "got.npy", RECORD, n) as append:
-            for lo, hi in zip((0, *cuts), (*cuts, n)):
-                append(want[lo:hi])
-        assert (tmp_path / "got.npy").read_bytes() == (tmp_path / "want.npy").read_bytes()
-        got = np.load(tmp_path / "got.npy", allow_pickle=False)
-        assert got.dtype == RECORD and np.array_equal(got, want)
+        with pathtable_writer(tmp_path, want.size) as append:
+            for ue, (paths, table) in enumerate(users):
+                append(ue, paths, table)
+        got = tmp_path / "pathtable.npy"
+        assert got.read_bytes() == (tmp_path / "want.npy").read_bytes()
+        assert np.array_equal(np.load(got, allow_pickle=False), want)
 
     def test_empty_table(self, tmp_path):
-        with npy_writer(tmp_path / "t.npy", RECORD, 0):
+        with pathtable_writer(tmp_path, 0):
             pass
-        assert np.load(tmp_path / "t.npy").shape == (0,)
+        table = np.load(tmp_path / "pathtable.npy")
+        assert table.shape == (0,) and table.dtype == PATHTABLE_DTYPE
+        header = ",".join(PATHTABLE_DTYPE.names)
+        assert (tmp_path / "pathtable.csv").read_text() == header + "\n"
 
     @pytest.mark.parametrize(
-        "appended, message",
-        [
-            ([records(3)], "3 of 4 records"),
-            ([records(3), records(2)], "more than 4"),
-            ([records(4).astype([("ue", "<i8"), ("element", "<i8"), ("value", "<f4")])],
-             "dtype"),
-            ([records(4).reshape(2, 2)], "shape"),
-            ([np.zeros(4)], "dtype"),
-        ],
-        ids=["too-few", "too-many", "field-dtype", "2-d", "plain-float"],
+        "shapes, message",
+        [([(1, 3)], "3 of 4 records"), ([(1, 3), (2, 1)], "more than 4")],
+        ids=["too-few", "too-many"],
     )
     @pytest.mark.parametrize("existing", [False, True])
-    def test_wrong_records_leave_target(self, tmp_path, appended, message, existing):
-        target = tmp_path / "t.npy"
+    def test_wrong_records_leave_target(self, tmp_path, shapes, message, existing):
+        names = ["pathtable.csv", "pathtable.npy"]
         if existing:
-            target.write_bytes(b"previous\n")
+            for name in names:
+                (tmp_path / name).write_bytes(b"previous\n")
+        users, _ = path_table_users(shapes, normal_fill())
         with pytest.raises(ValueError, match=message):
-            with npy_writer(target, RECORD, 4) as append:
-                for r in appended:
-                    append(r)
-        assert sorted(p.name for p in tmp_path.iterdir()) == (["t.npy"] if existing else [])
+            with pathtable_writer(tmp_path, 4) as append:
+                for ue, (paths, table) in enumerate(users):
+                    append(ue, paths, table)
+        assert sorted(p.name for p in tmp_path.iterdir()) == (names if existing else [])
         if existing:
-            assert target.read_bytes() == b"previous\n"
+            assert all((tmp_path / n).read_bytes() == b"previous\n" for n in names)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 40)), max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_csv_cells_parse_to_the_npy_bits(self, tmp_path_factory, shapes, seed):
+        # every pathtable.csv cell is float() or int() of its pathtable.npy
+        # field, bit for bit, in the same rows and order
+        rng = np.random.default_rng(seed)
+        special = np.array(
+            [0.0, -0.0, 5e-324, 2.2250738585072e-309, 1e-300, 1.0, 1e300,
+             1.7976931348623157e308, np.inf, -np.inf, np.nan]
+        )
+
+        def fill(shape):
+            values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-320, 300, shape)
+            return np.where(rng.random(shape) < 0.3, rng.choice(special, shape), values)
+
+        users, _ = path_table_users(shapes, fill)
+        directory = tmp_path_factory.mktemp("table")
+        with pathtable_writer(directory, sum(p * m for p, m in shapes)) as append:
+            for ue, (paths, table) in enumerate(users):
+                append(ue, paths, table)
+        records = np.load(directory / "pathtable.npy", allow_pickle=False)
+        with open(directory / "pathtable.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert tuple(header) == PATHTABLE_DTYPE.names
+        assert records.shape == (len(rows),)
+        for name, cells in zip(header, zip(*rows)):
+            kind = int if records.dtype[name].kind == "i" else float
+            parsed = np.array([kind(cell) for cell in cells], records.dtype[name])
+            got = np.ascontiguousarray(records[name])
+            assert np.array_equal(parsed.view(np.uint64), got.view(np.uint64)), name
 
 
 class Unprintable:
