@@ -19,6 +19,7 @@ imports in this module are deliberately deferred.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -43,13 +44,13 @@ _MAX_TRIAL_USERS = 1_000_000
 #: built, the rest once the paths are known; both before ``--out`` is made.
 _MAX_SYNTH_BYTES = 4 * 2**30
 
-#: Bytes ``generate-aaf`` holds per element of every sequence (its float64
-#: values and ACF, the int64 index columns of its tables) and per element of
-#: the sequence being drawn (Beta and normal draws, ``sns._ar1_filter``'s two
-#: lists of Python floats and result, the argsort, rank, arange and sorted
-#: arrays, and ``sns.acf``'s work arrays); checked against
-#: ``_MAX_SYNTH_BYTES`` before ``--out`` is made.
-_AAF_BYTES_PER_VALUE, _AAF_BYTES_PER_ELEMENT = 32, 152
+#: Bytes ``generate-aaf`` holds per element of the one sequence it draws,
+#: fits and appends before the next: its float64 values and ACF, int64
+#: ``sequence`` column and the shared ``element`` column (32), the Beta and
+#: normal draws, ``sns._ar1_filter``'s two lists of Python floats and result,
+#: the argsort, rank, arange and sorted arrays and ``sns.acf``'s work arrays
+#: (152); checked against ``_MAX_SYNTH_BYTES`` before ``--out`` is made.
+_AAF_BYTES_PER_ELEMENT = 32 + 152
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +363,7 @@ def _cmd_generate_aaf(args) -> int:
     import numpy as np
 
     from .scenario import build_aaf_params
-    from .serialization import read_yaml, write_json, write_table
+    from .serialization import _csv_appender, _replacing, read_yaml, write_json
     from .sns import acf, fit_dcorr, generate_aaf, sample_aaf_params
 
     if args.elements < 1:
@@ -384,57 +385,49 @@ def _cmd_generate_aaf(args) -> int:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"aaf: {exc}") from exc
     _check_size(
-        args.elements * (args.sequences * _AAF_BYTES_PER_VALUE + _AAF_BYTES_PER_ELEMENT),
-        f"{args.sequences} sequences x {args.elements} elements",
+        args.elements * _AAF_BYTES_PER_ELEMENT,
+        f"{args.elements} elements per sequence",
         "generate-aaf",
     )
 
     out = _ensure_out(args)
-    shape = (args.sequences, args.elements)
-    values = np.empty(shape)
-    acf_values = np.empty(shape)
-    param_columns = {"sequence": [], "p": [], "q": [], "d_corr": [], "fitted_dcorr": []}
-    for seq in range(args.sequences):
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(seq,)))
-        if args.p is not None:
-            p, q, d_corr = args.p, args.q, args.dcorr
-        else:
-            p, q, d_corr = sample_aaf_params(params, rng)
-        try:
-            values[seq] = generate_aaf(args.elements, p, q, d_corr, rng)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        try:
-            curve = acf(values[seq]) if args.elements >= 3 else None
-        except ValueError:  # constant draws (e.g. p >> q) have no ACF
-            curve = None
-        if curve is not None:
-            fitted = fit_dcorr(curve)
-            acf_values[seq] = curve
-        else:
-            fitted = float("nan")
-            acf_values[seq] = np.nan
-        for column, value in zip(param_columns.values(), (seq, p, q, d_corr, fitted)):
-            column.append(value)
+    element = np.arange(args.elements)
+    with contextlib.ExitStack() as stack:
 
-    sequence = np.repeat(np.arange(args.sequences), args.elements)
-    element = np.tile(np.arange(args.elements), args.sequences)
-    write_table(
-        os.path.join(out, "aaf.csv"),
-        ["sequence", "element", "value"],
-        [sequence, element, values.ravel()],
-    )
-    write_table(
-        os.path.join(out, "aaf_params.csv"),
-        list(param_columns),
-        list(param_columns.values()),
-    )
-    if args.elements >= 3:
-        write_table(
-            os.path.join(out, "acf.csv"),
-            ["sequence", "lag", "value"],
-            [sequence, element, acf_values.ravel()],
+        def appender(name, header):
+            fh = stack.enter_context(_replacing(os.path.join(out, name), newline=""))
+            return _csv_appender(fh, header)
+
+        append_aaf = appender("aaf.csv", ["sequence", "element", "value"])
+        append_params = appender(
+            "aaf_params.csv", ["sequence", "p", "q", "d_corr", "fitted_dcorr"]
         )
+        if args.elements >= 3:
+            append_acf = appender("acf.csv", ["sequence", "lag", "value"])
+        for seq in range(args.sequences):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(args.seed, spawn_key=(seq,))
+            )
+            if args.p is not None:
+                p, q, d_corr = args.p, args.q, args.dcorr
+            else:
+                p, q, d_corr = sample_aaf_params(params, rng)
+            try:
+                values = generate_aaf(args.elements, p, q, d_corr, rng)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+            sequence = np.full(args.elements, seq)
+            append_aaf([sequence, element, values])
+            fitted = float("nan")
+            if args.elements >= 3:
+                try:
+                    curve = acf(values)
+                except ValueError:  # constant draws (e.g. p >> q) have no ACF
+                    curve = np.full(args.elements, np.nan)
+                else:
+                    fitted = fit_dcorr(curve)
+                append_acf([sequence, element, curve])
+            append_params([[seq], [p], [q], [d_corr], [fitted]])
     write_json(
         os.path.join(out, "meta.json"),
         {

@@ -43,6 +43,9 @@ from .geometry import (
 # Distances below this are treated as coincident points.
 _DEGENERATE_DISTANCE = 1e-12
 
+# Largest attenuation of a gaussian_lobe pattern below its peak, dB.
+_FLOOR_DB = 30.0
+
 
 class WavefrontModel(enum.Enum):
     """How a path's wavefront is expanded across the array.
@@ -81,7 +84,7 @@ class AntennaPattern:
     single main lobe with quadratic (dB) roll-off: the attenuation at an
     azimuth/elevation offset from boresight is
     ``12 * ((d_az / hpbw_az)**2 + (d_el / hpbw_el)**2)`` dB, capped at
-    ``floor_db`` below the peak, which puts the half-power points at half a
+    ``_FLOOR_DB`` below the peak, which puts the half-power points at half a
     beamwidth off boresight on each principal cut.
 
     Attributes
@@ -94,8 +97,6 @@ class AntennaPattern:
         Unit pointing vector (gaussian_lobe only).
     hpbw_az, hpbw_el : float
         Half-power beamwidths in radians (gaussian_lobe only).
-    floor_db : float
-        Maximum attenuation below the peak, dB.
     """
 
     kind: str = "omnidirectional"
@@ -103,13 +104,11 @@ class AntennaPattern:
     boresight: np.ndarray | None = None
     hpbw_az: float = 0.0
     hpbw_el: float = 0.0
-    floor_db: float = 30.0
 
     def __post_init__(self):
         if self.kind not in ("omnidirectional", "gaussian_lobe"):
             raise ValueError(f"unknown pattern kind {self.kind!r}")
         self.gain_dbi = float(self.gain_dbi)
-        self.floor_db = float(self.floor_db)
         if not np.isfinite(self.gain_dbi):
             raise ValueError(f"gain_dbi must be finite, got {self.gain_dbi}")
         if self.kind == "gaussian_lobe":
@@ -120,8 +119,6 @@ class AntennaPattern:
             self.hpbw_el = float(self.hpbw_el)
             if not (0.0 < self.hpbw_az < np.inf and 0.0 < self.hpbw_el < np.inf):
                 raise ValueError("gaussian_lobe beamwidths must be finite and > 0")
-            if not 0.0 < self.floor_db < np.inf:
-                raise ValueError("floor_db must be finite and > 0")
 
     def gain_db(self, direction) -> np.ndarray:
         """Power gain in dB toward unit direction(s) of shape (..., 3)."""
@@ -134,7 +131,7 @@ class AntennaPattern:
         d_az = np.mod(az - bs.azimuth + np.pi, 2.0 * np.pi) - np.pi
         d_el = el - bs.elevation
         att = 12.0 * ((d_az / self.hpbw_az) ** 2 + (d_el / self.hpbw_el) ** 2)
-        return self.gain_dbi - np.minimum(att, self.floor_db)
+        return self.gain_dbi - np.minimum(att, _FLOOR_DB)
 
     def field_gain(self, direction) -> np.ndarray:
         """Linear field (amplitude) gain toward unit direction(s)."""

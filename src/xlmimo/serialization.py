@@ -115,8 +115,8 @@ def _csv_appender(fh, header):
     any list, string or bool column go through ``csv`` quoting.  Both give
     the same bytes, and so do rows split over several appends.
     """
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
+    # No csv writer outlives its write: each holds a 128 KiB record buffer.
+    csv.writer(fh, lineterminator="\n").writerow(header)
 
     def append(columns):
         columns = list(columns)
@@ -134,7 +134,7 @@ def _csv_appender(fh, header):
             if numeric:
                 fh.write("\n".join(map(",".join, zip(*blocks))) + "\n")
             else:
-                writer.writerows(zip(*blocks))
+                csv.writer(fh, lineterminator="\n").writerows(zip(*blocks))
 
     return append
 
@@ -328,6 +328,8 @@ def read_yaml(path) -> dict:
             loaded = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path}: expected a mapping at the top level")
     return loaded
@@ -357,41 +359,45 @@ def write_paths_csv(path, paths) -> None:
 
 def read_paths_csv(path) -> list:
     """Parse a path list written by :func:`write_paths_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != PATH_COLUMNS:
-            raise ConfigError(
-                f"{path}: expected columns {PATH_COLUMNS}, got {reader.fieldnames}"
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != PATH_COLUMNS:
+                raise ConfigError(
+                    f"{path}: expected columns {PATH_COLUMNS}, got {reader.fieldnames}"
+                )
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
+    paths = []
+    for i, row in enumerate(rows):
+        try:
+            aaf = (
+                np.array([float(v) for v in row["aaf"].split(";")])
+                if row["aaf"]
+                else None
             )
-        paths = []
-        for i, row in enumerate(reader):
-            try:
-                aaf = (
-                    np.array([float(v) for v in row["aaf"].split(";")])
-                    if row["aaf"]
-                    else None
+            paths.append(
+                PathRecord(
+                    model=WavefrontModel(row["model"]),
+                    stationarity=Stationarity(row["stationarity"]),
+                    amplitude=float(row["amplitude"]),
+                    phase=float(row["phase_rad"]),
+                    delay=float(row["delay_s"]),
+                    distance=float(row["distance_m"]),
+                    aod=Angles(
+                        float(row["aod_azimuth_rad"]),
+                        float(row["aod_elevation_rad"]),
+                    ),
+                    aoa=Angles(
+                        float(row["aoa_azimuth_rad"]),
+                        float(row["aoa_elevation_rad"]),
+                    ),
+                    aaf=aaf,
                 )
-                paths.append(
-                    PathRecord(
-                        model=WavefrontModel(row["model"]),
-                        stationarity=Stationarity(row["stationarity"]),
-                        amplitude=float(row["amplitude"]),
-                        phase=float(row["phase_rad"]),
-                        delay=float(row["delay_s"]),
-                        distance=float(row["distance_m"]),
-                        aod=Angles(
-                            float(row["aod_azimuth_rad"]),
-                            float(row["aod_elevation_rad"]),
-                        ),
-                        aoa=Angles(
-                            float(row["aoa_azimuth_rad"]),
-                            float(row["aoa_elevation_rad"]),
-                        ),
-                        aaf=aaf,
-                    )
-                )
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(f"{path}: row {i + 1}: {exc}") from exc
+            )
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"{path}: row {i + 1}: {exc}") from exc
     if not paths:
         raise ConfigError(f"{path}: no paths found")
     return paths
@@ -497,6 +503,8 @@ def read_channel_header(basepath) -> dict:
         meta = read_json(meta_path)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{meta_path}: invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{meta_path}: cannot read: {exc}") from exc
     if not isinstance(meta, dict):
         raise ConfigError(f"{meta_path}: expected a JSON object")
     if meta.get("format_version") != TENSOR_FORMAT_VERSION:

@@ -427,6 +427,35 @@ class TestStreamingSynthesis:
         assert main(argv + ["--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize(
+    "command", ["synthesize-config", "synthesize-paths", "generate-aaf", "evaluate"]
+)
+def test_unreadable_input_file_exits_2(tmp_path, capsys, command):
+    """A missing file, a directory or a non-UTF-8 header is a bad input file,
+    reported with its path before ``--out`` is made."""
+    missing = tmp_path / "missing.yaml"
+    if command == "synthesize-config":
+        bad, argv = missing, ["synthesize", "--config", str(missing)]
+    elif command == "synthesize-paths":
+        bad = tmp_path / "a-directory"
+        bad.mkdir()
+        argv = ["synthesize", "--preset", "case1-concrete", "--paths", str(bad)]
+    elif command == "generate-aaf":
+        bad = missing
+        argv = ["generate-aaf", "--elements", "8", "--seed", "1", "--config", str(bad)]
+    else:
+        bad = tmp_path / "channel.json"
+        bad.write_bytes(b"\xff\xfe{")
+        (tmp_path / "channel.bin").write_bytes(b"")
+        argv = ["evaluate", "--channel", str(tmp_path / "channel"), "--metrics", "gain"]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: "), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def staged_paths(tmp_path, **row_edits):
     """The freespace path list as a --paths file, its first row edited."""
     staged = tmp_path / "staged"
@@ -596,13 +625,145 @@ class TestGenerateAafCommand:
         got = np.array([float(r["value"]) for r in read_rows(out / "aaf.csv")])
         assert np.array_equal(got, want)
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        argv = ["generate-aaf", "--elements", "16", "--sequences", "3", "--seed", "9"]
+    @pytest.mark.parametrize("elements", [16, 2])
+    def test_rerun_is_byte_identical(self, tmp_path, elements):
+        argv = ["generate-aaf", "--elements", str(elements), "--sequences", "3",
+                "--seed", "9"]
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
-        assert (a / "aaf.csv").read_bytes() == (b / "aaf.csv").read_bytes()
-        assert (a / "aaf_params.csv").read_bytes() == (b / "aaf_params.csv").read_bytes()
+        files = {p.name: p.read_bytes() for p in a.iterdir()}
+        assert set(files) == {"aaf.csv", "aaf_params.csv", "meta.json"} | (
+            {"acf.csv"} if elements >= 3 else set()
+        )
+        assert {p.name: p.read_bytes() for p in b.iterdir()} == files
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--elements", "301", "--sequences", "10", "--seed", "17"],
+            # 2048-row format blocks straddle sequences
+            ["--elements", "5000", "--sequences", "3", "--seed", "3"],
+            ["--elements", "2", "--sequences", "3", "--seed", "3"],
+            # constant draws: NaN ACF rows and fitted decay
+            ["--elements", "8", "--sequences", "2", "--seed", "1",
+             "--p", "1e10", "--q", "1e-10", "--dcorr", "1"],
+            ["--elements", "40", "--sequences", "4", "--seed", "11", "--config"],
+        ],
+        ids=["301x10", "5000x3", "2x3", "constant", "config"],
+    )
+    def test_streamed_tables_equal_whole_run_tables(self, tmp_path, flags):
+        """Each sequence's rows are appended as it is drawn; the files have
+        the bytes of whole-run tables written by ``write_table``."""
+        from xlmimo.scenario import build_aaf_params
+        from xlmimo.serialization import write_table
+        from xlmimo.sns import acf, fit_dcorr, generate_aaf, sample_aaf_params
+
+        config = {}
+        if flags[-1] == "--config":
+            config = {"aaf": {"mu_p": 0.9, "sigma_p": 0.3, "dcorr_range": [0.01, 0.2]}}
+            write_yaml(tmp_path / "aaf.yaml", config)
+            flags = flags + [str(tmp_path / "aaf.yaml")]
+        out = tmp_path / "out"
+        assert main(["generate-aaf", *flags, "--out", str(out)]) == 0
+
+        opts = dict(zip(flags[::2], flags[1::2]))
+        elements, sequences = int(opts["--elements"]), int(opts["--sequences"])
+        params = build_aaf_params(config)
+        values = np.empty((sequences, elements))
+        acf_values = np.full((sequences, elements), np.nan)
+        rows = []
+        for seq in range(sequences):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(int(opts["--seed"]), spawn_key=(seq,))
+            )
+            if "--p" in opts:
+                p, q, d_corr = (float(opts[k]) for k in ("--p", "--q", "--dcorr"))
+            else:
+                p, q, d_corr = sample_aaf_params(params, rng)
+            values[seq] = generate_aaf(elements, p, q, d_corr, rng)
+            fitted = float("nan")
+            try:
+                curve = acf(values[seq]) if elements >= 3 else None
+            except ValueError:  # constant draws
+                curve = None
+            if curve is not None:
+                acf_values[seq] = curve
+                fitted = fit_dcorr(curve)
+            rows.append([seq, p, q, d_corr, fitted])
+        sequence = np.repeat(np.arange(sequences), elements)
+        element = np.tile(np.arange(elements), sequences)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        write_table(ref / "aaf.csv", ["sequence", "element", "value"],
+                    [sequence, element, values.ravel()])
+        write_table(ref / "aaf_params.csv",
+                    ["sequence", "p", "q", "d_corr", "fitted_dcorr"],
+                    [list(column) for column in zip(*rows)])
+        if elements >= 3:
+            write_table(ref / "acf.csv", ["sequence", "lag", "value"],
+                        [sequence, element, acf_values.ravel()])
+        for p in ref.iterdir():
+            assert (out / p.name).read_bytes() == p.read_bytes(), p.name
+        assert (out / "acf.csv").exists() == (elements >= 3)
+
+    def test_size_guard_counts_one_sequence(self, tmp_path, capsys, monkeypatch):
+        from xlmimo import cli
+
+        argv = ["generate-aaf", "--elements", "2", "--sequences", "50", "--seed", "1",
+                "--out", str(tmp_path / "out")]
+        monkeypatch.setattr(cli, "_MAX_SYNTH_BYTES", 2 * cli._AAF_BYTES_PER_ELEMENT - 1)
+        assert main(argv) == 2
+        assert "2 elements per sequence" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        monkeypatch.setattr(cli, "_MAX_SYNTH_BYTES", 2 * cli._AAF_BYTES_PER_ELEMENT)
+        assert main(argv) == 0
+        assert len(read_rows(tmp_path / "out" / "aaf.csv")) == 100
+
+    def test_peak_memory_is_one_sequence(self, tmp_path):
+        from xlmimo.cli import _AAF_BYTES_PER_ELEMENT
+
+        def peak(sequences):
+            argv = ["generate-aaf", "--elements", "5000", "--sequences",
+                    str(sequences), "--seed", "1", "--out", str(tmp_path / str(sequences))]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up: first-call imports and caches
+        two, eight = peak(2), peak(8)
+        assert eight <= two + 64 * 2**10, (two, eight)
+        assert max(two, eight) < 5000 * _AAF_BYTES_PER_ELEMENT, (two, eight)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_in_a_late_sequence_leaves_no_file(
+        self, tmp_path, monkeypatch, existing
+    ):
+        from xlmimo import sns
+        from xlmimo.errors import NumericError
+
+        argv = ["generate-aaf", "--elements", "64", "--sequences", "4", "--seed", "2",
+                "--out", str(tmp_path / "out")]
+        out = tmp_path / "out"
+        if existing:
+            assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if existing else {}
+        calls = []
+        original = sns.fit_dcorr
+
+        def fit(curve):
+            calls.append(0)
+            if len(calls) == 3:
+                raise NumericError("third sequence failed")
+            return original(curve)
+
+        monkeypatch.setattr(sns, "fit_dcorr", fit)
+        assert main(argv) == 3
+        assert len(calls) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xlmimo.errors import GeometryError, NumericError
@@ -382,6 +384,11 @@ class TestFfPathMatrix:
         assert_allclose(mat, np.exp(-1j * 0.2) * np.ones((8, 1)), atol=1e-12)
 
 
+ANGLES = st.builds(
+    Angles, st.floats(-np.pi, np.pi, exclude_min=True), st.floats(0.0, np.pi)
+)
+
+
 class TestPlaneWaveLimit:
     def test_nf_matches_ff_at_extreme_distance(self):
         f = 100e9
@@ -408,6 +415,66 @@ class TestPlaneWaveLimit:
         ff = plane_wave_matrix(path, geom, freqs)
         assert np.max(np.abs(nf - ff)) < 1e-4
         assert_allclose(ff, plane_wave_weights(path, geom, freqs), atol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        num_elements=st.integers(1, 600),
+        spacing=st.floats(1e-4, 1e-2),
+        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda v: np.linalg.norm(v) > 1e-3
+        ),
+        reference=st.floats(0.0, 1.0),
+        model=st.sampled_from(
+            [WavefrontModel.LOS, WavefrontModel.SRM, WavefrontModel.SPM]
+        ),
+        aod=ANGLES,
+        aoa=ANGLES,
+        phase=st.floats(-np.pi, np.pi),
+        carrier=st.floats(60e9, 300e9),
+    )
+    def test_every_spherical_model_tends_to_the_plane_wave(
+        self, num_elements, spacing, axis, reference, model, aod, aoa, phase, carrier
+    ):
+        """At 1e6 apertures a spherical expansion's excess lengths and phases
+        are the plane wave's to within the second-order term
+        aperture**2 / distance (times 2*pi*f/c for the phases) plus rounding,
+        and its reference row reproduces the path's inputs."""
+        geom = ArrayGeometry(
+            num_elements=num_elements,
+            spacing=spacing,
+            axis=np.array(axis) / np.linalg.norm(axis),
+            reference_index=round(reference * (num_elements - 1)),
+        )
+        # a single element has no aperture: place it as a two-element array
+        distance = 1e6 * max(geom.aperture, geom.spacing)
+        path = PathRecord(
+            model=model,
+            amplitude=0.7,
+            phase=phase,
+            delay=distance / SPEED_OF_LIGHT,
+            distance=distance,
+            aod=aod,
+            aoa=aoa,
+        )
+        nf = expand_path(path, geom, carrier)
+        ff = expand_path(path, geom, carrier, force_ff=True)
+        wavenumber = 2.0 * np.pi * carrier / SPEED_OF_LIGHT
+        length_tol = geom.aperture**2 / distance + 8 * np.spacing(distance)
+        assert np.max(np.abs(nf.excess_lengths - ff.excess_lengths)) <= length_tol
+        phase_tol = wavenumber * length_tol + 8 * np.spacing(np.abs(ff.phases).max())
+        assert np.max(np.abs(nf.phases - ff.phases)) <= phase_tol
+
+        r = geom.reference_index
+        assert nf.excess_lengths[r] == 0.0
+        assert_allclose(
+            [nf.distances[r], nf.amplitudes[r], nf.delays[r], nf.gains[r]],
+            [distance, path.amplitude, path.delay, 1.0],
+            rtol=4e-16,
+        )
+        phase_ulps = wavenumber * 4 * np.spacing(distance) + 4e-16
+        assert abs(nf.phases[r] - phase) <= phase_ulps
+        assert_allclose(nf.aod[r], direction_vector(path.aod), atol=4e-16)
+        assert_allclose(nf.aoa[r], direction_vector(path.aoa), atol=4e-16)
 
 
 class TestBuildATensor:
