@@ -457,21 +457,17 @@ def _parse_metrics(spec: str) -> list:
     return metrics
 
 
-def _load_channels(args, with_values: bool) -> list:
-    """Load channels as (label, values, meta, directory) tuples.
+def _load_channels(args) -> list:
+    """Load channels as (label, path, meta, directory) tuples.
 
-    Every header and file size is checked; without ``with_values`` no tensor
-    value is read and ``values`` is None.
+    Every header and file size is checked; no tensor value is read.
     """
-    from .serialization import read_channel, read_channel_header
+    from .serialization import read_channel_header
 
     loaded = []
     seen = {}
     for path in args.channel:
-        if with_values:
-            values, meta = read_channel(path)
-        else:
-            values, meta = None, read_channel_header(path)
+        meta = read_channel_header(path)
         base = os.path.basename(path)
         if base.endswith(".json"):
             base = base[: -len(".json")]
@@ -480,8 +476,23 @@ def _load_channels(args, with_values: bool) -> list:
         if seen[label] > 1:
             label = f"{label}_{seen[label]}"
         directory = os.path.dirname(os.path.abspath(path))
-        loaded.append((label, values, meta, directory))
+        loaded.append((label, path, meta, directory))
     return loaded
+
+
+def _channel_gram(path, meta):
+    """The trial metrics' :class:`xlmimo.metrics.PoolGram` of a channel,
+    streamed from its ``.bin`` file; a non-finite value exits 2."""
+    import functools
+
+    from . import metrics as mx
+    from .serialization import _channel_files, read_channel_rows
+
+    shape = meta["shape"]
+    try:
+        return mx.stream_gram(functools.partial(read_channel_rows, path, shape), shape)
+    except ValueError as exc:
+        raise ConfigError(f"{_channel_files(path)[1]}: {exc}") from exc
 
 
 _PATH_METRICS = ("gain", "kfactor", "delay-spread", "spatial-correlation")
@@ -499,11 +510,10 @@ def _checked_tables(loaded, metrics, args) -> list:
     if trials and args.seed is None:
         raise ConfigError("--seed is required for capacity/demmel trials")
     all_tables = []
-    for label, pool, _meta, directory in loaded:
-        if trials and not 1 <= args.num_ues <= pool.shape[0]:
-            raise ConfigError(
-                f"--num-ues must be in [1, {pool.shape[0]}] for {label}"
-            )
+    for label, _path, meta, directory in loaded:
+        num_users = meta["shape"][0]
+        if trials and not 1 <= args.num_ues <= num_users:
+            raise ConfigError(f"--num-ues must be in [1, {num_users}] for {label}")
         tables = None
         if any(m in _PATH_METRICS for m in metrics):
             tables = read_pathtable(directory)
@@ -518,7 +528,7 @@ def _checked_tables(loaded, metrics, args) -> list:
     return all_tables
 
 
-def _metric_samples(pool, tables, metrics, args):
+def _metric_samples(gram, tables, metrics, args):
     """Sample vectors per metric for one channel; None for curve metrics."""
     import numpy as np
 
@@ -528,7 +538,7 @@ def _metric_samples(pool, tables, metrics, args):
     if "capacity" in metrics or "demmel" in metrics:
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
         capacity, demmel = mx.multiuser_trials(
-            pool, args.num_ues, args.trials, rng, snr_db=args.snr_db
+            gram, args.num_ues, args.trials, rng, snr_db=args.snr_db
         )
         if "capacity" in metrics:
             samples["capacity"] = capacity
@@ -611,13 +621,15 @@ def _evaluate_channels(args, write_per_channel: bool) -> int:
         )
     if args.max_lag < 1:
         raise ConfigError(f"--max-lag must be >= 1, got {args.max_lag}")
-    loaded = _load_channels(args, "capacity" in metrics or "demmel" in metrics)
+    loaded = _load_channels(args)
     all_tables = _checked_tables(loaded, metrics, args)
+    trials = "capacity" in metrics or "demmel" in metrics
+    grams = [_channel_gram(path, meta) if trials else None for _, path, meta, _ in loaded]
     out = _ensure_out(args)
     all_samples = {}
     summary = {"label": [], "metric": [], "count": [], "non_finite": [], "mean": []}
-    for (label, pool, _meta, _directory), tables in zip(loaded, all_tables):
-        samples = _metric_samples(pool, tables, metrics, args)
+    for (label, *_), tables, gram in zip(loaded, all_tables, grams):
+        samples = _metric_samples(gram, tables, metrics, args)
         all_samples[label] = samples
         for metric in metrics:
             if metric == "spatial-correlation":

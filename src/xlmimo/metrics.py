@@ -6,18 +6,24 @@ the inter-element spatial correlation of path amplitudes, and a two-sample
 Cramer-von Mises distance for comparing metric distributions.
 
 Capacity and Demmel depend on a channel only through the spectra of its
-per-frequency Gram matrices ``H H^H`` (users x users).  All three of
-:func:`entropy_capacity`, :func:`demmel_condition` and
-:func:`multiuser_trials` build the Gram tensor of the user pool once and map
-the eigenvalues of each user subset's block to both metrics.  A subset whose
+per-frequency Gram matrices ``H H^H`` (users x users).  :func:`stream_gram`
+reduces a user pool to its (K, P, P) Gram tensor a chunk of element rows of
+all users at a time, so the pool itself is never held: ``evaluate`` feeds it
+from ``channel.bin``, and :func:`_gram` from an in-memory array.  One route,
+``_subset_metrics``, maps the eigenvalues of each user subset's block of
+that tensor to both metrics; :func:`multiuser_trials` runs it once per
+distinct user set, and :func:`entropy_capacity` and
+:func:`demmel_condition` are thin wrappers over it.  A subset whose
 eigenvalue ratio ``lambda_min / lambda_max`` drops below ``_GRAM_MIN_RATIO``
 (1e-3) at some frequency takes its Demmel value from the SVD of H instead,
-which also decides rank deficiency (``inf``).
+which also decides rank deficiency (``inf``); only that subset's users are
+read again for it.
 """
 
 from __future__ import annotations
 
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,33 +41,68 @@ from .errors import NumericError
 #: rank-deficient one and every N > M, take the SVD route.
 _GRAM_MIN_RATIO = 1e-3
 
-#: Byte budget of one pool chunk or one gathered block of Gram matrices.
+#: Byte budget of one complex64 chunk of element rows of all users, of one
+#: gathered block of Gram matrices, or of one complex128 frequency block of
+#: the SVD fallback.
 _BLOCK_BYTES = 4 * 2**20
 
+#: Byte budget of the complex128 copy of one frequency block of a chunk:
+#: small enough to stay in cache while its ``a a^H`` is formed.
+_CACHE_BYTES = 2**18
 
-def _check_pool(values) -> np.ndarray:
-    values = np.asarray(values)
-    if values.ndim != 3:
+
+class PoolGram(NamedTuple):
+    """A pool of P users' (M, K) responses as the trial metrics read it.
+
+    ``gram`` is the (K, P, P) complex128 tensor of per-frequency Gram
+    matrices ``H H^H``, summed over the M elements; ``shape`` is (P, M, K);
+    ``read(users, lo, hi)`` returns element rows lo..hi-1 of the given
+    users, shape (len(users), hi - lo, K), complex64 or complex128.
+    """
+
+    gram: np.ndarray
+    shape: tuple
+    read: Callable
+
+
+def stream_gram(read, shape) -> PoolGram:
+    """Reduce a pool to its Gram tensor, one chunk of element rows at a time.
+
+    ``read(users, lo, hi)`` gives element rows lo..hi-1 of the given users
+    of a pool of ``shape`` (P, M, K).  Every chunk holds all P users and as
+    many rows as fit ``_BLOCK_BYTES`` in complex64 (at least one), and must
+    be finite (``ValueError`` otherwise).  Its ``a a^H`` is added into the
+    complex128 Gram a block of frequencies at a time, each block's
+    complex128 copy within ``_CACHE_BYTES``.  Besides the Gram, one chunk
+    and one block's copies are held; the pool never is.
+    """
+    p, m, k = (int(n) for n in shape)
+    gram = np.zeros((k, p, p), dtype=complex)
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, p * k)))
+    step = max(1, _CACHE_BYTES // (16 * max(1, p * min(rows, m))))
+    users = np.arange(p)
+    for lo in range(0, m, rows):
+        chunk = read(users, lo, min(lo + rows, m))
+        if not np.all(np.isfinite(chunk)):
+            raise ValueError("values must be finite")
+        for k0 in range(0, k, step):
+            a = np.ascontiguousarray(
+                chunk[:, :, k0 : k0 + step].transpose(2, 0, 1), dtype=complex
+            )
+            gram[k0 : k0 + step] += a @ a.conj().swapaxes(-1, -2)
+        del chunk  # before the next chunk is read
+    return PoolGram(gram, (p, m, k), read)
+
+
+def _gram(pool) -> PoolGram:
+    """:func:`stream_gram` of an in-memory (P, M, K) pool."""
+    pool = np.asarray(pool)
+    if pool.ndim != 3:
         raise ValueError(
             f"values must have shape (users, elements, frequencies), "
-            f"got {values.shape}"
+            f"got {pool.shape}"
         )
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
-    return values
-
-
-def _gram(pool: np.ndarray) -> np.ndarray:
-    """Per-frequency Gram matrices ``H H^H`` of a pool, shape (K, P, P)."""
-    p, m, k = pool.shape
-    gram = np.empty((k, p, p), dtype=complex)
-    step = max(1, _BLOCK_BYTES // (16 * p * m))
-    for k0 in range(0, k, step):
-        a = np.ascontiguousarray(
-            np.moveaxis(pool[:, :, k0 : k0 + step], 2, 0), dtype=complex
-        )
-        np.matmul(a, a.conj().swapaxes(-1, -2), out=gram[k0 : k0 + step])
-    return gram
+    return stream_gram(lambda users, lo, hi: pool[users, lo:hi], pool.shape)
 
 
 def _spectrum_metrics(lam, num_elements: int, eta, snr: float):
@@ -86,18 +127,16 @@ def _rank_deficient(sigma: np.ndarray, shape) -> np.ndarray:
     return sigma[:, -1] <= tol
 
 
-def _subset_metrics(pool: np.ndarray, subsets: np.ndarray, snr_db: float):
-    """Capacity and Demmel of each user subset of a finite pool.
+def _subset_metrics(pool: PoolGram, subsets: np.ndarray, snr_db: float):
+    """Capacity and Demmel of each user subset of a pool.
 
-    The pool may be complex64 or complex128: both the Gram tensor and the
-    SVD fallback work on complex128 copies, so a complex64 pool gives the
-    numbers of its exact complex128 upcast.
-
-    ``subsets`` is an int array (T, N) of pool rows.  Both metrics come from
-    the eigenvalues of the subset's block of the pool Gram tensor.  A subset
-    whose smallest ``lambda_min / lambda_max`` over frequency is below
-    ``_GRAM_MIN_RATIO`` takes its Demmel value from the singular values of
-    its (N, M) matrices instead, ``inf`` when one is rank deficient.
+    ``subsets`` is an int array (T, N) of pool users.  Both metrics come
+    from the eigenvalues of the subset's block of the pool's Gram tensor.
+    A subset whose smallest ``lambda_min / lambda_max`` over frequency is
+    below ``_GRAM_MIN_RATIO`` takes its Demmel value from the singular
+    values of its (N, M) matrices instead, ``inf`` when one is rank
+    deficient: its users are read with ``pool.read`` and upcast to
+    complex128 a block of frequencies at a time, within ``_BLOCK_BYTES``.
     Capacity is ``nan`` for an all-zero subset.  Returns two arrays (T,).
     """
     _, m, k = pool.shape
@@ -106,7 +145,7 @@ def _subset_metrics(pool: np.ndarray, subsets: np.ndarray, snr_db: float):
         snr = 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:
         raise ValueError(f"snr_db {snr_db} overflows the linear SNR") from None
-    gram = _gram(pool)
+    gram = pool.gram
     power = np.einsum("kpp->p", gram).real
     eta = power[subsets].sum(axis=1) / (n * m * k)
     capacity = np.empty(len(subsets))
@@ -124,14 +163,29 @@ def _subset_metrics(pool: np.ndarray, subsets: np.ndarray, snr_db: float):
             ratio = np.min(lam[..., 0] / lam[..., -1], axis=1)
             # a nan ratio (an all-zero matrix) also takes the SVD route
             ill.extend(t0 + np.flatnonzero(~(ratio >= _GRAM_MIN_RATIO)))
+    block = max(1, _BLOCK_BYTES // (16 * n * m))
     for t in ill:
-        h = np.moveaxis(pool[subsets[t]], 2, 0).astype(complex)
-        sigma = np.linalg.svd(h, compute_uv=False)
+        users = pool.read(subsets[t], 0, m)
+        sigma = np.concatenate(
+            [
+                np.linalg.svd(
+                    np.moveaxis(users[:, :, k0 : k0 + block], 2, 0).astype(complex),
+                    compute_uv=False,
+                )
+                for k0 in range(0, k, block)
+            ]
+        )
         if np.any(_rank_deficient(sigma, (n, m))):
             demmel[t] = float("inf")
         else:
             demmel[t] = _spectrum_metrics(sigma[:, ::-1] ** 2, m, eta[t], snr)[1]
     return capacity, demmel
+
+
+def _all_users(values):
+    """The in-memory pool of ``values`` and its one subset of all users."""
+    pool = _gram(values)
+    return pool, np.arange(pool.shape[0])[None]
 
 
 def entropy_capacity(values, snr_db: float = 15.0) -> float:
@@ -154,8 +208,7 @@ def entropy_capacity(values, snr_db: float = 15.0) -> float:
     snr_db : float
         Signal-to-noise ratio in dB.
     """
-    values = _check_pool(values)
-    capacity, _ = _subset_metrics(values, np.arange(values.shape[0])[None], snr_db)
+    capacity, _ = _subset_metrics(*_all_users(values), snr_db)
     if np.isnan(capacity[0]):
         raise NumericError("all-zero channel has no capacity normalization")
     return float(capacity[0])
@@ -173,8 +226,7 @@ def demmel_condition(values) -> float:
     (``sigma_min <= sigma_max * max(N, M) * eps``) make the average
     infinite; that is returned as ``inf`` with a warning.
     """
-    values = _check_pool(values)
-    _, demmel = _subset_metrics(values, np.arange(values.shape[0])[None], 0.0)
+    _, demmel = _subset_metrics(*_all_users(values), 0.0)
     if demmel[0] == np.inf:
         warnings.warn("rank-deficient channel matrix: infinite condition number")
     return float(demmel[0])
@@ -191,18 +243,21 @@ def multiuser_trials(
 
     Each trial draws ``num_ues`` users uniformly without replacement from
     the pool of per-user channels (all subsets are drawn first, in trial
-    order) and evaluates both metrics on the stacked matrix.  The Gram
-    tensor of the whole pool is built once; every trial takes its
-    eigenvalues from its (N, N) block, batched across trials.  Trials whose
-    ``lambda_min / lambda_max`` falls below ``_GRAM_MIN_RATIO`` (1e-3)
-    take their Demmel value from an SVD, as :func:`demmel_condition` does.
+    order) and evaluates both metrics on the stacked matrix.  Both metrics
+    depend only on the set of users drawn, so each distinct set is
+    evaluated once, with its users in ascending order, and every trial that
+    drew it gets the same bits.  Each set takes its eigenvalues from its
+    (N, N) block of the pool's Gram tensor, batched across sets.  Sets whose
+    ``lambda_min / lambda_max`` falls below ``_GRAM_MIN_RATIO`` (1e-3) take
+    their Demmel value from an SVD, as :func:`demmel_condition` does.
 
     Parameters
     ----------
-    pool : ndarray, shape (P, M, K)
+    pool : ndarray, shape (P, M, K), or PoolGram
         Per-user channel responses, all finite; complex64 (as
         :func:`xlmimo.serialization.read_channel` returns it) or
-        complex128.
+        complex128.  A :class:`PoolGram` (from :func:`stream_gram`) is used
+        as it is.
     num_ues : int
         Users per trial, 1 <= num_ues <= P.
     num_trials : int
@@ -212,25 +267,27 @@ def multiuser_trials(
     -------
     (capacity, demmel) : tuple of ndarray, each shape (num_trials,)
     """
-    pool = _check_pool(pool)
+    if not isinstance(pool, PoolGram):
+        pool = _gram(pool)
+    num_users = pool.shape[0]
     num_ues = int(num_ues)
     num_trials = int(num_trials)
-    if not 1 <= num_ues <= pool.shape[0]:
-        raise ValueError(
-            f"num_ues must be in [1, {pool.shape[0]}], got {num_ues}"
-        )
+    if not 1 <= num_ues <= num_users:
+        raise ValueError(f"num_ues must be in [1, {num_users}], got {num_ues}")
     if num_trials < 1:
         raise ValueError(f"num_trials must be >= 1, got {num_trials}")
-    subsets = np.array(
+    draws = np.array(
         [
-            rng.choice(pool.shape[0], size=num_ues, replace=False)
+            rng.choice(num_users, size=num_ues, replace=False)
             for _ in range(num_trials)
         ]
     )
-    capacity, demmel = _subset_metrics(pool, subsets, snr_db)
+    sets, inverse = np.unique(np.sort(draws, axis=1), axis=0, return_inverse=True)
+    capacity, demmel = _subset_metrics(pool, sets, snr_db)
     if np.any(np.isnan(capacity)):
         raise NumericError("all-zero channel in trial subset")
-    return capacity, demmel
+    inverse = inverse.reshape(-1)
+    return capacity[inverse], demmel[inverse]
 
 
 def sns_amplitude_matrix(aaf, amplitudes) -> np.ndarray:

@@ -358,9 +358,15 @@ def write_paths_csv(path, paths) -> None:
 
 
 def read_paths_csv(path) -> list:
-    """Parse a path list written by :func:`write_paths_csv`."""
+    """Parse a path list written by :func:`write_paths_csv`.
+
+    A fixed ``aaf`` cell holds one float per element, so for the read the
+    ``csv`` field limit is raised to the file size and restored after.
+    """
+    limit = csv.field_size_limit()
     try:
         with open(path, newline="") as fh:
+            csv.field_size_limit(max(limit, os.fstat(fh.fileno()).st_size))
             reader = csv.DictReader(fh)
             if reader.fieldnames != PATH_COLUMNS:
                 raise ConfigError(
@@ -369,6 +375,8 @@ def read_paths_csv(path) -> list:
             rows = list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"{path}: cannot read: {exc}") from exc
+    finally:
+        csv.field_size_limit(limit)
     paths = []
     for i, row in enumerate(rows):
         try:
@@ -563,3 +571,23 @@ def read_channel(basepath) -> tuple:
     shape = meta["shape"]
     values = np.fromfile(bin_path, "<c8", count=shape[0] * shape[1] * shape[2])
     return values.reshape(shape), meta
+
+
+def read_channel_rows(basepath, shape, users, lo, hi) -> np.ndarray:
+    """Element rows lo..hi-1 of some users of a channel, as stored.
+
+    ``shape`` is the (users, elements, frequencies) shape that
+    :func:`read_channel_header` checked against the ``.bin`` size.  Returns
+    a (len(users), hi - lo, frequencies) ``<c8`` array, each user's rows
+    read straight into it with one ``readinto``; a file that has shrunk
+    since is a ``ConfigError``.
+    """
+    _, bin_path = _channel_files(basepath)
+    _, num_elements, num_points = shape
+    out = np.empty((len(users), hi - lo, num_points), "<c8")
+    with open(bin_path, "rb") as fh:
+        for i, user in enumerate(users):
+            fh.seek((int(user) * num_elements + lo) * num_points * 8)
+            if fh.readinto(out[i]) != out[i].nbytes:
+                raise ConfigError(f"{bin_path}: ends before user {user} row {hi}")
+    return out

@@ -182,6 +182,35 @@ class TestSynthesizeCommand:
         for fn in ("pathtable.csv", "pathtable.npy"):
             assert (direct / fn).read_bytes() == (staged / fn).read_bytes(), fn
 
+    def test_paths_with_a_long_fixed_aaf_round_trip(self, tmp_path):
+        import dataclasses
+
+        from xlmimo.nearfield import Stationarity
+        from xlmimo.serialization import read_paths_csv, write_paths_csv
+
+        # a 10,000-element aaf cell is longer than csv's default field limit
+        cfg_file = write_config(
+            tmp_path,
+            ues=[[0.2, 0.645, 0.0]],
+            array={"num_elements": 10_000, "spacing_m": 0.0015},
+            variant="nf-sns",
+        )
+        staged = tmp_path / "staged"
+        assert main(["scenario", "--config", cfg_file, "--out", str(staged)]) == 0
+        (los,) = read_paths_csv(staged / "paths_ue000.csv")
+        aaf = np.random.default_rng(5).random(10_000)
+        fn = tmp_path / "long.csv"
+        write_paths_csv(
+            fn,
+            [dataclasses.replace(los, stationarity=Stationarity.NON_STATIONARY, aaf=aaf)],
+        )
+        out = tmp_path / "out"
+        argv = ["synthesize", "--config", cfg_file, "--paths", str(fn), "--out", str(out)]
+        assert main(argv) == 0
+        assert (out / "paths_ue000.csv").read_bytes() == fn.read_bytes()
+        records = np.load(out / "pathtable.npy", allow_pickle=False)
+        assert np.array_equal(records["aaf"], aaf)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_file = write_config(
             tmp_path,
@@ -973,29 +1002,53 @@ class TestEvaluateCommand:
         assert sorted(calls) == sorted([str(nf), str(ff)])
 
     @pytest.mark.parametrize(
-        "metrics, loads, reads",
+        "metrics, streams, passes",
         [("gain,kfactor,delay-spread,spatial-correlation", 0, 0), ("demmel", 1, 1)],
     )
     def test_tensor_values_read_only_for_trials(
-        self, synthesized, tmp_path, monkeypatch, metrics, loads, reads
+        self, synthesized, tmp_path, monkeypatch, metrics, streams, passes
     ):
+        import xlmimo.metrics as mx
         import xlmimo.serialization as serialization
 
-        calls = {"read_channel": 0, "fromfile": 0}
+        calls = []
+        bytes_read = []
 
-        def counted(module, name, counts=lambda *args: True):
+        def counted(module, name):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += counts(*args)
+                calls.append(name)
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
 
+        class CountedFile:
+            """A channel.bin handle that records the bytes each read returns."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def readinto(self, buffer):
+                bytes_read.append(self.fh.readinto(buffer))
+                return bytes_read[-1]
+
+        def counted_open(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            return CountedFile(fh) if str(file).endswith("channel.bin") else fh
+
         counted(serialization, "read_channel")
-        # np.load reads pathtable.npy through np.fromfile too; count only
-        # the tensor's reads
-        counted(np, "fromfile", lambda file, *args: str(file).endswith("channel.bin"))
+        counted(mx, "stream_gram")
+        monkeypatch.setattr(serialization, "open", counted_open, raising=False)
         nf, _ = synthesized
         code = main(
             [
@@ -1005,8 +1058,70 @@ class TestEvaluateCommand:
             ]
         )
         assert code == 0
-        # the 4-user channel is read in one call
-        assert calls == {"read_channel": loads, "fromfile": reads}
+        # the values stream into the Gram tensor in one pass over the file,
+        # never through read_channel; without trials no value is read
+        assert calls.count("read_channel") == 0
+        assert calls.count("stream_gram") == streams
+        assert sum(bytes_read) == passes * (nf / "channel.bin").stat().st_size
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_non_finite_channel_exits_2_before_out(
+        self, synthesized, tmp_path, capsys, command
+    ):
+        nf, ff = synthesized
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "channel.json").write_bytes((nf / "channel.json").read_bytes())
+        values = np.fromfile(nf / "channel.bin", "<c8")
+        values[-1] = np.nan  # the last chunk's last value
+        values.tofile(bad / "channel.bin")
+        channels = [bad] if command == "evaluate" else [ff, bad]
+        out = tmp_path / "o"
+        argv = [command, "--metrics", "capacity", "--seed", "1", "--out", str(out)]
+        for c in channels:
+            argv += ["--channel", str(c / "channel")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert f"error: {bad / 'channel.bin'}: values must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_peak_memory_is_below_one_pool(self, tmp_path, command):
+        from xlmimo.channel import FrequencyGrid
+        from xlmimo.geometry import ArrayGeometry
+        from xlmimo.serialization import write_channel
+
+        # 16 MiB pools, four times the 4 MiB chunk that streams into the Gram
+        users, elements, points = 4, 512, 1024
+        grid = FrequencyGrid(f_low_hz=90e9, f_high_hz=110e9, num_points=points)
+        geometry = ArrayGeometry(num_elements=elements, spacing=0.0015)
+        channels = []
+        for seed in range(1 if command == "evaluate" else 3):
+            rng = np.random.default_rng(seed)
+            values = (
+                rng.standard_normal((users, elements, points), np.float32)
+                + 1j * rng.standard_normal((users, elements, points), np.float32)
+            )
+            base = tmp_path / f"chan{seed}" / "channel"
+            base.parent.mkdir()
+            write_channel(base, values, grid, geometry, "nf-ss", seed, "0" * 64, "rand")
+            channels += ["--channel", str(base)]
+        del values
+        pool_bytes = users * elements * points * 8
+        argv = [command, *channels, "--metrics", "capacity,demmel", "--trials", "20",
+                "--seed", "1", "--out", str(tmp_path / "o")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (tmp_path / "o" / "metrics_summary.csv").exists()
+        # one 4 MiB chunk and one user's rows of it, not a pool (let alone
+        # three)
+        assert peak < pool_bytes / 2
 
     def test_truncated_channel_exits_2_without_trials(
         self, synthesized, tmp_path, capsys

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -21,6 +22,7 @@ from xlmimo.serialization import (
     pathtable_writer,
     read_channel,
     read_channel_header,
+    read_channel_rows,
     read_json,
     read_paths_csv,
     read_yaml,
@@ -77,6 +79,19 @@ class TestPathsCsv:
             assert got.aoa == orig.aoa
         assert back[0].aaf is None
         assert np.array_equal(back[1].aaf, paths[1].aaf)
+
+    def test_round_trip_of_a_long_fixed_aaf(self, tmp_path):
+        # 10,000 repr floats take about 190,000 characters in one cell, more
+        # than csv's default field limit of 131,072
+        los, srm = sample_paths()
+        srm = dataclasses.replace(srm, aaf=np.random.default_rng(4).random(10_000))
+        fn = tmp_path / "paths.csv"
+        write_paths_csv(fn, [los, srm])
+        limit = csv.field_size_limit()
+        back = read_paths_csv(fn)
+        assert csv.field_size_limit() == limit  # restored after the read
+        assert back[0].aaf is None
+        assert np.array_equal(back[1].aaf, srm.aaf)
 
     def test_write_is_byte_deterministic(self, tmp_path):
         paths = sample_paths()
@@ -564,6 +579,18 @@ class TestChannelIO:
         for reader in (read_channel, read_channel_header):
             with pytest.raises(ConfigError, match="invalid grid or array"):
                 reader(base)
+
+    def test_rows_of_some_users(self, tmp_path):
+        values = channel_values()
+        base = tmp_path / "chan"
+        write_test_channel(base, values)
+        got = read_channel_rows(base, (2, 4, 3), [1, 0], 1, 3)
+        assert got.dtype == np.dtype("<c8")
+        assert np.array_equal(got, values.astype("<c8")[[1, 0], 1:3])
+        # a file that has shrunk since its header was checked
+        (tmp_path / "chan.bin").write_bytes((tmp_path / "chan.bin").read_bytes()[:-8])
+        with pytest.raises(ConfigError, match="ends before user 1 row 4"):
+            read_channel_rows(base, (2, 4, 3), [0, 1], 0, 4)
 
     def test_read_peak_memory_is_the_file_size(self, tmp_path):
         users, elements, points = 4, 64, 512
