@@ -1,8 +1,9 @@
 """Deterministic on-disk formats.
 
-All writers are byte-deterministic for identical inputs: floats are
-serialized with ``repr`` (shortest round-trip form), JSON keys are sorted,
-and no timestamps or environment details are recorded.  Channel tensors are
+All writers are byte-deterministic for identical inputs: CSV numbers are
+written in the form of ``repr`` (shortest round-trip for floats), through
+one ``orjson`` call per block of values, JSON keys are sorted, and no
+timestamps or environment details are recorded.  Channel tensors are
 stored as little-endian complex64 binaries in C order next to a JSON header
 describing shape, grid, and provenance (seed and configuration hash).
 The path table is a 1-D structured ``.npy`` array of ``PATHTABLE_DTYPE``
@@ -19,11 +20,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
-import itertools
 import json
 import os
 
 import numpy as np
+import orjson
 import yaml
 
 from .channel import VARIANTS, FrequencyGrid
@@ -79,28 +80,65 @@ def _replacing(path, mode="x", **kwargs):
 
 #: Rows formatted at a time: one block's strings are alive at once, never a
 #: whole column's.
-_BLOCK_ROWS = 2048
+_BLOCK_ROWS = 512
+
+#: Magnitude edges where orjson's text parts from ``repr``'s.  A float in
+#: [1e-9, 1e-5) or >= 1e16 has an exponent that orjson writes as ``e-7`` or
+#: ``e16`` and ``repr`` as ``e-07`` or ``e+16``; one in [1e-5, 1e-4) orjson
+#: writes in full (``0.000015`` for ``1.5e-05``).  For a double ``x`` and the
+#: double ``D`` nearest a power of ten, ``x >= D`` decides the exponent
+#: of both texts.
+_EDGES = np.array([1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e16])
+_IN_FULL = 5
+#: The exponent rewrites of each interval that needs one; interval ``i``
+#: holds [_EDGES[i - 1], _EDGES[i]).  A negative exponent is matched with
+#: the ``,`` after its token, so that ``e-6,`` cannot match ``e-60``.
+_EXPONENTS = {
+    1: [("e-9,", "e-09,")],
+    2: [("e-8,", "e-08,")],
+    3: [("e-7,", "e-07,")],
+    4: [("e-6,", "e-06,")],
+    7: [(f"e{d}", f"e+{d}") for d in "123456789"],
+}
 
 
 def _formatted(block):
     """The cells of one column block as strings, formatted like ``_fmt``.
 
-    A float or int block whose runs of equal bit patterns number at most
-    half its rows formats one string per run and repeats it, so columns that
-    are constant over long stretches cost one ``repr`` per stretch.
+    A 1-D float or int array is written by one ``orjson.dumps`` call, as
+    float64 or 64-bit ints, and split into tokens.  Float text is then
+    rewritten into ``repr``'s form: the exponent rewrites of the intervals
+    that some value falls in, the digits of each value with
+    1e-5 <= |x| < 1e-4 moved into exponent form, and ``repr`` itself for
+    the non-finite values, which orjson writes as ``null``.
     """
     kind = block.dtype.kind if isinstance(block, np.ndarray) else None
-    if kind not in ("f", "i", "u"):
+    if kind not in ("f", "i", "u") or block.ndim != 1:
         return map(_fmt, block)
-    fmt = repr if kind == "f" else str
-    bits = block.view(f"u{block.itemsize}")
-    changes = bits[1:] != bits[:-1]
-    if 2 * (np.count_nonzero(changes) + 1) > block.size:
-        return map(fmt, block.tolist())
-    starts = np.flatnonzero(changes) + 1
-    counts = np.diff(starts, prepend=0, append=block.size).tolist()
-    strings = map(fmt, block[np.insert(starts, 0, 0)].tolist())
-    return itertools.chain.from_iterable(map(itertools.repeat, strings, counts))
+    if not block.size:
+        return []
+    values = np.ascontiguousarray(block, "<f8" if kind == "f" else f"<{kind}8")
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    if kind != "f":
+        return text.split(",")
+    magnitude = np.abs(values)
+    finite = np.isfinite(magnitude)
+    interval = np.searchsorted(_EDGES, np.where(finite, magnitude, 0.0), "right")
+    counts = np.bincount(interval, minlength=len(_EDGES) + 1)
+    text += ","
+    for i, rewrites in _EXPONENTS.items():
+        if counts[i]:
+            for old, new in rewrites:
+                text = text.replace(old, new)
+    tokens = text[:-1].split(",")
+    for i in np.flatnonzero(interval == _IN_FULL).tolist():
+        # the same shortest digits: [-]0.0000DIGITS becomes [-]D.IGITSe-05
+        sign, digits = tokens[i].split("0.0000")
+        point = "." if len(digits) > 1 else ""
+        tokens[i] = f"{sign}{digits[0]}{point}{digits[1:]}e-05"
+    for i in np.flatnonzero(~finite).tolist():
+        tokens[i] = repr(float(values[i]))
+    return tokens
 
 
 def _csv_appender(fh, header):
@@ -109,7 +147,9 @@ def _csv_appender(fh, header):
 
     ``columns`` holds one sequence per ``header`` name (a numpy array or a
     list), all of the same length.  Float and int arrays are formatted a
-    block of rows at a time, other cells one by one with ``_fmt``.  When
+    block of rows at a time, one ``orjson`` call per block, into the strings
+    ``repr`` and ``str`` give (see :func:`_formatted`); other cells are
+    formatted one by one with ``_fmt``.  When
     every column is a 1-D float or int array, no cell can need quoting, so
     each block's rows are joined with ``,`` and newlines directly; rows with
     any list, string or bool column go through ``csv`` quoting.  Both give
@@ -349,10 +389,7 @@ def write_paths_csv(path, paths) -> None:
         [p.aod.elevation for p in paths],
         [p.aoa.azimuth for p in paths],
         [p.aoa.elevation for p in paths],
-        [
-            ";".join(repr(float(v)) for v in p.aaf) if p.aaf is not None else ""
-            for p in paths
-        ],
+        [";".join(_formatted(p.aaf)) if p.aaf is not None else "" for p in paths],
     ]
     write_table(path, PATH_COLUMNS, columns)
 

@@ -671,7 +671,7 @@ class TestGenerateAafCommand:
         "flags",
         [
             ["--elements", "301", "--sequences", "10", "--seed", "17"],
-            # 2048-row format blocks straddle sequences
+            # format blocks straddle sequences
             ["--elements", "5000", "--sequences", "3", "--seed", "3"],
             ["--elements", "2", "--sequences", "3", "--seed", "3"],
             # constant draws: NaN ACF rows and fitted decay
@@ -1975,6 +1975,27 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
+
+    def test_orjson_loads_with_the_first_command_not_the_import(self, tmp_path):
+        # the cold import alone stays as cheap as before; the CSV formatter's
+        # orjson loads once a command writes a table
+        code = (
+            "import sys, xlmimo, xlmimo.cli\n"
+            "def loaded():\n"
+            "    print(','.join(sorted(m for m in sys.modules if m in "
+            "('orjson', 'xlmimo.serialization'))))\n"
+            "loaded()\n"
+            "argv = ['generate-aaf', '--elements', '5', '--sequences', '1', "
+            "'--seed', '1', '--out', sys.argv[1]]\n"
+            "assert xlmimo.cli.main(argv) == 0\n"
+            "loaded()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "aaf")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["", "orjson,xlmimo.serialization", ""]
 
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "out"

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from xlmimo.channel import FrequencyGrid, PathTable
 from xlmimo.errors import ConfigError
@@ -17,7 +18,9 @@ from xlmimo.nearfield import PathRecord, Stationarity, WavefrontModel
 from xlmimo.serialization import (
     PATH_COLUMNS,
     PATHTABLE_DTYPE,
+    _BLOCK_ROWS,
     _fmt,
+    _formatted,
     config_sha256,
     pathtable_writer,
     read_channel,
@@ -177,8 +180,8 @@ SPECIALS = {
 
 @st.composite
 def tables(draw):
-    """Columns of every kind around the 2048-row block size, with special
-    values planted at random rows."""
+    """Columns of every kind around a block edge (2048 rows are four
+    blocks), with special values planted at random rows."""
     n = draw(st.sampled_from([0, 1, 2047, 2048, 2049]))
     kinds = draw(st.lists(st.sampled_from(sorted(SPECIALS)), min_size=1, max_size=5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -234,8 +237,8 @@ class TestTableFormatting:
 
     @pytest.mark.parametrize("n", [2047, 2048, 2049, 5000])
     def test_runs_match_row_wise_reference(self, tmp_path, n):
-        # Columns constant over stretches take the one-string-per-run route;
-        # the stretches cross the 2047/2048/2049 block edges.
+        # Columns constant over stretches; the stretches cross the
+        # 2047/2048/2049 block edges.
         nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], np.uint64)
         f64 = np.repeat(
             [0.1, -0.0, 0.0, np.nan, *nans.view(np.float64), np.inf, 1e-300, -2.5],
@@ -289,6 +292,100 @@ class TestTableFormatting:
         with pytest.raises(ValueError, match="lengths differ"):
             write_table(tmp_path / "b.csv", ["a", "b"], [[1, 2], np.arange(3)])
         assert list(tmp_path.iterdir()) == []
+
+
+def repr_tokens(block):
+    """What ``_formatted`` must give: ``repr`` of every value as a float64,
+    ``str`` of every int."""
+    if block.dtype.kind == "f":
+        return list(map(repr, block.astype(float).tolist()))
+    return list(map(str, block.tolist()))
+
+
+#: Bit patterns of quiet and signalling NaNs with payloads, of both signs.
+PAYLOAD_NANS = np.array(
+    [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+    np.uint64,
+).view(np.float64)
+
+#: Where orjson and ``repr`` part ways, and their neighbours: the 1e-5 and
+#: 1e-4 ends of the range orjson writes in full, the 1e16 switch to an
+#: exponent, the extremes, and one value per exponent -4..-10, 15..17, 308.
+BOUNDARY_FLOATS = [
+    *(v for x in (1e-5, 1e-4, 1e16)
+      for v in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))),
+    5e-324, -5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+    *(1.25 * 10.0**e for e in range(-10, -3)),
+    *(-1.5 * 10.0**e for e in (15, 16, 17, 308)),
+]
+
+float64_values = (
+    st.floats(allow_subnormal=True)
+    | st.sampled_from([*PAYLOAD_NANS, *SPECIAL_FLOATS, *BOUNDARY_FLOATS])
+    | st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(np.float64))
+)
+
+
+class TestReprTokens:
+    """``_formatted`` writes float and int blocks through orjson into the
+    tokens of ``repr`` and ``str``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 80), elements=float64_values))
+    def test_float64(self, block):
+        assert list(_formatted(block)) == repr_tokens(block)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float32, st.integers(0, 80),
+            elements=st.floats(width=32, allow_subnormal=True)
+            | st.integers(0, 2**32 - 1).map(lambda b: np.uint32(b).view(np.float32)),
+        )
+    )
+    def test_float32_prints_its_float64_value(self, block):
+        assert list(_formatted(block)) == repr_tokens(block)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            hnp.arrays(np.int64, st.integers(0, 80)),
+            hnp.arrays(np.uint64, st.integers(0, 80)),
+            hnp.arrays(hnp.integer_dtypes(endianness="="), st.integers(0, 80)),
+        )
+    )
+    def test_ints(self, block):
+        assert list(_formatted(block)) == repr_tokens(block)
+
+    def test_boundary_values(self):
+        values = np.array(BOUNDARY_FLOATS + [-v for v in BOUNDARY_FLOATS])
+        assert list(_formatted(values)) == repr_tokens(values)
+        assert "1e-05" in _formatted(values) and "1e+16" in _formatted(values)
+
+    def test_strided_columns_of_records(self):
+        records = np.zeros(5, PATHTABLE_DTYPE)
+        records["ue"] = [0, 1, -2, 2**62, 7]
+        records["aaf"] = [1.5e-5, np.nan, -np.inf, 1e16, 0.1]
+        for name in ("ue", "aaf"):
+            assert list(_formatted(records[name])) == repr_tokens(records[name])
+
+    @pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_random_bit_patterns_across_block_edges(self, tmp_path, rows):
+        # About 200,000 random doubles in all, written in columns whose
+        # lengths are multiples of 511, 512 and 513 rows, so that values sit
+        # on every side of the block edges; next to them, log-uniform values
+        # in +-1e+-30, which fall in every interval of ``_formatted``.
+        rng = np.random.default_rng(rows)
+        bits = rng.integers(0, 2**64, rows * 130, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        spread = rng.choice([-1.0, 1.0], bits.size) * 10.0 ** rng.uniform(-30, 30, bits.size)
+        fn = tmp_path / "bits.csv"
+        write_table(fn, ["bits", "value", "spread"], [bits, values, spread])
+        want = "".join(
+            f"{b},{v!r},{w!r}\n"
+            for b, v, w in zip(bits.tolist(), values.tolist(), spread.tolist())
+        )
+        assert fn.read_text() == "bits,value,spread\n" + want
 
 
 class TestJsonYaml:
@@ -735,7 +832,7 @@ class TestAtomicWriters:
     def failing_writes():
         # Each call fails after part of its output is written.
         column = [1.5] * 3000
-        column[2500] = Unprintable()  # in the second 2048-row block
+        column[2500] = Unprintable()  # in a later block
         yield "t.csv", lambda p: write_table(p, ["a", "b"], [np.arange(3000), column])
         yield "t.json", lambda p: write_json(p, {"a": 1, "z": object()})
         yield "t.yaml", lambda p: write_yaml(p, {"a": 1, "z": object()})
