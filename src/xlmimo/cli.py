@@ -12,19 +12,29 @@ geometric failures.  Identical configuration and seed reproduce output
 files byte for byte.
 
 The environment variable ``XLMIMO_NUM_THREADS`` caps the linear-algebra
-thread pools; it is applied before numpy is first imported, so the heavy
-imports in this module are deliberately deferred.
+thread pools; the package root applies it before this module imports numpy.
+Library functions are called as module attributes (``channel.assemble``),
+so they are looked up at call time and a wrapper set on the module after
+this import sees every call.  ``serialization`` is imported inside each
+command: it loads yaml and orjson, which ``import xlmimo.cli`` does not.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
+import warnings
 
+import numpy as np
+
+from . import channel, metrics as mx, scenario, sns
 from ._threads import apply_thread_env
 from .errors import ConfigError, GeometryError, NumericError
+from .geometry import rayleigh_distance
+from .nearfield import Stationarity
 
 #: Largest ``--trials`` x ``--num-ues`` of ``evaluate``/``compare``: every
 #: trial's user subset is drawn before any metric runs, so larger requests
@@ -165,11 +175,10 @@ def _ensure_out(args) -> str:
 
 
 def _resolve_config(args) -> dict:
-    from .scenario import preset, validate_config
     from .serialization import read_yaml
 
     if args.preset:
-        cfg = preset(args.preset)
+        cfg = scenario.preset(args.preset)
     else:
         cfg = read_yaml(args.config)
     if getattr(args, "variant", None):
@@ -177,16 +186,12 @@ def _resolve_config(args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     try:
-        return validate_config(cfg)
+        return scenario.validate_config(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _cmd_scenario(args) -> int:
-    import numpy as np
-
-    from . import scenario
-    from .geometry import rayleigh_distance
     from .serialization import write_json, write_paths_csv, write_yaml
 
     cfg = _resolve_config(args)
@@ -220,8 +225,6 @@ def _cmd_scenario(args) -> int:
 
 
 def _needs_seed(variant: str, all_paths) -> bool:
-    from .nearfield import Stationarity
-
     if variant.endswith("-ss"):
         return False
     return any(
@@ -240,16 +243,6 @@ def _check_size(estimate: int, what: str, command: str = "synthesize") -> None:
 
 
 def _cmd_synthesize(args) -> int:
-    import numpy as np
-
-    from . import scenario
-    from .channel import (
-        _chunk_rows,
-        _working_set_bytes,
-        assemble,
-        build_variant_aaf,
-        path_table,
-    )
     from .serialization import (
         PATHTABLE_DTYPE,
         config_sha256,
@@ -268,7 +261,7 @@ def _cmd_synthesize(args) -> int:
     num_ues = len(args.paths) if args.paths else len(cfg["ues"])
     streamed = num_ues * num_elements * grid.num_points * 8
     _check_size(
-        streamed + _working_set_bytes(num_elements, grid.num_points, 0),
+        streamed + channel._working_set_bytes(num_elements, grid.num_points, 0),
         f"{num_ues} users x {num_elements} elements x {grid.num_points} frequencies",
     )
     tx_pattern, rx_pattern = scenario.build_patterns(cfg)
@@ -291,7 +284,7 @@ def _cmd_synthesize(args) -> int:
     max_paths = max(len(paths) for paths in all_paths)
     _check_size(
         streamed
-        + _working_set_bytes(num_elements, grid.num_points, max_paths)
+        + channel._working_set_bytes(num_elements, grid.num_points, max_paths)
         + num_rows * PATHTABLE_DTYPE.itemsize,
         f"{num_rows} path-table rows and the channel",
     )
@@ -302,20 +295,20 @@ def _cmd_synthesize(args) -> int:
 
     sha = config_sha256(cfg)
     out = _ensure_out(args)
-    rows = _chunk_rows(num_elements, grid.num_points)
+    rows = channel._chunk_rows(num_elements, grid.num_points)
     chunk = np.empty((rows, grid.num_points), dtype="<c8")
 
     def responses(append_table):
         """Each user's response as complex64 chunks of element rows, all
         written into ``chunk``, after its path-table records are appended."""
         for ue, paths in enumerate(all_paths):
-            table = path_table(
+            table = channel.path_table(
                 paths,
                 geometry,
                 tx_pattern,
                 rx_pattern,
                 grid.carrier_hz,
-                build_variant_aaf(
+                channel.build_variant_aaf(
                     paths,
                     num_elements,
                     variant,
@@ -328,7 +321,7 @@ def _cmd_synthesize(args) -> int:
             append_table(ue, paths, table)
             for lo in range(0, num_elements, rows):
                 hi = min(lo + rows, num_elements)
-                yield assemble(paths, table[lo:hi], grid, out=chunk[: hi - lo])
+                yield channel.assemble(paths, table[lo:hi], grid, out=chunk[: hi - lo])
             del table  # before the next user's is built
 
     with pathtable_writer(out, num_rows) as append_table:
@@ -360,11 +353,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_generate_aaf(args) -> int:
-    import numpy as np
-
-    from .scenario import build_aaf_params
     from .serialization import _csv_appender, _replacing, read_yaml, write_json
-    from .sns import acf, fit_dcorr, generate_aaf, sample_aaf_params
 
     if args.elements < 1:
         raise ConfigError(f"--elements must be >= 1, got {args.elements}")
@@ -381,7 +370,7 @@ def _cmd_generate_aaf(args) -> int:
         if value is not None and not (np.isfinite(value) and value > 0.0):
             raise ConfigError(f"{flag} must be finite and > 0, got {value}")
     try:
-        params = build_aaf_params(read_yaml(args.config) if args.config else {})
+        params = scenario.build_aaf_params(read_yaml(args.config) if args.config else {})
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"aaf: {exc}") from exc
     _check_size(
@@ -411,9 +400,9 @@ def _cmd_generate_aaf(args) -> int:
             if args.p is not None:
                 p, q, d_corr = args.p, args.q, args.dcorr
             else:
-                p, q, d_corr = sample_aaf_params(params, rng)
+                p, q, d_corr = sns.sample_aaf_params(params, rng)
             try:
-                values = generate_aaf(args.elements, p, q, d_corr, rng)
+                values = sns.generate_aaf(args.elements, p, q, d_corr, rng)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             sequence = np.full(args.elements, seq)
@@ -421,11 +410,11 @@ def _cmd_generate_aaf(args) -> int:
             fitted = float("nan")
             if args.elements >= 3:
                 try:
-                    curve = acf(values)
+                    curve = sns.acf(values)
                 except ValueError:  # constant draws (e.g. p >> q) have no ACF
                     curve = np.full(args.elements, np.nan)
                 else:
-                    fitted = fit_dcorr(curve)
+                    fitted = sns.fit_dcorr(curve)
                 append_acf([sequence, element, curve])
             append_params([[seq], [p], [q], [d_corr], [fitted]])
     write_json(
@@ -483,9 +472,6 @@ def _load_channels(args) -> list:
 def _channel_gram(path, meta):
     """The trial metrics' :class:`xlmimo.metrics.PoolGram` of a channel,
     streamed from its ``.bin`` file; a non-finite value exits 2."""
-    import functools
-
-    from . import metrics as mx
     from .serialization import _channel_files, read_channel_rows
 
     shape = meta["shape"]
@@ -530,10 +516,6 @@ def _checked_tables(loaded, metrics, args) -> list:
 
 def _metric_samples(gram, tables, metrics, args):
     """Sample vectors per metric for one channel; None for curve metrics."""
-    import numpy as np
-
-    from . import metrics as mx
-
     samples = {}
     if "capacity" in metrics or "demmel" in metrics:
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
@@ -561,10 +543,6 @@ def _metric_samples(gram, tables, metrics, args):
 
 def _spatial_correlation_curve(tables, max_lag):
     """Lags 1..min(max_lag, M - 1) and the user-averaged correlation at each."""
-    import numpy as np
-
-    from . import metrics as mx
-
     num_elements = tables[0]["aaf"].shape[0]
     matrices = [mx.sns_amplitude_matrix(t["aaf"], t["alpha"]) for t in tables]
     lags = np.arange(1, min(int(max_lag), num_elements - 1) + 1)
@@ -574,8 +552,6 @@ def _spatial_correlation_curve(tables, max_lag):
 
 
 def _write_samples(out, label, metric, values) -> None:
-    import numpy as np
-
     from .serialization import write_table
 
     safe = metric.replace("-", "_")
@@ -594,11 +570,6 @@ def _write_samples(out, label, metric, values) -> None:
 
 
 def _evaluate_channels(args, write_per_channel: bool) -> int:
-    import warnings
-
-    import numpy as np
-
-    from . import metrics as mx
     from .serialization import write_json, write_table
 
     metrics = _parse_metrics(args.metrics)

@@ -1847,25 +1847,27 @@ class TestThreadEnv:
         assert not out.exists()
 
     def test_valid_value_set_before_numpy_loads(self):
+        # the package root loads no numpy; these are the two routes that do
         env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
         env["XLMIMO_NUM_THREADS"] = "3"
-        code = (
-            "import os, sys, builtins\n"
-            "real_import = builtins.__import__\n"
-            "def guard(name, *args, **kwargs):\n"
-            "    if name == 'numpy' or name.startswith('numpy.'):\n"
-            "        assert os.environ.get('OPENBLAS_NUM_THREADS') == '3'\n"
-            "    return real_import(name, *args, **kwargs)\n"
-            "builtins.__import__ = guard\n"
-            "import xlmimo\n"
-            "assert 'numpy' in sys.modules\n"
-            "print(os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["3", "3"]
+        for module in ("xlmimo.cli", "xlmimo.channel"):
+            code = (
+                "import os, sys, builtins\n"
+                "real_import = builtins.__import__\n"
+                "def guard(name, *args, **kwargs):\n"
+                "    if name == 'numpy' or name.startswith('numpy.'):\n"
+                "        assert os.environ.get('OPENBLAS_NUM_THREADS') == '3'\n"
+                "    return real_import(name, *args, **kwargs)\n"
+                "builtins.__import__ = guard\n"
+                f"import {module}\n"
+                "assert 'numpy' in sys.modules\n"
+                "print(os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])\n"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, (module, proc.stderr)
+            assert proc.stdout.split() == ["3", "3"], module
 
 
 _SCIPY_FREE_RUN = """
@@ -1962,6 +1964,19 @@ class TestScipyFree:
 
 
 class TestEntryPoint:
+    def test_package_root_loads_no_submodule_or_numpy(self):
+        # names are imported from their submodules; the root exports none
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, xlmimo; print(','.join(sorted(m for m in sys.modules "
+                "if m.startswith('xlmimo') or m.split('.')[0] == 'numpy')))",
+            ],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "xlmimo,xlmimo._threads,xlmimo.errors"
+
     def test_cli_import_defers_serialization_and_yaml(self):
         # the writers and their yaml import load with the first command
         # that needs them, not with the module
@@ -2016,3 +2031,69 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
+
+
+class TestCallTimeLookup:
+    def test_commands_call_library_functions_through_their_modules(
+        self, tmp_path, monkeypatch
+    ):
+        # a wrapper set on a module after xlmimo.cli is imported sees every
+        # call: the CLI looks library functions up when it calls them
+        from collections import Counter
+
+        from xlmimo import channel, metrics, scenario, serialization, sns
+
+        calls = Counter()
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        targets = (
+            (channel, "assemble"),
+            (channel, "path_table"),
+            (scenario, "build_all_paths"),
+            (sns, "generate_aaf"),
+            (metrics, "multiuser_trials"),
+            (metrics, "avg_spatial_correlation"),
+            (serialization, "write_table"),
+        )
+        for module, name in targets:
+            key = f"{module.__name__}.{name}"
+            monkeypatch.setattr(module, name, counting(getattr(module, name), key))
+        sns_reflector = {
+            "point": [0.0, 1.2, 0.0], "normal": [0.0, -1.0, 0.0],
+            "loss_db": 7.0, "sns": True,
+        }
+        config = write_config(tmp_path, variant="nf-sns", reflectors=[sns_reflector])
+        out = tmp_path / "syn"
+        argv = ["synthesize", "--config", config, "--seed", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert main([
+            "evaluate", "--channel", str(out / "channel"),
+            "--metrics", "capacity,spatial-correlation", "--num-ues", "1",
+            "--trials", "2", "--seed", "1", "--out", str(tmp_path / "ev"),
+        ]) == 0
+        expected = {f"{module.__name__}.{name}" for module, name in targets}
+        assert set(calls) == expected, calls
+        assert all(count > 0 for count in calls.values())
+
+
+class TestReadmeLibraryExample:
+    def test_runs_in_a_fresh_interpreter(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        section = readme.split("## Library example", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        values = [float(v) for v in proc.stdout.split()]
+        assert len(values) == 2 and all(np.isfinite(values)), proc.stdout
