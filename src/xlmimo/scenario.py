@@ -36,6 +36,17 @@ FORMAT_VERSION = 1
 _DEGENERATE_DISTANCE = 1e-9
 
 
+def _panel(point, normal, loss_db: float) -> dict:
+    """A specular reflector whose path is non-stationary."""
+    return {
+        "point": point,
+        "normal": normal,
+        "loss_db": loss_db,
+        "phase_rad": 0.0,
+        "sns": True,
+    }
+
+
 def _case1(material: str, loss_db: float) -> dict:
     """Indoor reflector-panel layout: broadside receiver, one panel behind it."""
     return {
@@ -57,15 +68,7 @@ def _case1(material: str, loss_db: float) -> dict:
         },
         "ues": [[0.2, 0.645, 0.0]],
         "los": {"enabled": True, "sns": False},
-        "reflectors": [
-            {
-                "point": [0.0, 1.2, 0.0],
-                "normal": [0.0, -1.0, 0.0],
-                "loss_db": loss_db,
-                "phase_rad": 0.0,
-                "sns": True,
-            }
-        ],
+        "reflectors": [_panel([0.0, 1.2, 0.0], [0.0, -1.0, 0.0], loss_db)],
         "scatterers": [],
         "aaf": {},
     }
@@ -95,45 +98,14 @@ def _case3(line_azimuth_rad: float = 0.8726646259971648) -> dict:
     offsets = [0.0, 0.5, 1.0, 1.5, 2.0, 2.8, 3.3, 3.8, 4.3, 4.8, 5.3, 5.8]
     direction = (math.cos(line_azimuth_rad), math.sin(line_azimuth_rad), 0.0)
     start = 1.5
-    ues = [[(start + off) * c for c in direction] for off in offsets]
-    return {
-        "format_version": FORMAT_VERSION,
-        "name": "case3",
-        "seed": 1,
-        "variant": "nf-sns",
-        "array": {
-            "num_elements": 301,
-            "spacing_m": 1.364e-3,
-            "axis": [1.0, 0.0, 0.0],
-            "origin": [0.0, 0.0, 0.0],
-            "reference_index": 0,
-        },
-        "grid": {"f_low_hz": 90.0e9, "f_high_hz": 110.0e9, "num_points": 2001},
-        "patterns": {
-            "tx": {"kind": "omnidirectional", "gain_dbi": 5.0},
-            "rx": {"kind": "omnidirectional", "gain_dbi": 5.0},
-        },
-        "ues": ues,
-        "los": {"enabled": True, "sns": False},
-        "reflectors": [
-            {
-                "point": [-1.0, 0.0, 0.0],
-                "normal": [1.0, 0.0, 0.0],
-                "loss_db": 12.0,
-                "phase_rad": 0.0,
-                "sns": True,
-            },
-            {
-                "point": [0.0, 6.05, 0.0],
-                "normal": [0.0, -1.0, 0.0],
-                "loss_db": 12.0,
-                "phase_rad": 0.0,
-                "sns": True,
-            },
-        ],
-        "scatterers": [],
-        "aaf": {},
-    }
+    cfg = _case1("concrete", 12.0)
+    cfg["name"] = "case3"
+    cfg["ues"] = [[(start + off) * c for c in direction] for off in offsets]
+    cfg["reflectors"] = [
+        _panel([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 12.0),
+        _panel([0.0, 6.05, 0.0], [0.0, -1.0, 0.0], 12.0),
+    ]
+    return cfg
 
 
 def _case4() -> dict:
@@ -141,49 +113,29 @@ def _case4() -> dict:
     rx = [0.3, 3.0, 0.0]
     norm = math.sqrt(rx[0] ** 2 + rx[1] ** 2)
     bs = [rx[0] / norm, rx[1] / norm, 0.0]
-    return {
-        "format_version": FORMAT_VERSION,
-        "name": "case4",
-        "seed": 1,
-        "variant": "nf-sns",
-        "array": {
-            "num_elements": 531,
-            "spacing_m": 1.136e-3,
-            "axis": [1.0, 0.0, 0.0],
-            "origin": [0.0, 0.0, 0.0],
-            "reference_index": 0,
+    cfg = _case1("concrete", 10.0)
+    cfg["name"] = "case4"
+    cfg["array"].update(num_elements=531, spacing_m=1.136e-3)
+    cfg["grid"].update(f_low_hz=122.0e9, f_high_hz=142.0e9)
+    cfg["patterns"] = {
+        "tx": {
+            "kind": "gaussian_lobe",
+            "gain_dbi": 23.0,
+            "boresight": bs,
+            "hpbw_az_rad": math.radians(14.6),
+            "hpbw_el_rad": math.radians(14.6),
         },
-        "grid": {"f_low_hz": 122.0e9, "f_high_hz": 142.0e9, "num_points": 2001},
-        "patterns": {
-            "tx": {
-                "kind": "gaussian_lobe",
-                "gain_dbi": 23.0,
-                "boresight": bs,
-                "hpbw_az_rad": math.radians(14.6),
-                "hpbw_el_rad": math.radians(14.6),
-            },
-            "rx": {
-                "kind": "gaussian_lobe",
-                "gain_dbi": 25.1,
-                "boresight": [-bs[0], -bs[1], 0.0],
-                "hpbw_az_rad": math.radians(9.9),
-                "hpbw_el_rad": math.radians(9.9),
-            },
+        "rx": {
+            "kind": "gaussian_lobe",
+            "gain_dbi": 25.1,
+            "boresight": [-bs[0], -bs[1], 0.0],
+            "hpbw_az_rad": math.radians(9.9),
+            "hpbw_el_rad": math.radians(9.9),
         },
-        "ues": [rx],
-        "los": {"enabled": True, "sns": False},
-        "reflectors": [
-            {
-                "point": [0.0, 4.5, 0.0],
-                "normal": [0.0, -1.0, 0.0],
-                "loss_db": 10.0,
-                "phase_rad": 0.0,
-                "sns": True,
-            }
-        ],
-        "scatterers": [],
-        "aaf": {},
     }
+    cfg["ues"] = [rx]
+    cfg["reflectors"] = [_panel([0.0, 4.5, 0.0], [0.0, -1.0, 0.0], 10.0)]
+    return cfg
 
 
 def _freespace() -> dict:
