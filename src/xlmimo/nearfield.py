@@ -295,11 +295,13 @@ def expand_path(
     else:
         diff = path.distance * aod_ref - geometry.element_offsets()
         distances = np.linalg.norm(diff, axis=1)
+        distances[ref] = path.distance  # the norm can miss it by an ulp
         if np.any(distances < _DEGENERATE_DISTANCE):
             raise GeometryError("array element coincides with the path source")
         delta = distances - path.distance
         excess = distances - distances[ref]
         amplitudes = path.amplitude * path.distance / distances
+        amplitudes[ref] = path.amplitude  # (a * d) / d can miss a by an ulp
         gains = distances[ref] / distances
         delays = path.delay + delta / SPEED_OF_LIGHT
         aod = diff / distances[:, None]

@@ -476,6 +476,55 @@ class TestPlaneWaveLimit:
         assert_allclose(nf.aod[r], direction_vector(path.aod), atol=4e-16)
         assert_allclose(nf.aoa[r], direction_vector(path.aoa), atol=4e-16)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_elements=st.integers(1, 600),
+        spacing=st.floats(1e-4, 1e-2),
+        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda v: np.linalg.norm(v) > 1e-3
+        ),
+        reference=st.floats(0.0, 1.0),
+        model=st.sampled_from(
+            [WavefrontModel.LOS, WavefrontModel.SRM, WavefrontModel.SPM]
+        ),
+        aod=ANGLES,
+        aoa=ANGLES,
+        amplitude=st.floats(1e-6, 10.0),
+        phase=st.floats(-np.pi, np.pi),
+        apertures=st.floats(2.0, 1e6),
+        carrier=st.floats(60e9, 300e9),
+    )
+    def test_spherical_reference_row_is_exact(
+        self, num_elements, spacing, axis, reference, model, aod, aoa, amplitude,
+        phase, apertures, carrier,
+    ):
+        """The reference element reproduces the path's distance, amplitude,
+        phase and delay bit for bit, with gain 1 and excess length 0."""
+        geom = ArrayGeometry(
+            num_elements=num_elements,
+            spacing=spacing,
+            axis=np.array(axis) / np.linalg.norm(axis),
+            reference_index=round(reference * (num_elements - 1)),
+        )
+        distance = apertures * max(geom.aperture, geom.spacing)
+        path = PathRecord(
+            model=model,
+            amplitude=amplitude,
+            phase=phase,
+            delay=distance / SPEED_OF_LIGHT,
+            distance=distance,
+            aod=aod,
+            aoa=aoa,
+        )
+        exp = expand_path(path, geom, carrier)
+        r = geom.reference_index
+        assert exp.distances[r] == path.distance
+        assert exp.amplitudes[r] == path.amplitude
+        assert exp.phases[r] == path.phase
+        assert exp.delays[r] == path.delay
+        assert exp.gains[r] == 1.0
+        assert exp.excess_lengths[r] == 0.0
+
 
 class TestBuildATensor:
     def test_dispatch_by_model(self):
