@@ -431,7 +431,19 @@ def _cmd_generate_aaf(args) -> int:
     return 0
 
 
-_METRICS = ("capacity", "demmel", "gain", "kfactor", "delay-spread", "spatial-correlation")
+#: Metrics of multi-user trials on the channel tensor, drawn together.
+_TRIAL_METRICS = ("capacity", "demmel")
+
+#: Per-element metrics of the path table, each a function of one user's
+#: table.  The ``mx`` functions are looked up at call time, as the module
+#: docstring says.
+_ELEMENT_METRICS = {
+    "gain": lambda t: mx.path_gain_db(t["amplitude"]),
+    "kfactor": lambda t: mx.rician_k_db(t["amplitude"]),
+    "delay-spread": lambda t: mx.rms_delay_spread(t["amplitude"] ** 2, t["delay"]),
+}
+
+_METRICS = (*_TRIAL_METRICS, *_ELEMENT_METRICS, "spatial-correlation")
 
 
 def _parse_metrics(spec: str) -> list:
@@ -446,26 +458,40 @@ def _parse_metrics(spec: str) -> list:
     return metrics
 
 
-def _load_channels(args) -> list:
-    """Load channels as (label, path, meta, directory) tuples.
+def _load_channels(args, metrics, trials: bool) -> list:
+    """Load channels as (label, path, meta, tables) tuples; ``tables`` are
+    the per-user path tables, None without per-path metrics.
 
-    Every header and file size is checked; no tensor value is read.
+    Every header and file size is checked first, then the trial arguments
+    and each channel's path table against the metrics, all before
+    ``evaluate`` makes ``--out``.  No tensor value is read.
     """
-    from .serialization import read_channel_header
+    from .serialization import read_channel_header, read_pathtable
 
+    headers = [read_channel_header(path) for path in args.channel]
+    if trials and args.seed is None:
+        raise ConfigError("--seed is required for capacity/demmel trials")
     loaded = []
     seen = {}
-    for path in args.channel:
-        meta = read_channel_header(path)
-        base = os.path.basename(path)
-        if base.endswith(".json"):
-            base = base[: -len(".json")]
-        label = f"{base}_{meta.get('variant', 'unknown')}"
+    for path, meta in zip(args.channel, headers):
+        label = f"{os.path.basename(path).removesuffix('.json')}_{meta['variant']}"
         seen[label] = seen.get(label, 0) + 1
         if seen[label] > 1:
             label = f"{label}_{seen[label]}"
-        directory = os.path.dirname(os.path.abspath(path))
-        loaded.append((label, path, meta, directory))
+        num_users = meta["shape"][0]
+        if trials and not 1 <= args.num_ues <= num_users:
+            raise ConfigError(f"--num-ues must be in [1, {num_users}] for {label}")
+        tables = None
+        if any(m not in _TRIAL_METRICS for m in metrics):
+            tables = read_pathtable(os.path.dirname(os.path.abspath(path)))
+        if "spatial-correlation" in metrics:
+            num_paths = min(t["aaf"].shape[1] for t in tables)
+            if num_paths < 2:
+                raise ConfigError(
+                    f"spatial-correlation needs at least two paths per user, "
+                    f"got {num_paths} in {label}"
+                )
+        loaded.append((label, path, meta, tables))
     return loaded
 
 
@@ -481,72 +507,29 @@ def _channel_gram(path, meta):
         raise ConfigError(f"{_channel_files(path)[1]}: {exc}") from exc
 
 
-_PATH_METRICS = ("gain", "kfactor", "delay-spread", "spatial-correlation")
-
-
-def _checked_tables(loaded, metrics, args) -> list:
-    """Each channel's path tables (None without per-path metrics).
-
-    Every channel is checked against the trial arguments and the metrics
-    here, before ``evaluate`` makes ``--out`` or writes any file.
-    """
-    from .serialization import read_pathtable
-
-    trials = "capacity" in metrics or "demmel" in metrics
-    if trials and args.seed is None:
-        raise ConfigError("--seed is required for capacity/demmel trials")
-    all_tables = []
-    for label, _path, meta, directory in loaded:
-        num_users = meta["shape"][0]
-        if trials and not 1 <= args.num_ues <= num_users:
-            raise ConfigError(f"--num-ues must be in [1, {num_users}] for {label}")
-        tables = None
-        if any(m in _PATH_METRICS for m in metrics):
-            tables = read_pathtable(directory)
-        if "spatial-correlation" in metrics:
-            num_paths = min(t["aaf"].shape[1] for t in tables)
-            if num_paths < 2:
-                raise ConfigError(
-                    f"spatial-correlation needs at least two paths per user, "
-                    f"got {num_paths} in {label}"
-                )
-        all_tables.append(tables)
-    return all_tables
-
-
 def _metric_samples(gram, tables, metrics, args):
-    """Sample vectors per metric for one channel; None for curve metrics."""
+    """Sample vectors per metric for one channel; ``gram`` is None without
+    trial metrics."""
     samples = {}
-    if "capacity" in metrics or "demmel" in metrics:
+    if gram is not None:
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-        capacity, demmel = mx.multiuser_trials(
+        trials = mx.multiuser_trials(
             gram, args.num_ues, args.trials, rng, snr_db=args.snr_db
         )
-        if "capacity" in metrics:
-            samples["capacity"] = capacity
-        if "demmel" in metrics:
-            samples["demmel"] = demmel
-    if "gain" in metrics:
-        samples["gain"] = np.concatenate(
-            [mx.path_gain_db(t["amplitude"]) for t in tables]
-        )
-    if "kfactor" in metrics:
-        samples["kfactor"] = np.concatenate(
-            [mx.rician_k_db(t["amplitude"]) for t in tables]
-        )
-    if "delay-spread" in metrics:
-        samples["delay-spread"] = np.concatenate(
-            [mx.rms_delay_spread(t["amplitude"] ** 2, t["delay"]) for t in tables]
-        )
+        samples.update(zip(_TRIAL_METRICS, trials))
+    for metric, per_user in _ELEMENT_METRICS.items():
+        if metric in metrics:
+            samples[metric] = np.concatenate([per_user(t) for t in tables])
     return samples
 
 
 def _spatial_correlation_curve(tables, max_lag):
     """Lags 1..min(max_lag, M - 1) and the user-averaged correlation at each."""
     num_elements = tables[0]["aaf"].shape[0]
-    matrices = [mx.sns_amplitude_matrix(t["aaf"], t["alpha"]) for t in tables]
     lags = np.arange(1, min(int(max_lag), num_elements - 1) + 1)
-    per_user = [mx.avg_spatial_correlation(m, lags).tolist() for m in matrices]
+    per_user = [
+        mx.avg_spatial_correlation(t["aaf"] * t["alpha"], lags).tolist() for t in tables
+    ]
     curve = np.array([np.nanmean(values) for values in zip(*per_user)])
     return lags, curve
 
@@ -592,14 +575,13 @@ def _evaluate_channels(args, write_per_channel: bool) -> int:
         )
     if args.max_lag < 1:
         raise ConfigError(f"--max-lag must be >= 1, got {args.max_lag}")
-    loaded = _load_channels(args)
-    all_tables = _checked_tables(loaded, metrics, args)
-    trials = "capacity" in metrics or "demmel" in metrics
+    trials = any(m in _TRIAL_METRICS for m in metrics)
+    loaded = _load_channels(args, metrics, trials)
     grams = [_channel_gram(path, meta) if trials else None for _, path, meta, _ in loaded]
     out = _ensure_out(args)
     all_samples = {}
     summary = {"label": [], "metric": [], "count": [], "non_finite": [], "mean": []}
-    for (label, *_), tables, gram in zip(loaded, all_tables, grams):
+    for (label, _, _, tables), gram in zip(loaded, grams):
         samples = _metric_samples(gram, tables, metrics, args)
         all_samples[label] = samples
         for metric in metrics:

@@ -83,10 +83,7 @@ def angles_from_vector(v) -> Angles:
     Raises ``ValueError`` if ``v`` is not unit length within 1e-9.  At the
     poles (``v`` parallel to z) the azimuth is 0 by convention.
     """
-    v = _as_vec3(v, "direction")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > _UNIT_TOL:
-        raise ValueError(f"direction must be a unit vector, got norm {norm!r}")
+    v = _as_unit_vec3(v, "direction")
     elevation = float(np.arccos(np.clip(v[2], -1.0, 1.0)))
     azimuth = float(np.arctan2(v[1], v[0]))
     if azimuth <= -np.pi:

@@ -290,22 +290,6 @@ def multiuser_trials(
     return capacity[inverse], demmel[inverse]
 
 
-def sns_amplitude_matrix(aaf, amplitudes) -> np.ndarray:
-    """Per-element path amplitude magnitudes, shape (M, L).
-
-    Attenuation factors scaled by the reference path amplitudes (the
-    magnitude of the reference response is frequency independent).
-    """
-    aaf = np.asarray(aaf, dtype=float)
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    if aaf.ndim != 2 or amplitudes.shape != (aaf.shape[1],):
-        raise ValueError(
-            f"aaf must be (M, L) with amplitudes of shape (L,), got "
-            f"{aaf.shape} and {amplitudes.shape}"
-        )
-    return aaf * amplitudes[None, :]
-
-
 def avg_spatial_correlation(matrix, lags) -> np.ndarray:
     """Mean Pearson correlation between element rows at each lag.
 

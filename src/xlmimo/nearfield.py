@@ -224,7 +224,6 @@ class NearFieldExpansion:
     aod: np.ndarray  # unit vectors, (M, 3)
     aoa: np.ndarray  # unit vectors, (M, 3)
     reference_index: int
-    carrier_hz: float
 
 
 def expand_path(
@@ -285,7 +284,7 @@ def expand_path(
 
     if force_ff or path.model is WavefrontModel.FF:
         u = float(np.dot(aod_ref, geometry.axis))
-        delta = excess = (np.arange(m) - ref) * (-geometry.spacing * u)
+        excess = (np.arange(m) - ref) * (-geometry.spacing * u)
         distances = np.full(m, path.distance)
         amplitudes = np.full(m, path.amplitude)
         gains = np.ones(m)
@@ -298,12 +297,11 @@ def expand_path(
         distances[ref] = path.distance  # the norm can miss it by an ulp
         if np.any(distances < _DEGENERATE_DISTANCE):
             raise GeometryError("array element coincides with the path source")
-        delta = distances - path.distance
-        excess = distances - distances[ref]
+        excess = distances - path.distance
         amplitudes = path.amplitude * path.distance / distances
         amplitudes[ref] = path.amplitude  # (a * d) / d can miss a by an ulp
         gains = distances[ref] / distances
-        delays = path.delay + delta / SPEED_OF_LIGHT
+        delays = path.delay + excess / SPEED_OF_LIGHT
         aod = diff / distances[:, None]
         if path.model is WavefrontModel.SPM:
             aoa = np.broadcast_to(aoa_ref, aod.shape).copy()
@@ -328,12 +326,11 @@ def expand_path(
         amplitudes=amplitudes,
         gains=gains,
         excess_lengths=excess,
-        phases=path.phase + 2.0 * np.pi * carrier_hz / SPEED_OF_LIGHT * delta,
+        phases=path.phase + 2.0 * np.pi * carrier_hz / SPEED_OF_LIGHT * excess,
         delays=delays,
         aod=aod,
         aoa=aoa,
         reference_index=ref,
-        carrier_hz=carrier_hz,
     )
 
 

@@ -283,32 +283,23 @@ def validate_config(config: dict) -> dict:
         if not isinstance(los[key], bool):
             raise ConfigError(f"los.{key} must be a boolean")
 
-    reflectors = cfg.setdefault("reflectors", [])
-    if not isinstance(reflectors, list):
-        raise ConfigError("reflectors must be a list")
-    for i, ref in enumerate(reflectors):
-        ctx = f"reflectors[{i}]"
-        ref["point"] = _vec3(_require(ref, "point", list, ctx), f"{ctx}.point")
-        ref["normal"] = _vec3(_require(ref, "normal", list, ctx), f"{ctx}.normal")
-        ref["loss_db"] = _require(ref, "loss_db", float, ctx)
-        ref["phase_rad"] = _require(ref, "phase_rad", float, ctx, default=0.0)
-        ref.setdefault("sns", True)
-        if not isinstance(ref["sns"], bool):
-            raise ConfigError(f"{ctx}.sns must be a boolean")
+    # reflectors and scatterers differ only in the keys of their points
+    point_keys = (("reflectors", ("point", "normal")), ("scatterers", ("position",)))
+    for key, names in point_keys:
+        items = cfg.setdefault(key, [])
+        if not isinstance(items, list):
+            raise ConfigError(f"{key} must be a list")
+        for i, item in enumerate(items):
+            ctx = f"{key}[{i}]"
+            for name in names:
+                item[name] = _vec3(_require(item, name, list, ctx), f"{ctx}.{name}")
+            item["loss_db"] = _require(item, "loss_db", float, ctx)
+            item["phase_rad"] = _require(item, "phase_rad", float, ctx, default=0.0)
+            item.setdefault("sns", True)
+            if not isinstance(item["sns"], bool):
+                raise ConfigError(f"{ctx}.sns must be a boolean")
 
-    scatterers = cfg.setdefault("scatterers", [])
-    if not isinstance(scatterers, list):
-        raise ConfigError("scatterers must be a list")
-    for i, sc in enumerate(scatterers):
-        ctx = f"scatterers[{i}]"
-        sc["position"] = _vec3(_require(sc, "position", list, ctx), f"{ctx}.position")
-        sc["loss_db"] = _require(sc, "loss_db", float, ctx)
-        sc["phase_rad"] = _require(sc, "phase_rad", float, ctx, default=0.0)
-        sc.setdefault("sns", True)
-        if not isinstance(sc["sns"], bool):
-            raise ConfigError(f"{ctx}.sns must be a boolean")
-
-    if not los["enabled"] and not reflectors and not scatterers:
+    if not los["enabled"] and not cfg["reflectors"] and not cfg["scatterers"]:
         raise ConfigError("scenario has no propagation paths")
 
     aaf = cfg.setdefault("aaf", {})
@@ -323,7 +314,7 @@ def validate_config(config: dict) -> dict:
         build_geometry(cfg)
         build_grid(cfg)
         build_patterns(cfg)
-        for ref in reflectors:
+        for ref in cfg["reflectors"]:
             Plane(point=ref["point"], normal=ref["normal"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -381,10 +372,21 @@ def build_aaf_params(config: dict) -> AAFStatParams:
 
 def _amplitude(total_length_m: float, loss_db: float, carrier_hz: float) -> float:
     wavelength = SPEED_OF_LIGHT / carrier_hz
-    return (
-        wavelength
-        / (4.0 * math.pi * total_length_m)
-        * 10.0 ** (-loss_db / 20.0)
+    return wavelength / (4.0 * math.pi * total_length_m) * 10.0 ** (-loss_db / 20.0)
+
+
+def _record(model, length, distance, aod, aoa, loss_db, phase, sns, carrier):
+    """A path of traveled ``length`` whose source lies ``distance`` from the
+    array along unit vector ``aod`` and which arrives along unit ``aoa``."""
+    return PathRecord(
+        model=model,
+        amplitude=_amplitude(length, loss_db, carrier),
+        phase=phase,
+        delay=length / SPEED_OF_LIGHT,
+        distance=distance,
+        aod=angles_from_vector(aod),
+        aoa=angles_from_vector(aoa),
+        stationarity=Stationarity.NON_STATIONARY if sns else Stationarity.STATIONARY,
     )
 
 
@@ -396,10 +398,8 @@ def build_paths(config: dict, ue_position) -> list:
     wavelength.  Raises ``GeometryError`` naming the offending path when a
     geometric construction degenerates.
     """
-    geometry = build_geometry(config)
-    grid = build_grid(config)
-    carrier = grid.carrier_hz
-    reference = geometry.origin
+    carrier = build_grid(config).carrier_hz
+    reference = build_geometry(config).origin
     rx = np.asarray(_vec3(list(ue_position), "ue_position"))
     paths = []
 
@@ -408,21 +408,11 @@ def build_paths(config: dict, ue_position) -> list:
         dist = float(np.linalg.norm(vec))
         if dist < _DEGENERATE_DISTANCE:
             raise GeometryError("direct path: receiver coincides with the array")
-        direction = angles_from_vector(vec / dist)
+        direction = vec / dist
         paths.append(
-            PathRecord(
-                model=WavefrontModel.LOS,
-                amplitude=_amplitude(dist, 0.0, carrier),
-                phase=0.0,
-                delay=dist / SPEED_OF_LIGHT,
-                distance=dist,
-                aod=direction,
-                aoa=direction,
-                stationarity=(
-                    Stationarity.NON_STATIONARY
-                    if config["los"]["sns"]
-                    else Stationarity.STATIONARY
-                ),
+            _record(
+                WavefrontModel.LOS, dist, dist, direction, direction,
+                0.0, 0.0, config["los"]["sns"], carrier,
             )
         )
 
@@ -443,21 +433,11 @@ def build_paths(config: dict, ue_position) -> list:
             raise GeometryError(
                 f"reflector {i}: array and receiver on opposite sides of the plane"
             )
-        aod_vec = vec / dist
+        aod = vec / dist
         paths.append(
-            PathRecord(
-                model=WavefrontModel.SRM,
-                amplitude=_amplitude(dist, ref["loss_db"], carrier),
-                phase=ref["phase_rad"],
-                delay=dist / SPEED_OF_LIGHT,
-                distance=dist,
-                aod=angles_from_vector(aod_vec),
-                aoa=angles_from_vector(reflect_direction(aod_vec, plane)),
-                stationarity=(
-                    Stationarity.NON_STATIONARY
-                    if ref["sns"]
-                    else Stationarity.STATIONARY
-                ),
+            _record(
+                WavefrontModel.SRM, dist, dist, aod, reflect_direction(aod, plane),
+                ref["loss_db"], ref["phase_rad"], ref["sns"], carrier,
             )
         )
 
@@ -470,19 +450,10 @@ def build_paths(config: dict, ue_position) -> list:
         if leg_rx < _DEGENERATE_DISTANCE:
             raise GeometryError(f"scatterer {i}: coincides with the receiver")
         paths.append(
-            PathRecord(
-                model=WavefrontModel.SPM,
-                amplitude=_amplitude(leg_tx + leg_rx, sc["loss_db"], carrier),
-                phase=sc["phase_rad"],
-                delay=(leg_tx + leg_rx) / SPEED_OF_LIGHT,
-                distance=leg_tx,
-                aod=angles_from_vector((pos - reference) / leg_tx),
-                aoa=angles_from_vector((rx - pos) / leg_rx),
-                stationarity=(
-                    Stationarity.NON_STATIONARY
-                    if sc["sns"]
-                    else Stationarity.STATIONARY
-                ),
+            _record(
+                WavefrontModel.SPM, leg_tx + leg_rx, leg_tx,
+                (pos - reference) / leg_tx, (rx - pos) / leg_rx,
+                sc["loss_db"], sc["phase_rad"], sc["sns"], carrier,
             )
         )
 

@@ -33,7 +33,6 @@ from .geometry import Angles, ArrayGeometry
 from .nearfield import PathRecord, Stationarity, WavefrontModel
 
 TENSOR_FORMAT_VERSION = 1
-PATHS_FORMAT_VERSION = 1
 
 PATH_COLUMNS = [
     "model",
@@ -251,7 +250,9 @@ def pathtable_writer(directory, num_rows):
 def read_pathtable(directory) -> list:
     """Per-user amplitude/delay/aaf/alpha matrices from pathtable.npy.
 
-    The file must hold a 1-D array of ``PATHTABLE_DTYPE`` records.  Every
+    The file must be ``.npy`` format 1.0, as :func:`pathtable_writer` and
+    ``np.save`` write it, and hold a 1-D array of ``PATHTABLE_DTYPE``
+    records.  Every
     user shares the element count; each user's rows must cover every
     (path, element) pair exactly once, in any order, with finite,
     non-negative values.
@@ -262,20 +263,15 @@ def read_pathtable(directory) -> list:
             f"{table_path} not found: per-path metrics need the synthesize "
             f"output directory"
         )
-    fmt = np.lib.format
     # The header is checked against the file size before any record is
     # read, so a header that declares more rows than the file holds fails
     # here instead of allocating them.
     try:
         with open(table_path, "rb") as fh:
-            version = fmt.read_magic(fh)
-            read_header = {
-                (1, 0): fmt.read_array_header_1_0,
-                (2, 0): fmt.read_array_header_2_0,
-            }.get(version)
-            if read_header is None:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):
                 raise ValueError(f"unsupported .npy format version {version}")
-            shape, _, stored = read_header(fh)
+            shape, _, stored = np.lib.format.read_array_header_1_0(fh)
             if len(shape) != 1 or stored != PATHTABLE_DTYPE:
                 raise ConfigError(
                     f"{table_path}: expected a 1-D array of {PATHTABLE_DTYPE}, got "
@@ -526,9 +522,7 @@ def write_channel(
 
 
 def _channel_files(basepath) -> tuple:
-    base = str(basepath)
-    if base.endswith(".json"):
-        base = base[: -len(".json")]
+    base = str(basepath).removesuffix(".json")
     return f"{base}.json", f"{base}.bin"
 
 
@@ -558,8 +552,8 @@ def read_channel_header(basepath) -> dict:
         )
     if meta.get("dtype") != "complex64" or meta.get("byte_order") != "little":
         raise ConfigError(f"{meta_path}: unsupported encoding")
-    if meta.get("variant", "nf-sns") not in VARIANTS:
-        raise ConfigError(f"{meta_path}: unknown variant {meta['variant']!r}")
+    if meta.get("variant") not in VARIANTS:
+        raise ConfigError(f"{meta_path}: unknown variant {meta.get('variant')!r}")
     shape = meta.get("shape")
     if not (
         isinstance(shape, list)
@@ -573,20 +567,17 @@ def read_channel_header(basepath) -> dict:
     if not isinstance(grid, dict) or grid.get("num_points") != shape[2]:
         raise ConfigError(f"{meta_path}: shape {shape} does not match the grid")
     array = meta.get("array")
-    if "array" in meta and (
-        not isinstance(array, dict) or array.get("num_elements") != shape[1]
-    ):
+    if not isinstance(array, dict) or array.get("num_elements") != shape[1]:
         raise ConfigError(f"{meta_path}: shape {shape} does not match the array")
     try:
         FrequencyGrid(**grid)
-        if "array" in meta:
-            ArrayGeometry(
-                num_elements=array["num_elements"],
-                spacing=array["spacing_m"],
-                axis=np.asarray(array["axis"]),
-                origin=np.asarray(array["origin"]),
-                reference_index=array["reference_index"],
-            )
+        ArrayGeometry(
+            num_elements=array["num_elements"],
+            spacing=array["spacing_m"],
+            axis=np.asarray(array["axis"]),
+            origin=np.asarray(array["origin"]),
+            reference_index=array["reference_index"],
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{meta_path}: invalid grid or array: {exc!r}") from exc
     size = os.path.getsize(bin_path)
@@ -600,14 +591,12 @@ def read_channel(basepath) -> tuple:
 
     ``basepath`` may include the ``.json`` suffix.  Returns ``(values,
     meta)``: the (users, elements, frequencies) ``<c8`` array as stored,
-    read in one call, and the header dict, checked by
+    read by :func:`read_channel_rows`, and the header dict, checked by
     :func:`read_channel_header` before anything is allocated.
     """
     meta = read_channel_header(basepath)
-    _, bin_path = _channel_files(basepath)
     shape = meta["shape"]
-    values = np.fromfile(bin_path, "<c8", count=shape[0] * shape[1] * shape[2])
-    return values.reshape(shape), meta
+    return read_channel_rows(basepath, shape, range(shape[0]), 0, shape[1]), meta
 
 
 def read_channel_rows(basepath, shape, users, lo, hi) -> np.ndarray:

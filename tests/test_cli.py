@@ -1493,6 +1493,12 @@ class TestPathTableFile:
                      "fortran_order": False, "shape": (10**12,)})
             records.tofile(fh)
 
+    @staticmethod
+    def _format_2_0(path, records):
+        # the records under a format 2.0 header, which pathtable_writer never writes
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, records, version=(2, 0))
+
     @pytest.mark.parametrize(
         "write",
         [
@@ -1513,12 +1519,13 @@ class TestPathTableFile:
             lambda p, r: np.savez(p.with_suffix(""), table=r) or p.with_suffix(".npz").rename(p),
             lambda p, r: np.save(p, r[:0]),
             lambda p, r: p.unlink(),
+            _format_2_0,
         ],
         ids=[
             "wrong-names", "int32-ue", "big-endian-floats", "plain-2-d",
             "2-d-records", "truncated-data", "huge-row-count", "trailing-record", "truncated-header",
             "empty-file",
-            "object-pickle", "csv-text", "npz", "no-rows", "missing",
+            "object-pickle", "csv-text", "npz", "no-rows", "missing", "format-2.0",
         ],
     )
     def test_malformed_file_exits_2(self, synthesized, tmp_path, capsys, write):

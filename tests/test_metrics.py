@@ -19,7 +19,6 @@ from xlmimo.metrics import (
     path_gain_db,
     rician_k_db,
     rms_delay_spread,
-    sns_amplitude_matrix,
     stream_gram,
 )
 
@@ -379,13 +378,6 @@ class TestStreamGram:
 
 
 class TestAmplitudeMetrics:
-    def test_sns_amplitude_matrix_oracle(self):
-        aaf = np.array([[1.0, 0.5], [0.2, 1.0]])
-        out = sns_amplitude_matrix(aaf, np.array([2.0, 4.0]))
-        assert_allclose(out, [[2.0, 2.0], [0.4, 4.0]])
-        with pytest.raises(ValueError):
-            sns_amplitude_matrix(aaf, np.array([1.0, 2.0, 3.0]))
-
     def test_path_gain_db_oracle(self):
         amp = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert_allclose(

@@ -299,7 +299,6 @@ class TestNfPathMatrix:
             aod=np.tile([1.0, 0.0, 0.0], (2, 1)),
             aoa=np.tile([1.0, 0.0, 0.0], (2, 1)),
             reference_index=0,
-            carrier_hz=f,
         )
         mat = nf_path_matrix(exp, np.array([f]))
         assert_allclose(mat[1, 0], (1.0 / (1.0 + lam)) * np.exp(-1j * 0.7), rtol=1e-9)

@@ -624,6 +624,8 @@ class TestChannelIO:
             ("grid", {"num_points": 3}, "grid"),
             ("variant", "bogus", "variant"),
             ("array", {"num_elements": 4, "spacing_m": -1.0}, "array"),
+            pytest.param("variant", None, "variant", id="missing-variant"),
+            pytest.param("array", None, "array", id="missing-array"),
         ],
     )
     def test_bad_header_rejected(self, tmp_path, key, value, match):
@@ -631,6 +633,8 @@ class TestChannelIO:
         write_test_channel(base)
         meta = read_json(f"{base}.json")
         meta[key] = value
+        if value is None:  # every header write_channel writes has the key
+            del meta[key]
         write_json(f"{base}.json", meta)
         with pytest.raises(ConfigError, match=match):
             read_channel(base)
