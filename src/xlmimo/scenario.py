@@ -246,13 +246,8 @@ def validate_config(config: dict) -> dict:
     grid["f_high_hz"] = _require(grid, "f_high_hz", float, "grid")
     grid["num_points"] = _require(grid, "num_points", int, "grid")
 
-    patterns = cfg.setdefault(
-        "patterns",
-        {
-            "tx": {"kind": "omnidirectional", "gain_dbi": 0.0},
-            "rx": {"kind": "omnidirectional", "gain_dbi": 0.0},
-        },
-    )
+    # the defaults of each pattern's keys fill in a missing block too
+    patterns = cfg.setdefault("patterns", {"tx": {}, "rx": {}})
     for side in ("tx", "rx"):
         pat = _require(patterns, side, dict, "patterns")
         kind = pat.setdefault("kind", "omnidirectional")
@@ -274,7 +269,7 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("ues must contain at least one receiver position")
     cfg["ues"] = [_vec3(u, f"ues[{i}]") for i, u in enumerate(ues)]
 
-    los = cfg.setdefault("los", {"enabled": True, "sns": False})
+    los = cfg.setdefault("los", {})
     if not isinstance(los, dict):
         raise ConfigError("los must be a mapping")
     los.setdefault("enabled", True)
@@ -372,7 +367,11 @@ def build_aaf_params(config: dict) -> AAFStatParams:
 
 def _amplitude(total_length_m: float, loss_db: float, carrier_hz: float) -> float:
     wavelength = SPEED_OF_LIGHT / carrier_hz
-    return wavelength / (4.0 * math.pi * total_length_m) * 10.0 ** (-loss_db / 20.0)
+    return (
+        wavelength
+        / (4.0 * math.pi * total_length_m)
+        * 10.0 ** (-loss_db / 20.0)
+    )
 
 
 def _record(model, length, distance, aod, aoa, loss_db, phase, sns, carrier):
