@@ -84,7 +84,8 @@ def angles_from_vector(v) -> Angles:
     poles (``v`` parallel to z) the azimuth is 0 by convention.
     """
     v = _as_unit_vec3(v, "direction")
-    elevation = float(np.arccos(np.clip(v[2], -1.0, 1.0)))
+    # arctan2 keeps full precision near the poles, where arccos(z) does not
+    elevation = float(np.arctan2(np.hypot(v[0], v[1]), v[2]))
     azimuth = float(np.arctan2(v[1], v[0]))
     if azimuth <= -np.pi:
         azimuth = np.pi

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.constants
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xlmimo.geometry import (
@@ -67,6 +69,19 @@ class TestAnglesFromVector:
             v /= np.linalg.norm(v)
             back = direction_vector(angles_from_vector(v))
             assert_allclose(back, v, atol=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-12.0, 0.19).map(lambda e: 10.0**e),  # polar offset, rad
+        st.floats(-np.pi, np.pi),
+        st.booleans(),
+    )
+    def test_round_trip_is_exact_near_the_poles(self, offset, azimuth, south):
+        # arccos(z) loses up to ~1e-8 rad here: z rounds to +-1 within 1e-8
+        sin, cos = np.sin(offset), np.cos(offset)
+        v = np.array([sin * np.cos(azimuth), sin * np.sin(azimuth), -cos if south else cos])
+        back = direction_vector(angles_from_vector(v))
+        assert np.max(np.abs(back - v)) <= 1e-15
 
     def test_poles_use_zero_azimuth(self):
         assert angles_from_vector([0.0, 0.0, 1.0]).azimuth == 0.0

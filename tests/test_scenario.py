@@ -2,10 +2,12 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xlmimo.errors import ConfigError, GeometryError
-from xlmimo.geometry import SPEED_OF_LIGHT, ArrayGeometry, Plane
+from xlmimo.geometry import SPEED_OF_LIGHT, ArrayGeometry, Plane, direction_vector
 from xlmimo.nearfield import Stationarity, WavefrontModel
 from xlmimo.channel import FrequencyGrid
 from xlmimo.serialization import read_yaml, write_yaml
@@ -306,3 +308,84 @@ class TestBuildPaths:
         # side wall and back wall both produce reflections
         assert all(p[1].model is WavefrontModel.SRM for p in lists)
         assert all(p[2].model is WavefrontModel.SRM for p in lists)
+
+
+_coordinate = st.floats(-5.0, 5.0)
+_point = st.tuples(_coordinate, _coordinate, _coordinate).map(np.array)
+# offsets within 1e-12 to 1e-2 rad of the +-z axis, where path directions
+# sit next to a pole of the spherical angles
+_near_pole = st.tuples(
+    st.floats(-12.0, -2.0).map(lambda e: 10.0**e),
+    st.floats(-np.pi, np.pi),
+    st.floats(0.1, 5.0),
+    st.sampled_from([1.0, -1.0]),
+).map(
+    lambda t: t[2] * np.array(
+        [np.sin(t[0]) * np.cos(t[1]), np.sin(t[0]) * np.sin(t[1]), t[3] * np.cos(t[0])]
+    )
+)
+_offset = st.one_of(_point, _near_pole)
+
+
+class TestBuildPathsProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        origin=_point,
+        rx_offset=_offset,
+        wall_point=_point,
+        wall_normal=_point.filter(lambda v: np.linalg.norm(v) > 0.1),
+        scatterer_offset=_offset,
+        losses=st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0)),
+    )
+    def test_paths_match_the_image_source_closed_form(
+        self, origin, rx_offset, wall_point, wall_normal, scatterer_offset, losses
+    ):
+        """LOS, one wall reflection and one scatterer: distance, delay
+        L/c, amplitude lambda/(4 pi L) 10^(-loss/20) and unit directions."""
+        rx = origin + rx_offset
+        scatterer = origin + scatterer_offset
+        normal = wall_normal / np.linalg.norm(wall_normal)
+        wall_loss, scatterer_loss = losses
+        cfg = minimal_config()
+        cfg["array"]["origin"] = origin.tolist()
+        cfg["ues"] = [rx.tolist()]
+        cfg["reflectors"] = [
+            {"point": wall_point.tolist(), "normal": normal.tolist(), "loss_db": wall_loss}
+        ]
+        cfg["scatterers"] = [{"position": scatterer.tolist(), "loss_db": scatterer_loss}]
+        cfg = validate_config(cfg)
+        try:
+            paths = build_paths(cfg, cfg["ues"][0])
+        except GeometryError:
+            assume(False)
+
+        # the receiver's mirror image in the wall is the reflection's source
+        image = rx - 2.0 * np.dot(rx - wall_point, normal) * normal
+        to_image = np.linalg.norm(image - origin)
+        aod_srm = (image - origin) / to_image
+        leg_tx = np.linalg.norm(scatterer - origin)
+        leg_rx = np.linalg.norm(rx - scatterer)
+        direct = np.linalg.norm(rx - origin)
+        expected = [
+            # (length, distance, aod, aoa, loss_db)
+            (direct, direct, (rx - origin) / direct, (rx - origin) / direct, 0.0),
+            (
+                to_image, to_image, aod_srm,
+                aod_srm - 2.0 * np.dot(aod_srm, normal) * normal, wall_loss,
+            ),
+            (
+                leg_tx + leg_rx, leg_tx, (scatterer - origin) / leg_tx,
+                (rx - scatterer) / leg_rx, scatterer_loss,
+            ),
+        ]
+        wavelength = SPEED_OF_LIGHT / 100e9
+        assert [p.model for p in paths] == [
+            WavefrontModel.LOS, WavefrontModel.SRM, WavefrontModel.SPM
+        ]
+        for path, (length, distance, aod, aoa, loss_db) in zip(paths, expected):
+            amplitude = wavelength / (4.0 * np.pi * length) * 10.0 ** (-loss_db / 20.0)
+            assert_allclose(path.distance, distance, rtol=1e-12)
+            assert_allclose(path.delay, length / SPEED_OF_LIGHT, rtol=1e-12)
+            assert_allclose(path.amplitude, amplitude, rtol=1e-12)
+            assert_allclose(direction_vector(path.aod), aod, rtol=0.0, atol=1e-12)
+            assert_allclose(direction_vector(path.aoa), aoa, rtol=0.0, atol=1e-12)
