@@ -52,6 +52,9 @@ _MAX_TRIAL_USERS = 1_000_000
 #: path and block.  The channel values and
 #: the path-free part of the working set are checked before any path is
 #: built, the rest once the paths are known; both before ``--out`` is made.
+#: The trials of ``evaluate`` and ``compare`` hold every channel's (K, P, P)
+#: complex128 Gram tensor at once, 16 K P^2 bytes each; their sum is checked
+#: against the same limit before any tensor value is read.
 _MAX_SYNTH_BYTES = 4 * 2**30
 
 #: Bytes ``generate-aaf`` holds per element of the one sequence it draws,
@@ -431,7 +434,8 @@ def _cmd_generate_aaf(args) -> int:
     return 0
 
 
-#: Metrics of multi-user trials on the channel tensor, drawn together.
+#: Metrics of the multi-user trials on the channel tensor, in the order
+#: that ``mx.multiuser_trials`` returns them.
 _TRIAL_METRICS = ("capacity", "demmel")
 
 #: Per-element metrics of the path table, each a function of one user's
@@ -513,10 +517,10 @@ def _metric_samples(gram, tables, metrics, args):
     samples = {}
     if gram is not None:
         rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-        trials = mx.multiuser_trials(
+        drawn = mx.multiuser_trials(
             gram, args.num_ues, args.trials, rng, snr_db=args.snr_db
         )
-        samples.update(zip(_TRIAL_METRICS, trials))
+        samples.update(zip(_TRIAL_METRICS, drawn))
     for metric, per_user in _ELEMENT_METRICS.items():
         if metric in metrics:
             samples[metric] = np.concatenate([per_user(t) for t in tables])
@@ -577,7 +581,15 @@ def _evaluate_channels(args, write_per_channel: bool) -> int:
         raise ConfigError(f"--max-lag must be >= 1, got {args.max_lag}")
     trials = any(m in _TRIAL_METRICS for m in metrics)
     loaded = _load_channels(args, metrics, trials)
-    grams = [_channel_gram(path, meta) if trials else None for _, path, meta, _ in loaded]
+    grams = [None] * len(loaded)
+    if trials:
+        # every channel's (K, P, P) complex128 Gram tensor is held at once
+        _check_size(
+            sum(16 * m["shape"][2] * m["shape"][0] ** 2 for _, _, m, _ in loaded),
+            "the per-frequency Gram tensors of the trials",
+            args.command,
+        )
+        grams = [_channel_gram(path, meta) for _, path, meta, _ in loaded]
     out = _ensure_out(args)
     all_samples = {}
     summary = {"label": [], "metric": [], "count": [], "non_finite": [], "mean": []}
@@ -586,8 +598,8 @@ def _evaluate_channels(args, write_per_channel: bool) -> int:
         all_samples[label] = samples
         for metric in metrics:
             if metric == "spatial-correlation":
-                lags, curve = _spatial_correlation_curve(tables, args.max_lag)
                 if write_per_channel:
+                    lags, curve = _spatial_correlation_curve(tables, args.max_lag)
                     write_table(
                         os.path.join(out, f"{label}_spatial_correlation.csv"),
                         ["lag", "value"],

@@ -861,6 +861,31 @@ def single_path_channel(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_gram_tensors_count_toward_the_limit(
+    synthesized, tmp_path, capsys, monkeypatch, command
+):
+    from xlmimo import cli
+
+    # two channels of 4 users x 3 frequencies: each trial Gram tensor is
+    # (3, 4, 4) complex128, and both are held at once
+    grams = 2 * 16 * 3 * 4 * 4
+    nf, ff = synthesized
+    argv = [
+        command, "--channel", str(nf / "channel"), "--channel", str(ff / "channel"),
+        "--metrics", "capacity", "--num-ues", "2", "--trials", "4", "--seed", "1",
+    ]
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "_MAX_SYNTH_BYTES", grams - 1)
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{command} would need about" in err
+    assert "per-frequency Gram tensors" in err and "Traceback" not in err
+    assert not out.exists()
+    monkeypatch.setattr(cli, "_MAX_SYNTH_BYTES", grams)
+    assert main(argv + ["--out", str(out)]) == 0
+
+
 class TestEvaluateCommand:
     def test_all_metrics(self, synthesized, tmp_path):
         nf, _ = synthesized
@@ -1624,6 +1649,29 @@ class TestCompareCommand:
         # compare writes no per-channel sample files
         assert not list(out.glob("*_samples.csv"))
 
+    def test_spatial_correlation_is_checked_but_not_computed(
+        self, synthesized, tmp_path, monkeypatch
+    ):
+        # compare writes no correlation curve, so it computes none; the
+        # two-path check of every channel still runs
+        import xlmimo.metrics as mx
+
+        calls = []
+        monkeypatch.setattr(mx, "avg_spatial_correlation", lambda *a: calls.append(a))
+        nf, ff = synthesized
+        out = tmp_path / "out"
+        code = main(
+            [
+                "compare", "--channel", str(nf / "channel"),
+                "--channel", str(ff / "channel"), "--out", str(out),
+                "--metrics", "gain,spatial-correlation",
+            ]
+        )
+        assert code == 0 and calls == []
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cvm_gain.csv", "meta.json", "metrics_summary.csv"
+        ]
+
     def test_duplicate_labels_disambiguated(self, synthesized, tmp_path):
         nf, _ = synthesized
         out = tmp_path / "out"
@@ -2066,6 +2114,9 @@ class TestCallTimeLookup:
             (sns, "generate_aaf"),
             (metrics, "multiuser_trials"),
             (metrics, "avg_spatial_correlation"),
+            (metrics, "path_gain_db"),
+            (metrics, "rician_k_db"),
+            (metrics, "rms_delay_spread"),
             (serialization, "write_table"),
         )
         for module, name in targets:
@@ -2081,8 +2132,8 @@ class TestCallTimeLookup:
         assert main(argv) == 0
         assert main([
             "evaluate", "--channel", str(out / "channel"),
-            "--metrics", "capacity,spatial-correlation", "--num-ues", "1",
-            "--trials", "2", "--seed", "1", "--out", str(tmp_path / "ev"),
+            "--metrics", "capacity,gain,kfactor,delay-spread,spatial-correlation",
+            "--num-ues", "1", "--trials", "2", "--seed", "1", "--out", str(tmp_path / "ev"),
         ]) == 0
         expected = {f"{module.__name__}.{name}" for module, name in targets}
         assert set(calls) == expected, calls
