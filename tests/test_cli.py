@@ -1652,8 +1652,7 @@ class TestCompareCommand:
     def test_spatial_correlation_is_checked_but_not_computed(
         self, synthesized, tmp_path, monkeypatch
     ):
-        # compare writes no correlation curve, so it computes none; the
-        # two-path check of every channel still runs
+        # compare writes no correlation curve, so it computes none
         import xlmimo.metrics as mx
 
         calls = []
