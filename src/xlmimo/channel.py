@@ -17,21 +17,23 @@ the response.  ``synthesize`` has each user's response written in chunks
 of element rows (``_CHUNK_BYTES`` of complex64 each) into one reusable
 chunk that is streamed to ``channel.bin``, so neither a (users, elements,
 frequencies) pool nor one user's (elements, frequencies) row is held.
+
+:func:`build_variant_aaf` builds a user's (M, L) attenuation-factor matrix
+for every variant, drawing each non-stationary path's column on its own.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import sns
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry
-from .nearfield import AntennaPattern, expand_path
+from .nearfield import AntennaPattern, Stationarity, expand_path
 # Kept for the tests' reference route of ``assemble``; perfbench/worker.py
 # wraps it by this name.
 from .nearfield import build_a_tensor  # noqa: F401
-from .sns import AAFStatParams, build_aaf_matrix
 
 #: Supported synthesis variants: wavefront axis (nf = per-path spherical
 #: models, ff = plane waves) crossed with the stationarity axis (sns =
@@ -107,32 +109,57 @@ def build_variant_aaf(
     paths,
     num_elements: int,
     variant: str,
-    params: AAFStatParams = None,
+    params: sns.AAFStatParams = None,
     seed: int = None,
     stream_key: tuple = (),
 ) -> np.ndarray:
-    """Attenuation-factor matrix (M, L) for a synthesis variant.
+    """Attenuation-factor matrix (M, L) of a path list for a synthesis variant.
 
-    ``*-ss`` variants return ones; ``*-sns`` variants generate correlated
-    factors per non-stationary path; ``vr`` replaces generation with binary
-    visibility intervals per non-stationary path.  Both draw their columns
-    in the loop of ``build_aaf_matrix``, so fixed per-path ``aaf`` overrides
-    and per-path random streams behave alike in all variants except
-    ``*-ss``.
+    ``*-ss`` variants return ones.  Otherwise a path's fixed ``aaf`` override
+    is used as given, a stationary path gets ones, and non-stationary path l
+    draws its column from its own random stream, keyed by
+    ``(seed, *stream_key, l)``, so ``seed`` is then required and no column
+    depends on path order: under ``*-sns`` hyper-parameters from
+    ``sns.sample_aaf_params`` (``params`` defaults to the fitted values) and
+    then a sequence from ``sns.generate_aaf``, under ``vr`` a binary
+    visibility interval.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     paths = list(paths)
     if variant.endswith("-ss"):
         return np.ones((int(num_elements), len(paths)))
-    return build_aaf_matrix(
-        paths,
-        num_elements,
-        params=params,
-        seed=seed,
-        stream_key=stream_key,
-        draw=_vr_column if variant == "vr" else None,
-    )
+    num_elements = int(num_elements)
+    if num_elements < 1:
+        raise ValueError(f"num_elements must be >= 1, got {num_elements}")
+    if not paths:
+        raise ValueError("paths must be non-empty")
+    if params is None:
+        params = sns.AAFStatParams()
+    out = np.ones((num_elements, len(paths)))
+    for l, path in enumerate(paths):
+        if path.aaf is not None:
+            if path.aaf.size != num_elements:
+                raise ValueError(
+                    f"path {l}: fixed aaf length {path.aaf.size} != "
+                    f"num_elements {num_elements}"
+                )
+            out[:, l] = path.aaf
+        elif path.stationarity is Stationarity.NON_STATIONARY:
+            if seed is None:
+                raise ValueError(
+                    "seed is required to generate attenuation factors "
+                    "for non-stationary paths"
+                )
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(*stream_key, l))
+            )
+            if variant == "vr":
+                out[:, l] = _vr_column(num_elements, rng)
+            else:
+                p, q, d_corr = sns.sample_aaf_params(params, rng)
+                out[:, l] = sns.generate_aaf(num_elements, p, q, d_corr, rng)
+    return out
 
 
 def multi_user(responses) -> np.ndarray:
@@ -245,14 +272,13 @@ def path_table(
     return table
 
 
-@functools.cache
 def _block_length(num_points: int) -> int:
     """Frequencies per block of :func:`assemble` for a K-point grid.
 
     A block of b costs b exact ``exp`` per element and path for its step
     table plus one per block start, ``b + ceil(K/b)`` in all; the smallest
     cost for b in [1, 64] wins, the largest b on ties (17 at K=201, 49 at
-    K=2001).  Cached, since every chunk that ``assemble`` writes asks.
+    K=2001).
     """
     return min(
         range(1, _MAX_BLOCK + 1), key=lambda b: (b - (-num_points // b), -b)
@@ -298,15 +324,6 @@ def _working_set_bytes(num_elements: int, num_points: int, num_paths: int) -> in
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _points(f_low_hz: float, f_high_hz: float, num_points: int) -> np.ndarray:
-    """:meth:`FrequencyGrid.points` as a read-only array, cached by value,
-    since every chunk that ``assemble`` writes asks."""
-    points = np.linspace(f_low_hz, f_high_hz, num_points)
-    points.flags.writeable = False
-    return points
-
-
 def assemble(paths, table: PathTable, grid: FrequencyGrid, out=None) -> np.ndarray:
     """Synthesize one user's channel, an array of shape (M, K).
 
@@ -347,7 +364,7 @@ def assemble(paths, table: PathTable, grid: FrequencyGrid, out=None) -> np.ndarr
     num_elements, num_paths = table.coefficients.shape
     if len(paths) != num_paths:
         raise ValueError(f"{len(paths)} paths for a table of {num_paths}")
-    frequencies = _points(grid.f_low_hz, grid.f_high_hz, grid.num_points)
+    frequencies = grid.points()
     num_points = frequencies.size
     if out is None:
         out = np.empty((num_elements, num_points), dtype=complex)

@@ -77,6 +77,17 @@ def direction_vector(angles: Angles) -> np.ndarray:
     )
 
 
+def _azimuth_elevation(v):
+    """Azimuth and elevation of direction(s) ``v`` of shape (..., 3).
+
+    Both come from ``arctan2``, which keeps full precision near the poles,
+    where ``arccos(z)`` does not.
+    """
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.arctan2(y, x), np.arctan2(np.hypot(x, y), z)
+
+
 def angles_from_vector(v) -> Angles:
     """Spherical angles of a unit vector ``v``.
 
@@ -84,9 +95,7 @@ def angles_from_vector(v) -> Angles:
     poles (``v`` parallel to z) the azimuth is 0 by convention.
     """
     v = _as_unit_vec3(v, "direction")
-    # arctan2 keeps full precision near the poles, where arccos(z) does not
-    elevation = float(np.arctan2(np.hypot(v[0], v[1]), v[2]))
-    azimuth = float(np.arctan2(v[1], v[0]))
+    azimuth, elevation = map(float, _azimuth_elevation(v))
     if azimuth <= -np.pi:
         azimuth = np.pi
     return Angles(azimuth=azimuth, elevation=elevation)
@@ -141,10 +150,6 @@ class ArrayGeometry:
         """Element positions relative to the reference element, shape (M, 3)."""
         steps = np.arange(self.num_elements) - self.reference_index
         return steps[:, None] * (self.spacing * self.axis)
-
-    def positions(self) -> np.ndarray:
-        """Absolute element positions, shape (M, 3)."""
-        return self.origin + self.element_offsets()
 
 
 @dataclass

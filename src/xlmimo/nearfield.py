@@ -36,6 +36,7 @@ from .geometry import (
     Angles,
     ArrayGeometry,
     _as_unit_vec3,
+    _azimuth_elevation,
     angles_from_vector,
     direction_vector,
 )
@@ -126,8 +127,7 @@ class AntennaPattern:
         if self.kind == "omnidirectional":
             return np.full(direction.shape[:-1], self.gain_dbi)
         bs = angles_from_vector(self.boresight)
-        az = np.arctan2(direction[..., 1], direction[..., 0])
-        el = np.arccos(np.clip(direction[..., 2], -1.0, 1.0))
+        az, el = _azimuth_elevation(direction)
         d_az = np.mod(az - bs.azimuth + np.pi, 2.0 * np.pi) - np.pi
         d_el = el - bs.elevation
         att = 12.0 * ((d_az / self.hpbw_az) ** 2 + (d_el / self.hpbw_el) ** 2)

@@ -456,8 +456,6 @@ def build_paths(config: dict, ue_position) -> list:
             )
         )
 
-    if not paths:
-        raise ConfigError("scenario produced no propagation paths")
     return paths
 
 

@@ -11,10 +11,12 @@ drawn from fitted distributions.  The latent Gaussian has covariance
 (AR(1)) process with coefficient ``exp(-d_corr)``; it is sampled by that
 recursion in O(M), with no M x M matrix.
 
-Besides generation, the module estimates the spatial autocorrelation of a
-sequence and fits its decay rate (``acf``, ``fit_dcorr``), classifies a
-per-element amplitude profile as stationary or not (``identify_sns``), and
-builds the attenuation-factor matrix of a path list (``build_aaf_matrix``).
+``channel.build_variant_aaf`` draws each non-stationary path's column of a
+user's attenuation-factor matrix by ``sample_aaf_params`` and then
+``generate_aaf``.  Besides generation, the module estimates the spatial
+autocorrelation of a sequence and fits its decay rate (``acf``,
+``fit_dcorr``) and classifies a per-element amplitude profile as stationary
+or not (``identify_sns``).
 
 Correlation lags are in element-index units throughout; ``d_corr`` is the
 exponential decay rate per element.
@@ -400,72 +402,3 @@ def identify_sns(amplitudes, threshold_db: float = 3.0) -> Stationarity:
     if variation_db > threshold_db:
         return Stationarity.NON_STATIONARY
     return Stationarity.STATIONARY
-
-
-def build_aaf_matrix(
-    paths,
-    num_elements: int,
-    params: AAFStatParams = None,
-    seed: int = None,
-    stream_key: tuple = (),
-    draw=None,
-) -> np.ndarray:
-    """Per-element attenuation factors for a path list, shape (M, L).
-
-    Stationary paths get all-ones columns.  Non-stationary paths use their
-    fixed ``aaf`` override when present, otherwise a column from ``draw``.
-    Each drawn column uses an independent random stream derived from
-    ``(seed, *stream_key, path_index)``, so results do not depend on path
-    evaluation order.
-
-    Parameters
-    ----------
-    paths : sequence of PathRecord
-    num_elements : int
-        Array size M.
-    params : AAFStatParams, optional
-        Hyper-parameter distributions of the default draw; defaults to the
-        fitted values.
-    seed : int, optional
-        Root seed; required when any column is drawn.
-    stream_key : tuple of int
-        Extra stream-derivation key (e.g. the user index).
-    draw : callable, optional
-        ``draw(num_elements, rng)`` returns one column of shape (M,).  The
-        default is the statistical generator: hyper-parameters from
-        ``sample_aaf_params``, then a sequence from ``generate_aaf``.
-    """
-    paths = list(paths)
-    num_elements = int(num_elements)
-    if num_elements < 1:
-        raise ValueError(f"num_elements must be >= 1, got {num_elements}")
-    if not paths:
-        raise ValueError("paths must be non-empty")
-    if draw is None:
-        if params is None:
-            params = AAFStatParams()
-
-        def draw(m, rng):
-            p, q, d_corr = sample_aaf_params(params, rng)
-            return generate_aaf(m, p, q, d_corr, rng)
-
-    out = np.ones((num_elements, len(paths)))
-    for l, path in enumerate(paths):
-        if path.aaf is not None:
-            if path.aaf.size != num_elements:
-                raise ValueError(
-                    f"path {l}: fixed aaf length {path.aaf.size} != "
-                    f"num_elements {num_elements}"
-                )
-            out[:, l] = path.aaf
-        elif path.stationarity is Stationarity.NON_STATIONARY:
-            if seed is None:
-                raise ValueError(
-                    "seed is required to generate attenuation factors "
-                    "for non-stationary paths"
-                )
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(*stream_key, l))
-            )
-            out[:, l] = draw(num_elements, rng)
-    return out

@@ -131,7 +131,7 @@ def test_02_phase_delta_diagnostics_match_exact_geometry():
             increments = 2 * np.pi / lam * np.diff(exp.distances)
             source = d * direction_vector(path.aod)
             for m in range(1, geom.num_elements):
-                local = source - geom.positions()[m - 1]
+                local = source - (geom.origin + geom.element_offsets()[m - 1])
                 local_d = float(np.linalg.norm(local))
                 local_phi = float(np.arcsin(local[0] / local_d))
                 pred = nf_phase_delta(local_phi, local_d, lam)
@@ -187,7 +187,7 @@ def test_03_reflected_wavefront_beats_scattered_point_source():
     exact_lengths = np.array(
         [
             np.linalg.norm(mirror_point(p, plane) - rx)
-            for p in geom.positions()
+            for p in geom.origin + geom.element_offsets()
         ]
     )
     phase_exact = 2 * np.pi / lam * exact_lengths

@@ -31,6 +31,7 @@ from xlmimo.nearfield import (
     expand_path,
     nf_path_matrix,
 )
+from xlmimo.sns import AAFStatParams, generate_aaf, sample_aaf_params
 
 
 def los_path(distance=1.5, azimuth=0.4, amplitude=1.0, phase=0.2,
@@ -211,6 +212,58 @@ class TestBuildVariantAAF:
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, l)))
             want[:, l] = visibility_column(m, rng)
         assert np.array_equal(out, want)
+
+    def test_sns_matches_per_column_stream_recomputation(self):
+        fixed = np.linspace(0.1, 0.9, 97)
+        paths = [
+            los_path(stationarity=Stationarity.NON_STATIONARY),
+            los_path(stationarity=Stationarity.STATIONARY),
+            los_path(stationarity=Stationarity.NON_STATIONARY, aaf=fixed),
+            los_path(stationarity=Stationarity.NON_STATIONARY),
+        ]
+        params = AAFStatParams(mu_p=0.9, sigma_p=0.3, lambda_corr=12.0)
+        m, seed, key = 97, 13, (2,)
+        want = np.ones((m, 4))
+        want[:, 2] = fixed
+        for l in (0, 3):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(*key, l)))
+            p, q, d_corr = sample_aaf_params(params, rng)
+            want[:, l] = generate_aaf(m, p, q, d_corr, rng)
+        for variant in ("nf-sns", "ff-sns"):
+            out = build_variant_aaf(paths, m, variant, params, seed=seed, stream_key=key)
+            assert np.array_equal(out, want)
+        fitted = build_variant_aaf(paths, m, "nf-sns", seed=seed, stream_key=key)
+        assert not np.array_equal(fitted, want)  # params reach the draw
+
+    def test_stationary_paths_get_ones(self):
+        paths = [los_path(stationarity=Stationarity.STATIONARY) for _ in range(3)]
+        out = build_variant_aaf(paths, 16, "nf-sns")
+        assert out.shape == (16, 3)
+        assert np.all(out == 1.0)
+
+    def test_override_length_mismatch(self):
+        paths = [los_path(stationarity=Stationarity.NON_STATIONARY, aaf=np.ones(4))]
+        with pytest.raises(ValueError):
+            build_variant_aaf(paths, 8, "nf-sns", seed=3)
+
+    def test_deterministic_and_stream_keyed(self):
+        paths = [los_path(stationarity=Stationarity.NON_STATIONARY) for _ in range(2)]
+        a = build_variant_aaf(paths, 32, "nf-sns", seed=5)
+        b = build_variant_aaf(paths, 32, "nf-sns", seed=5)
+        assert np.array_equal(a, b)
+        # per-path streams differ
+        assert not np.array_equal(a[:, 0], a[:, 1])
+        # stream_key shifts every generated column
+        c = build_variant_aaf(paths, 32, "nf-sns", seed=5, stream_key=(1,))
+        assert not np.array_equal(a, c)
+        # a different root seed changes the draw
+        d = build_variant_aaf(paths, 32, "nf-sns", seed=6)
+        assert not np.array_equal(a, d)
+
+    def test_generated_values_in_unit_interval(self):
+        paths = [los_path(stationarity=Stationarity.NON_STATIONARY)]
+        out = build_variant_aaf(paths, 301, "nf-sns", seed=2)
+        assert np.all((out >= 0.0) & (out <= 1.0))
 
     def test_fixed_override_honored(self):
         aaf = np.linspace(0.2, 1.0, 16)

@@ -2108,9 +2108,11 @@ class TestCallTimeLookup:
 
         targets = (
             (channel, "assemble"),
+            (channel, "build_variant_aaf"),
             (channel, "path_table"),
             (scenario, "build_all_paths"),
             (sns, "generate_aaf"),
+            (sns, "sample_aaf_params"),
             (metrics, "multiuser_trials"),
             (metrics, "avg_spatial_correlation"),
             (metrics, "path_gain_db"),

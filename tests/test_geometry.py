@@ -110,7 +110,7 @@ class TestArrayGeometry:
             origin=[1.0, 2.0, 3.0],
             reference_index=1,
         )
-        pos = geom.positions()
+        pos = geom.origin + geom.element_offsets()
         expected = np.array(
             [
                 [1.0, 1.5, 3.0],

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -102,6 +102,29 @@ class TestAntennaPattern:
         near = direction_vector(Angles(-np.pi + 0.05, np.pi / 2))
         # 0.1 rad away through the branch cut, not 2*pi - 0.1
         assert_allclose(pat.gain_db(near), -12.0 * (0.1 / 0.5) ** 2, rtol=1e-10)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        pole=st.sampled_from([1.0, -1.0]),
+        offset=st.floats(1e-12, 1e-2),
+        azimuth=st.floats(-np.pi, np.pi),
+    )
+    @example(pole=1.0, offset=1e-8, azimuth=0.0)
+    def test_elevation_keeps_full_precision_near_the_poles(self, pole, offset, azimuth):
+        # the azimuth term underflows to 0 under so wide an azimuth beam, so
+        # the gain -12*(d_el/width)**2 gives back |d_el| to a few ulps
+        width = 2.0 * offset
+        pat = AntennaPattern(kind="gaussian_lobe", boresight=[0.0, 0.0, pole],
+                             hpbw_az=1e300, hpbw_el=width)
+        direction = np.array([
+            np.sin(offset) * np.cos(azimuth),
+            np.sin(offset) * np.sin(azimuth),
+            pole * np.cos(offset),
+        ])
+        d_el = width * np.sqrt(-pat.gain_db(direction) / 12.0)
+        elevation = np.arctan2(np.hypot(direction[0], direction[1]), direction[2])
+        want = abs(elevation - np.arctan2(0.0, pole))
+        assert abs(d_el - want) <= 1e-15, (d_el, want)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -296,6 +296,8 @@ class TestBuildPaths:
             build_paths(cfg, [0.2, 1.2, 0.0])  # on the panel
         with pytest.raises(GeometryError, match="reflector 0"):
             build_paths(cfg, [0.2, 2.0, 0.0])  # behind the panel
+        with pytest.raises(GeometryError, match="reflector 0: mirror image"):
+            build_paths(cfg, [0.0, 2.4, 0.0])  # the array's mirror image
         cfg = validate_config(preset("case1-cylinder"))
         with pytest.raises(GeometryError, match="scatterer 0"):
             build_paths(cfg, [0.3, 0.9, 0.0])  # on the scatterer
@@ -328,6 +330,45 @@ _offset = st.one_of(_point, _near_pole)
 
 
 class TestBuildPathsProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        los=st.booleans(),
+        origin=_point,
+        ues=st.lists(_point, min_size=1, max_size=3),
+        walls=st.lists(
+            st.tuples(_point, _point.filter(lambda v: np.linalg.norm(v) > 0.1)),
+            max_size=2,
+        ),
+        scatterers=st.lists(_point, max_size=2),
+    )
+    def test_every_user_gets_each_configured_path_or_a_geometry_error(
+        self, los, origin, ues, walls, scatterers
+    ):
+        """Every config that validates yields, per user, one path per
+        enabled direct path, reflector and scatterer, or a GeometryError."""
+        cfg = minimal_config()
+        cfg["array"]["origin"] = origin.tolist()
+        cfg["ues"] = [ue.tolist() for ue in ues]
+        cfg["los"] = {"enabled": los}
+        cfg["reflectors"] = [
+            {"point": p.tolist(), "normal": (n / np.linalg.norm(n)).tolist(),
+             "loss_db": 6.0}
+            for p, n in walls
+        ]
+        cfg["scatterers"] = [{"position": p.tolist(), "loss_db": 9.0} for p in scatterers]
+        per_user = los + len(walls) + len(scatterers)
+        try:
+            cfg = validate_config(cfg)
+        except ConfigError:
+            assert per_user == 0  # the only invalid config drawn here
+            return
+        assert per_user > 0
+        try:
+            lists = build_all_paths(cfg)
+        except GeometryError:
+            return
+        assert [len(paths) for paths in lists] == [per_user] * len(ues)
+
     @settings(max_examples=200, deadline=None)
     @given(
         origin=_point,

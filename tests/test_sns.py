@@ -12,25 +12,15 @@ from scipy.special import erfc
 
 from xlmimo import sns
 from xlmimo.errors import NumericError
-from xlmimo.geometry import Angles
-from xlmimo.nearfield import PathRecord, Stationarity, WavefrontModel
+from xlmimo.nearfield import Stationarity
 from xlmimo.sns import (
     AAFStatParams,
     acf,
-    build_aaf_matrix,
     fit_dcorr,
     generate_aaf,
     identify_sns,
     sample_aaf_params,
 )
-
-
-def make_path(stationarity=Stationarity.NON_STATIONARY, aaf=None):
-    ang = Angles(0.3, np.pi / 2)
-    return PathRecord(
-        model=WavefrontModel.LOS, amplitude=1.0, phase=0.0, delay=1e-9,
-        distance=1.0, aod=ang, aoa=ang, stationarity=stationarity, aaf=aaf,
-    )
 
 
 class TestACF:
@@ -465,45 +455,3 @@ class TestIdentifySnS:
             identify_sns([0.0, 0.0])
         with pytest.raises(ValueError):
             identify_sns([-1.0, 1.0])
-
-
-class TestBuildAAFMatrix:
-    def test_stationary_paths_get_ones(self):
-        paths = [make_path(Stationarity.STATIONARY) for _ in range(3)]
-        out = build_aaf_matrix(paths, 16)
-        assert out.shape == (16, 3)
-        assert np.all(out == 1.0)
-
-    def test_fixed_override_used_verbatim(self):
-        aaf = np.linspace(0.1, 1.0, 8)
-        paths = [make_path(aaf=aaf), make_path(Stationarity.STATIONARY)]
-        out = build_aaf_matrix(paths, 8, seed=3)
-        assert_allclose(out[:, 0], aaf)
-        assert np.all(out[:, 1] == 1.0)
-
-    def test_override_length_mismatch(self):
-        paths = [make_path(aaf=np.ones(4))]
-        with pytest.raises(ValueError):
-            build_aaf_matrix(paths, 8, seed=3)
-
-    def test_seed_required_for_generation(self):
-        with pytest.raises(ValueError):
-            build_aaf_matrix([make_path()], 8)
-
-    def test_deterministic_and_stream_keyed(self):
-        paths = [make_path(), make_path()]
-        a = build_aaf_matrix(paths, 32, seed=5)
-        b = build_aaf_matrix(paths, 32, seed=5)
-        assert np.array_equal(a, b)
-        # per-path streams differ
-        assert not np.array_equal(a[:, 0], a[:, 1])
-        # stream_key shifts every generated column
-        c = build_aaf_matrix(paths, 32, seed=5, stream_key=(1,))
-        assert not np.array_equal(a, c)
-        # a different root seed changes the draw
-        d = build_aaf_matrix(paths, 32, seed=6)
-        assert not np.array_equal(a, d)
-
-    def test_generated_values_in_unit_interval(self):
-        out = build_aaf_matrix([make_path()], 301, seed=2)
-        assert np.all((out >= 0.0) & (out <= 1.0))
