@@ -241,10 +241,25 @@ class TestBuildVariantAAF:
         assert out.shape == (16, 3)
         assert np.all(out == 1.0)
 
+    def test_fixed_override_used_verbatim(self):
+        aaf = np.linspace(0.1, 1.0, 8)
+        paths = [
+            los_path(stationarity=Stationarity.NON_STATIONARY, aaf=aaf),
+            los_path(stationarity=Stationarity.STATIONARY),
+        ]
+        out = build_variant_aaf(paths, 8, "nf-sns", seed=3)
+        assert_allclose(out[:, 0], aaf)
+        assert np.all(out[:, 1] == 1.0)
+
     def test_override_length_mismatch(self):
         paths = [los_path(stationarity=Stationarity.NON_STATIONARY, aaf=np.ones(4))]
         with pytest.raises(ValueError):
             build_variant_aaf(paths, 8, "nf-sns", seed=3)
+
+    def test_seed_required_for_generation(self):
+        paths = [los_path(stationarity=Stationarity.NON_STATIONARY)]
+        with pytest.raises(ValueError):
+            build_variant_aaf(paths, 8, "nf-sns")
 
     def test_deterministic_and_stream_keyed(self):
         paths = [los_path(stationarity=Stationarity.NON_STATIONARY) for _ in range(2)]
