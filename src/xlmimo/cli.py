@@ -531,11 +531,11 @@ def _spatial_correlation_curve(tables, max_lag):
     """Lags 1..min(max_lag, M - 1) and the user-averaged correlation at each."""
     num_elements = tables[0]["aaf"].shape[0]
     lags = np.arange(1, min(int(max_lag), num_elements - 1) + 1)
-    per_user = [
-        mx.avg_spatial_correlation(t["aaf"] * t["alpha"], lags).tolist() for t in tables
-    ]
-    curve = np.array([np.nanmean(values) for values in zip(*per_user)])
-    return lags, curve
+    # (lags, users), C-contiguous: each lag's users are averaged as one row
+    per_user = np.column_stack(
+        [mx.avg_spatial_correlation(t["aaf"] * t["alpha"], lags) for t in tables]
+    )
+    return lags, np.nanmean(per_user, axis=1)
 
 
 def _write_samples(out, label, metric, values) -> None:

@@ -18,6 +18,11 @@ eigenvalue ratio ``lambda_min / lambda_max`` drops below ``_GRAM_MIN_RATIO``
 (1e-3) at some frequency takes its Demmel value from the SVD of H instead,
 which also decides rank deficiency (``inf``); only that subset's users are
 read again for it.
+
+:func:`avg_spatial_correlation` centres the (M, L) amplitude matrix once and
+sums each lag's numerator path by path: L multiply-adds of contiguous (M,)
+path rows, in path order, into one reused buffer.  A lag costs L vector
+operations, and the working set stays O(M L) however many lags are asked for.
 """
 
 from __future__ import annotations
@@ -296,11 +301,16 @@ def avg_spatial_correlation(matrix, lags) -> np.ndarray:
     Rows of ``matrix`` (shape (M, L)) are per-element path amplitude
     vectors; for each lag the correlation is computed across the L paths
     for every pair (i, i + lag) and averaged.  Each row is centred and its
-    sum of squares taken once, so a lag costs one product of the centred
-    rows; the floats are those of centring each lag's row slices of the
-    C-ordered matrix on their own, whatever the input's memory layout.
-    Zero-variance rows are skipped with a warning per lag, and a lag with
-    no pair of two variable rows gives ``nan``.
+    sum of squares taken once.  The centred matrix is then held path-major,
+    and a lag's numerator ``sum_l xc[i, l] * xc[i + lag, l]`` is summed in
+    path order: L vector multiply-adds of contiguous (M,) rows into one
+    reused buffer.  The floats are those of centring each lag's row slices
+    of the C-ordered matrix on their own and adding each pair's products
+    path by path, whatever the input's memory layout.  Below 8 paths that
+    is also the bits of numpy's row sum; from 8 up the row sum is pairwise
+    and differs by about ``L * eps``.  Zero-variance rows are skipped with
+    a warning per lag, and a lag with no pair of two variable rows gives
+    ``nan``.
 
     Parameters
     ----------
@@ -312,7 +322,7 @@ def avg_spatial_correlation(matrix, lags) -> np.ndarray:
     -------
     ndarray, shape (len(lags),)
     """
-    # C order fixes the summation order of the row reductions
+    # C order fixes the summation order of the mean and sum of squares
     matrix = np.ascontiguousarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] < 2:
         raise ValueError(
@@ -326,6 +336,9 @@ def avg_spatial_correlation(matrix, lags) -> np.ndarray:
         raise ValueError(f"lags must be in [0, {num_rows}), got {lags}")
     xc = matrix - matrix.mean(axis=1, keepdims=True)
     ss = np.sum(xc**2, axis=1)
+    # path-major: each path's centred amplitudes are one contiguous row
+    paths = np.ascontiguousarray(xc.T)
+    scratch = np.empty(num_rows)
     curve = np.empty(lags.size)
     for i, lag in enumerate(lags.tolist()):
         n = num_rows - lag
@@ -339,7 +352,9 @@ def avg_spatial_correlation(matrix, lags) -> np.ndarray:
         if skipped == n:
             curve[i] = np.nan
             continue
-        num = np.sum(xc[:n] * xc[lag:], axis=1)
+        num = np.multiply(paths[0, :n], paths[0, lag:], out=scratch[:n])
+        for row in paths[1:]:
+            num += row[:n] * row[lag:]
         curve[i] = np.mean(num[valid] / den[valid])
     return curve
 

@@ -1428,6 +1428,52 @@ class TestEvaluateCommand:
         assert got == "\n".join(lines) + "\n"
 
 
+class TestSpatialCorrelationCurve:
+    @staticmethod
+    def tables(num_users, flat_users=()):
+        # (M, L) = (40, 3) amplitudes per user; a flat user's rows are all
+        # zero, so its correlation is nan at every lag
+        rng = np.random.default_rng(num_users)
+        tables = []
+        for u in range(num_users):
+            aaf = rng.uniform(0.0, 1.0, (40, 3)) * (u not in flat_users)
+            tables.append({"aaf": aaf, "alpha": rng.uniform(0.5, 2.0, 3)})
+        return tables
+
+    @pytest.mark.parametrize("num_users", [1, 2, 7, 8, 9, 17, 40])
+    def test_user_mean_matches_per_lag_nanmean(self, num_users):
+        # one nanmean over the (lags, users) rows gives each lag the bits of
+        # the nanmean of that lag's per-user values on their own
+        from xlmimo import metrics
+        from xlmimo.cli import _spatial_correlation_curve
+
+        tables = self.tables(num_users, flat_users=range(0, num_users, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lags, curve = _spatial_correlation_curve(tables, 100)
+            per_user = [
+                metrics.avg_spatial_correlation(t["aaf"] * t["alpha"], lags).tolist()
+                for t in tables
+            ]
+            want = [np.nanmean(values) for values in zip(*per_user)]
+        assert np.array_equal(lags, np.arange(1, 40))
+        assert np.array_equal(curve, want, equal_nan=True)
+        assert np.all(np.isnan(curve)) == (num_users == 1)
+
+    def test_lags_with_no_finite_user_warn_mean_of_empty_slice(self):
+        from xlmimo.cli import _spatial_correlation_curve
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lags, curve = _spatial_correlation_curve(
+                self.tables(3, flat_users=range(3)), 5
+            )
+        assert lags.tolist() == [1, 2, 3, 4, 5]
+        assert np.all(np.isnan(curve))
+        empty = [w for w in caught if str(w.message) == "Mean of empty slice"]
+        assert empty and all(w.category is RuntimeWarning for w in empty)
+
+
 PATHTABLE_DTYPE = np.dtype(
     [("ue", "<i8"), ("path", "<i8"), ("element", "<i8")]
     + [(name, "<f8") for name in (

@@ -469,9 +469,24 @@ class TestRmsDelaySpread:
         ]
 
 
-def per_lag_correlation(matrix, delta):
+def path_order_sum(products):
+    """Each row of the (n, L) products summed one path after the other."""
+    num = products[:, 0]
+    for path in range(1, products.shape[1]):
+        num = num + products[:, path]
+    return num
+
+
+def row_sum(products):
+    """Each row of the products summed by numpy: left to right below 8
+    paths, pairwise from 8 up."""
+    return np.sum(products, axis=1)
+
+
+def per_lag_correlation(matrix, delta, sum_paths=path_order_sum):
     """The per-lag body ``avg_spatial_correlation`` replaced: each lag
-    centres its own row slices; ``nan`` where that body raised."""
+    centres its own row slices and sums each pair's products with
+    ``sum_paths``; ``nan`` where that body raised."""
     x = matrix[: matrix.shape[0] - delta]
     y = matrix[delta:]
     xc = x - x.mean(axis=1, keepdims=True)
@@ -485,7 +500,7 @@ def per_lag_correlation(matrix, delta):
         )
     if not np.any(valid):
         return float("nan")
-    num = np.sum(xc * yc, axis=1)
+    num = sum_paths(xc * yc)
     return float(np.mean(num[valid] / den[valid]))
 
 
@@ -526,6 +541,36 @@ class TestSpatialCorrelation:
         assert [str(w.message) for w in got_warnings] == [
             str(w.message) for w in want_warnings
         ]
+
+    @pytest.mark.parametrize("num_paths", range(2, 25))
+    def test_path_order_against_the_row_sum(self, num_paths):
+        # the numerator numpy's row sum gave: the same bits below 8 paths;
+        # from 8 up a different summation order, |num| <= den bounds the
+        # change of each ratio, and so of their mean, by about L * eps
+        rng = np.random.default_rng(num_paths)
+        scales = 10.0 ** rng.integers(-12, 7, (300, 1))
+        matrix = rng.uniform(0.0, 1.0, (300, num_paths)) * scales
+        lags = np.arange(300)
+        got = avg_spatial_correlation(matrix, lags)
+        want = np.array([per_lag_correlation(matrix, lag, row_sum) for lag in lags])
+        if num_paths < 8:
+            assert np.array_equal(got, want)
+        else:
+            eps = np.finfo(float).eps
+            assert np.max(np.abs(got - want)) <= num_paths * eps
+
+    def test_peak_allocation_is_order_m_times_l(self):
+        # a few (M, L) and (M,) arrays; a table over all 100 lags would
+        # take 2048 * 100 * 8 bytes, 33 times the matrix
+        matrix = np.random.default_rng(3).uniform(0.0, 1.0, (2048, 3))
+        lags = np.arange(1, 101)
+        tracemalloc.start()
+        try:
+            avg_spatial_correlation(matrix, lags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * matrix.nbytes
 
     def test_identical_rows_give_one(self):
         m = np.tile([1.0, 2.0, 3.0], (6, 1))

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,112 @@ class TestValidateConfig:
         }
         with pytest.raises(ConfigError, match="boresight"):
             validate_config(cfg)
+
+
+def _set(*keys, value):
+    """An edit that sets ``config[keys[0]]...[keys[-1]] = value``."""
+
+    def edit(cfg):
+        target = cfg
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return cfg
+
+    return edit
+
+
+def _delete(key):
+    def edit(cfg):
+        del cfg[key]
+        return cfg
+
+    return edit
+
+
+SCATTERER = {"position": [0.3, 0.9, 0.0], "loss_db": 3.0}
+
+#: One malformed config per ``ConfigError`` raise of ``_require``, ``_vec3``
+#: and ``validate_config``: (id, edit of ``minimal_config()``, message).
+MALFORMED = [
+    ("configuration", lambda cfg: [], "configuration must be a mapping"),
+    ("format-version", _set("format_version", value=99),
+     "unsupported format_version 99"),
+    ("name", _set("name", value=5), "name must be a string"),
+    ("seed", _set("seed", value=-1),
+     "seed must be a non-negative integer or null, got -1"),
+    ("variant", _set("variant", value="nearfield"),
+     "variant must be one of nf-sns, nf-ss, ff-sns, ff-ss, vr; got 'nearfield'"),
+    ("require-mapping", _set("patterns", value=["tx"]),
+     "patterns must be a mapping"),
+    ("require-missing", _delete("grid"), "config is missing required key 'grid'"),
+    ("require-number", _set("array", "spacing_m", value="1"),
+     "array.spacing_m must be a number, got '1'"),
+    ("require-finite", _set("array", "spacing_m", value=float("inf")),
+     "array.spacing_m must be finite, got inf"),
+    ("require-integer", _set("grid", "num_points", value=5.0),
+     "grid.num_points must be an integer, got 5.0"),
+    ("require-kind", _set("array", value=[8]), "config.array must be dict, got list"),
+    ("vec3", _set("array", "axis", value=[1.0, 0.0]),
+     "array.axis must be a list of three finite numbers, got [1.0, 0.0]"),
+    ("pattern-kind", _set("patterns", value={"tx": {}, "rx": {"kind": "dipole"}}),
+     "patterns.rx.kind 'dipole' is not supported"),
+    ("empty-ues", _set("ues", value=[]),
+     "ues must contain at least one receiver position"),
+    ("los-mapping", _set("los", value=True), "los must be a mapping"),
+    ("los-boolean", _set("los", value={"sns": 1}), "los.sns must be a boolean"),
+    ("sources-list", _set("scatterers", value={}), "scatterers must be a list"),
+    ("source-sns", _set("scatterers", value=[{**SCATTERER, "sns": "yes"}]),
+     "scatterers[0].sns must be a boolean"),
+    ("no-paths", _set("los", value={"enabled": False}),
+     "scenario has no propagation paths"),
+    ("aaf-mapping", _set("aaf", value=[]), "aaf must be a mapping"),
+    ("aaf-params", _set("aaf", value={"sigma_p": 0.0}),
+     "aaf: sigma_p must be > 0, got 0.0"),
+    ("builders", _set("array", "spacing_m", value=-1.0),
+     "spacing must be finite and > 0, got -1.0"),
+]
+
+
+def _raise_site(edit):
+    """The (function, line) of the raise that rejects ``edit``'s config."""
+    with pytest.raises(ConfigError) as info:
+        validate_config(edit(minimal_config()))
+    tb = info.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_code.co_name, tb.tb_lineno
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize(
+        "edit, message", [case[1:] for case in MALFORMED], ids=[c[0] for c in MALFORMED]
+    )
+    def test_rejected_with_its_message(self, edit, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            validate_config(edit(minimal_config()))
+
+    def test_every_raise_is_reached(self):
+        # each ConfigError raise of the three functions rejects one config
+        # above, so none of them is unreachable
+        import ast
+        import inspect
+
+        from xlmimo import scenario
+
+        tree = ast.parse(inspect.getsource(scenario))
+        want = {
+            (node.name, raise_.lineno)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("_require", "_vec3", "validate_config")
+            for raise_ in ast.walk(node)
+            if isinstance(raise_, ast.Raise)
+            and isinstance(raise_.exc, ast.Call)
+            and getattr(raise_.exc.func, "id", None) == "ConfigError"
+        }
+        assert len(want) == len(MALFORMED)
+        assert {_raise_site(edit) for _, edit, _ in MALFORMED} == want
 
 
 class TestBuilders:
