@@ -9,7 +9,8 @@ Capacity and Demmel depend on a channel only through the spectra of its
 per-frequency Gram matrices ``H H^H`` (users x users).  :func:`stream_gram`
 reduces a user pool to its (K, P, P) Gram tensor a chunk of element rows of
 all users at a time, so the pool itself is never held: ``evaluate`` feeds it
-from ``channel.bin``, and :func:`_gram` from an in-memory array.  One route,
+from ``channel.bin``, and :func:`_gram` from an in-memory array; its real
+diagonal shows whether every value was finite.  One route,
 ``_subset_metrics``, maps the eigenvalues of each user subset's block of
 that tensor to both metrics; :func:`multiuser_trials` runs it once per
 distinct user set, and :func:`entropy_capacity` and
@@ -22,7 +23,8 @@ read again for it.
 :func:`avg_spatial_correlation` centres the (M, L) amplitude matrix once and
 sums each lag's numerator path by path: L multiply-adds of contiguous (M,)
 path rows, in path order, into one reused buffer.  A lag costs L vector
-operations, and the working set stays O(M L) however many lags are asked for.
+operations, and a mask of its pairs only when one can be invalid; the
+working set stays O(M L) however many lags are asked for.
 """
 
 from __future__ import annotations
@@ -70,16 +72,19 @@ class PoolGram(NamedTuple):
     read: Callable
 
 
+@np.errstate(invalid="ignore")  # a non-finite value raises ValueError instead
 def stream_gram(read, shape) -> PoolGram:
     """Reduce a pool to its Gram tensor, one chunk of element rows at a time.
 
     ``read(users, lo, hi)`` gives element rows lo..hi-1 of the given users
     of a pool of ``shape`` (P, M, K).  Every chunk holds all P users and as
-    many rows as fit ``_BLOCK_BYTES`` in complex64 (at least one), and must
-    be finite (``ValueError`` otherwise).  Its ``a a^H`` is added into the
-    complex128 Gram a block of frequencies at a time, each block's
-    complex128 copy within ``_CACHE_BYTES``.  Besides the Gram, one chunk
-    and one block's copies are held; the pool never is.
+    many rows as fit ``_BLOCK_BYTES`` in complex64 (at least one).  Its
+    ``a a^H`` is added into the complex128 Gram a block of frequencies at a
+    time, each block's complex128 copy within ``_CACHE_BYTES``.  Besides the
+    Gram, one chunk and one block's copies are held; the pool never is.
+    Every value must be finite (``ValueError`` otherwise): a finite complex64
+    value squares to at most about 1.2e77, so the Gram's real diagonal, the
+    sums of ``|h|**2``, is finite exactly when each value is.
     """
     p, m, k = (int(n) for n in shape)
     gram = np.zeros((k, p, p), dtype=complex)
@@ -88,14 +93,14 @@ def stream_gram(read, shape) -> PoolGram:
     users = np.arange(p)
     for lo in range(0, m, rows):
         chunk = read(users, lo, min(lo + rows, m))
-        if not np.all(np.isfinite(chunk)):
-            raise ValueError("values must be finite")
         for k0 in range(0, k, step):
             a = np.ascontiguousarray(
                 chunk[:, :, k0 : k0 + step].transpose(2, 0, 1), dtype=complex
             )
             gram[k0 : k0 + step] += a @ a.conj().swapaxes(-1, -2)
         del chunk  # before the next chunk is read
+    if not np.all(np.isfinite(np.diagonal(gram, axis1=1, axis2=2).real)):
+        raise ValueError("values must be finite")
     return PoolGram(gram, (p, m, k), read)
 
 
@@ -308,9 +313,10 @@ def avg_spatial_correlation(matrix, lags) -> np.ndarray:
     of the C-ordered matrix on their own and adding each pair's products
     path by path, whatever the input's memory layout.  Below 8 paths that
     is also the bits of numpy's row sum; from 8 up the row sum is pairwise
-    and differs by about ``L * eps``.  Zero-variance rows are skipped with
-    a warning per lag, and a lag with no pair of two variable rows gives
-    ``nan``.
+    and differs by about ``L * eps``.  A pair whose product of sums of
+    squares is 0 (a zero-variance row, or underflow) is skipped with a
+    warning per lag, and a lag with no valid pair gives ``nan``; no lag is
+    masked when the smallest sum of squares has a positive square.
 
     Parameters
     ----------
@@ -336,6 +342,7 @@ def avg_spatial_correlation(matrix, lags) -> np.ndarray:
         raise ValueError(f"lags must be in [0, {num_rows}), got {lags}")
     xc = matrix - matrix.mean(axis=1, keepdims=True)
     ss = np.sum(xc**2, axis=1)
+    all_valid = np.square(ss.min(initial=np.inf)) > 0.0
     # path-major: each path's centred amplitudes are one contiguous row
     paths = np.ascontiguousarray(xc.T)
     scratch = np.empty(num_rows)
@@ -343,19 +350,23 @@ def avg_spatial_correlation(matrix, lags) -> np.ndarray:
     for i, lag in enumerate(lags.tolist()):
         n = num_rows - lag
         den = np.sqrt(ss[:n] * ss[lag:])
-        valid = den > 0.0
-        skipped = n - int(np.count_nonzero(valid))
-        if skipped:
-            warnings.warn(
-                f"skipping {skipped} constant-row pairs in spatial correlation"
-            )
-        if skipped == n:
-            curve[i] = np.nan
-            continue
+        if not all_valid:
+            valid = den > 0.0
+            skipped = n - int(np.count_nonzero(valid))
+            if skipped:
+                warnings.warn(
+                    f"skipping {skipped} constant-row pairs in spatial correlation"
+                )
+            if skipped == n:
+                curve[i] = np.nan
+                continue
         num = np.multiply(paths[0, :n], paths[0, lag:], out=scratch[:n])
         for row in paths[1:]:
             num += row[:n] * row[lag:]
-        curve[i] = np.mean(num[valid] / den[valid])
+        if not all_valid:
+            num, den = num[valid], den[valid]
+        # the sum and division of np.mean, the ratios made in place
+        curve[i] = np.add.reduce(np.divide(num, den, out=num)) / num.size
     return curve
 
 

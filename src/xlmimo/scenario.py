@@ -361,7 +361,7 @@ def build_aaf_params(config: dict) -> AAFStatParams:
     block = dict(config.get("aaf") or {})
     unknown = set(block) - {f.name for f in dataclasses.fields(AAFStatParams)}
     if unknown:
-        raise ValueError(f"unknown aaf keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown aaf keys: {', '.join(sorted(map(str, unknown)))}")
     return AAFStatParams(**block)
 
 

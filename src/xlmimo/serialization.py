@@ -2,9 +2,10 @@
 
 All writers are byte-deterministic for identical inputs: CSV numbers are
 written in the form of ``repr`` (shortest round-trip for floats), through
-one ``orjson`` call per block of values, JSON keys are sorted, and no
-timestamps or environment details are recorded.  Channel tensors are
-stored as little-endian complex64 binaries in C order next to a JSON header
+one ``orjson`` call per block of values and the fixes that one scan per
+span of blocks finds, JSON keys are sorted, and no timestamps or
+environment details are recorded.  Channel tensors are stored as
+little-endian complex64 binaries in C order next to a JSON header
 describing shape, grid, and provenance (seed and configuration hash).
 The path table is a 1-D structured ``.npy`` array of ``PATHTABLE_DTYPE``
 records with the same values as CSV text next to it, both written from one
@@ -20,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import os
 
@@ -81,6 +83,9 @@ def _replacing(path, mode="x", **kwargs):
 #: whole column's.
 _BLOCK_ROWS = 512
 
+#: Rows of a float column whose magnitudes one pass of numpy calls scans.
+_SPAN_ROWS = 2**15
+
 #: Magnitude edges where orjson's text parts from ``repr``'s.  A float in
 #: [1e-9, 1e-5) or >= 1e16 has an exponent that orjson writes as ``e-7`` or
 #: ``e16`` and ``repr`` as ``e-07`` or ``e+16``; one in [1e-5, 1e-4) orjson
@@ -91,7 +96,8 @@ _EDGES = np.array([1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e16])
 _IN_FULL = 5
 #: The exponent rewrites of each interval that needs one; interval ``i``
 #: holds [_EDGES[i - 1], _EDGES[i]).  A negative exponent is matched with
-#: the ``,`` after its token, so that ``e-6,`` cannot match ``e-60``.
+#: the ``,`` after its token, so that ``e-6,`` cannot match ``e-60``.  No
+#: rewrite matches the text of a value outside its interval.
 _EXPONENTS = {
     1: [("e-9,", "e-09,")],
     2: [("e-8,", "e-08,")],
@@ -101,43 +107,70 @@ _EXPONENTS = {
 }
 
 
-def _formatted(block):
-    """The cells of one column block as strings, formatted like ``_fmt``.
-
-    A 1-D float or int array is written by one ``orjson.dumps`` call, as
-    float64 or 64-bit ints, and split into tokens.  Float text is then
-    rewritten into ``repr``'s form: the exponent rewrites of the intervals
-    that some value falls in, the digits of each value with
-    1e-5 <= |x| < 1e-4 moved into exponent form, and ``repr`` itself for
-    the non-finite values, which orjson writes as ``null``.
-    """
-    kind = block.dtype.kind if isinstance(block, np.ndarray) else None
-    if kind not in ("f", "i", "u") or block.ndim != 1:
-        return map(_fmt, block)
-    if not block.size:
-        return []
-    values = np.ascontiguousarray(block, "<f8" if kind == "f" else f"<{kind}8")
-    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
-    if kind != "f":
-        return text.split(",")
-    magnitude = np.abs(values)
-    finite = np.isfinite(magnitude)
-    interval = np.searchsorted(_EDGES, np.where(finite, magnitude, 0.0), "right")
+def _scan(values):
+    """What turns orjson's text of the floats ``values`` into ``repr``'s:
+    the exponent rewrites of the intervals that some value falls in, the
+    ascending positions of the values with 1e-5 <= |x| < 1e-4 or not
+    finite, and where the positions of each block of ``_BLOCK_ROWS`` start."""
+    magnitude = np.abs(values, dtype=float)
+    nulls = ~np.isfinite(magnitude)
+    magnitude[nulls] = 0.0
+    interval = np.searchsorted(_EDGES, magnitude, "right")
     counts = np.bincount(interval, minlength=len(_EDGES) + 1)
+    rewrites = [r for i, pair in _EXPONENTS.items() if counts[i] for r in pair]
+    fixes = np.flatnonzero((interval == _IN_FULL) | nulls)
+    blocks = np.arange(0, len(values) + _BLOCK_ROWS, _BLOCK_ROWS)
+    return rewrites, fixes, np.searchsorted(fixes, blocks).tolist()
+
+
+def _tokens(span, lo, scan):
+    """The block of a 1-D float or int array ``span`` at row ``lo``: one
+    ``orjson.dumps`` call, as float64 or 64-bit ints, split into tokens.
+    Float text is rewritten into ``repr``'s form with ``scan``, the
+    :func:`_scan` of the whole span: its exponent rewrites, the digits of
+    each value with 1e-5 <= |x| < 1e-4 moved into exponent form, and
+    ``repr`` itself for the non-finite values, which orjson writes as
+    ``null``."""
+    values = np.ascontiguousarray(span[lo : lo + _BLOCK_ROWS], f"<{span.dtype.kind}8")
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    if scan is None:
+        return text.split(",")
+    rewrites, fixes, cuts = scan
     text += ","
-    for i, rewrites in _EXPONENTS.items():
-        if counts[i]:
-            for old, new in rewrites:
-                text = text.replace(old, new)
+    for old, new in rewrites:
+        text = text.replace(old, new)
     tokens = text[:-1].split(",")
-    for i in np.flatnonzero(interval == _IN_FULL).tolist():
-        # the same shortest digits: [-]0.0000DIGITS becomes [-]D.IGITSe-05
-        sign, digits = tokens[i].split("0.0000")
-        point = "." if len(digits) > 1 else ""
-        tokens[i] = f"{sign}{digits[0]}{point}{digits[1:]}e-05"
-    for i in np.flatnonzero(~finite).tolist():
-        tokens[i] = repr(float(values[i]))
+    block = lo // _BLOCK_ROWS
+    for i in fixes[cuts[block] : cuts[block + 1]].tolist():
+        if tokens[i - lo] == "null":
+            tokens[i - lo] = repr(float(span[i]))
+        else:  # the same shortest digits: [-]0.0000DIGITS to [-]D.IGITSe-05
+            sign, digits = tokens[i - lo].split("0.0000")
+            point = "." if len(digits) > 1 else ""
+            tokens[i - lo] = f"{sign}{digits[0]}{point}{digits[1:]}e-05"
     return tokens
+
+
+def _column_blocks(column):
+    """The cells of ``column`` as strings formatted like ``_fmt``, one list
+    per block of ``_BLOCK_ROWS`` rows (:func:`_tokens` for a 1-D float or
+    int array).  Blocks restart at each span of ``_SPAN_ROWS`` rows, so that
+    the columns of a table stay in step; a float span is scanned once."""
+    array = isinstance(column, np.ndarray) and column.ndim == 1
+    kind = column.dtype.kind if array else None
+    for start in range(0, len(column), _SPAN_ROWS):
+        span = column[start : start + _SPAN_ROWS]
+        scan = _scan(span) if kind == "f" else None
+        for lo in range(0, len(span), _BLOCK_ROWS):
+            if kind in ("f", "i", "u"):
+                yield _tokens(span, lo, scan)
+            else:
+                yield list(map(_fmt, span[lo : lo + _BLOCK_ROWS]))
+
+
+def _formatted(column):
+    """Every cell of ``column`` as a string (see :func:`_column_blocks`)."""
+    return itertools.chain.from_iterable(_column_blocks(column))
 
 
 def _csv_appender(fh, header):
@@ -147,7 +180,7 @@ def _csv_appender(fh, header):
     ``columns`` holds one sequence per ``header`` name (a numpy array or a
     list), all of the same length.  Float and int arrays are formatted a
     block of rows at a time, one ``orjson`` call per block, into the strings
-    ``repr`` and ``str`` give (see :func:`_formatted`); other cells are
+    ``repr`` and ``str`` give (see :func:`_column_blocks`); other cells are
     formatted one by one with ``_fmt``.  When
     every column is a 1-D float or int array, no cell can need quoting, so
     each block's rows are joined with ``,`` and newlines directly; rows with
@@ -168,12 +201,12 @@ def _csv_appender(fh, header):
             isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "fiu"
             for c in columns
         )
-        for lo in range(0, num_rows, _BLOCK_ROWS):
-            blocks = (_formatted(c[lo : lo + _BLOCK_ROWS]) for c in columns)
+        for blocks in zip(*map(_column_blocks, columns)):
             if numeric:
                 fh.write("\n".join(map(",".join, zip(*blocks))) + "\n")
             else:
                 csv.writer(fh, lineterminator="\n").writerows(zip(*blocks))
+            del blocks  # before the next blocks are formatted
 
     return append
 

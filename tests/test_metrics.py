@@ -291,6 +291,35 @@ class TestGramRoute:
         with pytest.raises(ValueError, match="finite"):
             multiuser_trials(pool, 1, 1, np.random.default_rng(1))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [complex(np.nan, 0.0), complex(0.0, np.nan), complex(1.0, np.inf),
+         complex(-np.inf, 2.0), complex(np.inf, np.nan)],
+    )
+    @pytest.mark.parametrize("where", [(0, 0, 0), (5, 0, 1), (2, 36, 3), (5, 36, 0)])
+    def test_non_finite_part_rejected_in_any_chunk(self, monkeypatch, bad, where):
+        # 5 element rows per chunk: row 36 is in the last chunk, of one row;
+        # user 5 is drawn by no trial
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * 6 * 4 * 5)
+        rng = np.random.default_rng(27)
+        pool = random_channel(rng, n=6, m=37, k=4).astype(np.complex64)
+        pool[where] = bad
+        assert np.random.default_rng(1).choice(6, 1, replace=False) != 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the ValueError alone reports it
+            with pytest.raises(ValueError, match="^values must be finite$"):
+                multiuser_trials(pool, 1, 1, np.random.default_rng(1))
+
+    def test_largest_complex64_values_are_finite(self):
+        # |h|**2 of the largest complex64 values, summed over 8 elements,
+        # is about 1.9e78 and exact in float64
+        top = np.finfo(np.float32).max
+        signs = np.random.default_rng(28).choice([-1.0, 1.0], (2, 3, 8, 2))
+        pool = (top * signs[0] + 1j * top * signs[1]).astype(np.complex64)
+        gram = stream_gram(lambda users, lo, hi: pool[users, lo:hi], pool.shape).gram
+        diagonal = np.diagonal(gram, axis1=1, axis2=2)
+        assert np.all(diagonal.real == 16 * float(top) ** 2)
+
 
 class TestDistinctSets:
     """Trials that draw one user set, in any order, share its bits."""
@@ -507,12 +536,13 @@ def per_lag_correlation(matrix, delta, sum_paths=path_order_sum):
 @st.composite
 def correlation_inputs(draw):
     """Amplitude matrices with planted constant rows, some all constant,
-    lags that always include 0 and M - 1, and whether to pass the matrix
-    in Fortran order."""
+    scaled by 1e-100 to 1e6, lags that always include 0 and M - 1, and
+    whether to pass the matrix in Fortran order."""
     m = draw(st.integers(2, 300))
     num_paths = draw(st.integers(2, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 10.0 ** draw(st.integers(-12, 6))
+    # below about 1e-80 the products of two rows' sums of squares underflow
+    scale = 10.0 ** draw(st.integers(-100, 6))
     matrix = rng.uniform(0.0, 1.0, (m, num_paths)) * scale
     if draw(st.booleans()):
         matrix[:] = draw(st.sampled_from([0.0, 1.0, 0.3]))
@@ -616,6 +646,54 @@ class TestSpatialCorrelation:
             avg_spatial_correlation(m, [[1]])
         with pytest.raises(ValueError):
             avg_spatial_correlation(m[:, :1], [1])
+
+
+def assert_matches_per_lag_reference(matrix, lags):
+    """The curve and the warnings of ``per_lag_correlation``, bit for bit."""
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        want = np.array([per_lag_correlation(matrix, lag) for lag in lags])
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = avg_spatial_correlation(matrix, lags)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert [str(w.message) for w in got_warnings] == [
+        str(w.message) for w in want_warnings
+    ]
+    return got, [str(w.message) for w in got_warnings]
+
+
+class TestCorrelationRoutes:
+    """A matrix whose smallest sum of squares has a positive square takes
+    the lag loop without masks; any other keeps the mask, the count and the
+    warnings.  Both give the per-lag reference's bits."""
+
+    @pytest.mark.parametrize("num_paths", range(2, 25))
+    def test_no_constant_row(self, num_paths):
+        rng = np.random.default_rng(100 + num_paths)
+        scales = 10.0 ** rng.integers(-12, 7, (200, 1))
+        matrix = rng.uniform(0.0, 1.0, (200, num_paths)) * scales
+        _, caught = assert_matches_per_lag_reference(matrix, np.arange(200))
+        assert caught == []
+
+    @pytest.mark.parametrize("num_paths", [2, 7, 8, 24])
+    def test_sums_of_squares_whose_products_underflow(self, num_paths):
+        # every sum of squares is positive, but a pair of rows scaled below
+        # about 1e-80 has a product of 0, and so a constant-row warning
+        rng = np.random.default_rng(200 + num_paths)
+        scales = 10.0 ** rng.integers(-100, 7, (200, 1))
+        matrix = rng.uniform(0.0, 1.0, (200, num_paths)) * scales
+        assert np.all(np.sum((matrix - matrix.mean(axis=1, keepdims=True)) ** 2, 1) > 0)
+        curve, caught = assert_matches_per_lag_reference(matrix, np.arange(200))
+        assert caught and np.all(np.isfinite(curve[:150]))
+
+    def test_no_rows_and_no_lags(self):
+        assert avg_spatial_correlation(np.empty((0, 3)), np.array([], int)).size == 0
+
+    def test_all_products_underflow(self):
+        matrix = np.random.default_rng(300).uniform(0.0, 1.0, (50, 4)) * 1e-100
+        curve, caught = assert_matches_per_lag_reference(matrix, np.arange(50))
+        assert np.all(np.isnan(curve)) and len(caught) == 50
 
 
 class TestCvmDistance:

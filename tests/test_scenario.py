@@ -284,6 +284,15 @@ class TestMalformedConfigs:
         assert len(want) == len(MALFORMED)
         assert {_raise_site(edit) for _, edit, _ in MALFORMED} == want
 
+    @pytest.mark.parametrize(
+        "block, message",
+        [({1: 0.5}, "aaf: unknown aaf keys: 1"),
+         ({"bogus": 1.0, 2: 0.5, "mu_p": 0.5}, "aaf: unknown aaf keys: 2, bogus")],
+    )
+    def test_non_string_aaf_keys_are_named(self, block, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            validate_config(_set("aaf", value=block)(minimal_config()))
+
 
 class TestBuilders:
     def test_build_geometry(self):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from xlmimo import serialization
 from xlmimo.channel import FrequencyGrid, PathTable
 from xlmimo.errors import ConfigError
 from xlmimo.geometry import Angles, ArrayGeometry
@@ -19,6 +21,7 @@ from xlmimo.serialization import (
     PATH_COLUMNS,
     PATHTABLE_DTYPE,
     _BLOCK_ROWS,
+    _csv_appender,
     _fmt,
     _formatted,
     config_sha256,
@@ -386,6 +389,87 @@ class TestReprTokens:
             for b, v, w in zip(bits.tolist(), values.tolist(), spread.tolist())
         )
         assert fn.read_text() == "bits,value,spread\n" + want
+
+
+#: Values whose orjson text needs each kind of fix: in full, each exponent
+#: rewrite, and the non-finite ones.
+FIXED_FLOATS = [1.5e-5, -9.75e-5, 2.5e-9, -4e-8, 1.25e-7, 6e-6, 3e20, -1e16,
+                np.nan, np.inf, -np.inf]
+
+
+def planted_columns(num_rows, span):
+    """A float64 and a float32 column of ``num_rows`` rows with a value of
+    ``FIXED_FLOATS`` on both sides of every block edge and span edge, each
+    edge a different one, so that neighbouring spans need different
+    rewrites; the same values reversed in a strided record field; and an
+    int field."""
+    edges = [  # the first row of every block; blocks restart at every span
+        start + lo
+        for start in range(0, num_rows, span)
+        for lo in range(0, min(span, num_rows - start), _BLOCK_ROWS)
+    ]
+    rng = np.random.default_rng(num_rows)
+    f64 = rng.uniform(0.5, 2.0, num_rows)
+    for i, edge in enumerate(edges[1:]):
+        f64[[edge - 1, edge]] = FIXED_FLOATS[i % len(FIXED_FLOATS)]
+    records = np.zeros(num_rows, PATHTABLE_DTYPE)
+    records["aaf"] = f64[::-1]
+    records["ue"] = rng.integers(-(2**40), 2**40, num_rows)
+    return [f64, f64.astype(np.float32), records["aaf"], records["ue"]]
+
+
+class TestSpanScan:
+    """Float columns are scanned once per span of ``_SPAN_ROWS`` rows and
+    formatted a block at a time with the span's fixes."""
+
+    @pytest.mark.parametrize("span", [700, 1300, 2 * _BLOCK_ROWS])
+    def test_columns_longer_than_a_span(self, tmp_path, monkeypatch, span):
+        monkeypatch.setattr(serialization, "_SPAN_ROWS", span)
+        columns = planted_columns(4500, span)
+        header = ["f64", "f32", "field", "ue"]
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        reference_write_table(want, header, zip(*columns))
+        write_table(got, header, columns)
+        assert got.read_bytes() == want.read_bytes()
+        for column in columns:
+            assert list(_formatted(column)) == repr_tokens(column)
+
+    def test_peak_allocation_is_about_one_block(self, tmp_path):
+        # one block's strings and text, and a span's scan; not also the
+        # previous block's strings, which would take it to about 3x
+        rng = np.random.default_rng(6)
+        columns = [rng.standard_normal(8 * _BLOCK_ROWS) for _ in range(9)]
+        block = sum(
+            sys.getsizeof(t) for c in columns for t in repr_tokens(c[:_BLOCK_ROWS])
+        )
+        write_table(tmp_path / "warm.csv", list("abcdefghi"), columns)
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / "t.csv", list("abcdefghi"), columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.3 * block
+
+    @pytest.mark.parametrize("span", [serialization._SPAN_ROWS, 300])
+    @pytest.mark.parametrize("numeric", [True, False])
+    def test_appends_of_any_size_give_one_table(
+        self, tmp_path, monkeypatch, span, numeric
+    ):
+        monkeypatch.setattr(serialization, "_SPAN_ROWS", span)
+        columns = planted_columns(1212, min(span, 1212))
+        if not numeric:
+            columns.append([f"w,{i}" for i in range(1212)])
+        header = [f"c{i}" for i in range(len(columns))]
+        write_table(tmp_path / "want.csv", header, columns)
+        with open(tmp_path / "got.csv", "w", newline="") as fh:
+            append = _csv_appender(fh, header)
+            lo = 0
+            for rows in (0, 1, 511, 700):
+                append([c[lo : lo + rows] for c in columns])
+                lo += rows
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
 
 
 class TestJsonYaml:
