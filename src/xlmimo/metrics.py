@@ -11,14 +11,14 @@ reduces a user pool to its (K, P, P) Gram tensor a chunk of element rows of
 all users at a time, so the pool itself is never held: ``evaluate`` feeds it
 from ``channel.bin``, and :func:`_gram` from an in-memory array; its real
 diagonal shows whether every value was finite.  One route,
-``_subset_metrics``, maps the eigenvalues of each user subset's block of
-that tensor to both metrics; :func:`multiuser_trials` runs it once per
-distinct user set, and :func:`entropy_capacity` and
-:func:`demmel_condition` are thin wrappers over it.  A subset whose
-eigenvalue ratio ``lambda_min / lambda_max`` drops below ``_GRAM_MIN_RATIO``
-(1e-3) at some frequency takes its Demmel value from the SVD of H instead,
-which also decides rank deficiency (``inf``); only that subset's users are
-read again for it.
+``_subset_metrics``, reduces each user subset's blocks of that tensor to
+real tridiagonals and takes both metrics from their pivots, with no
+eigensolver; :func:`multiuser_trials` runs it once per distinct user set,
+and :func:`entropy_capacity` and :func:`demmel_condition` wrap it.  A
+subset whose eigenvalue ratio ``lambda_min / lambda_max`` drops below
+``_GRAM_MIN_RATIO`` (1e-3) at some frequency takes its Demmel value from
+the SVD of H instead, which also decides rank deficiency (``inf``); only
+that subset's users are read again for it.
 
 :func:`avg_spatial_correlation` centres the (M, L) amplitude matrix once and
 sums each lag's numerator path by path: L multiply-adds of contiguous (M,)
@@ -39,18 +39,18 @@ from .errors import NumericError
 
 #: Smallest per-frequency eigenvalue ratio ``lambda_min / lambda_max`` at
 #: which a subset's Demmel value is taken from its Gram eigenvalues.
-#: Forming and diagonalising ``H H^H`` perturbs ``lambda_min`` by about
+#: Forming ``H H^H`` and reducing it perturb ``lambda_min`` by about
 #: ``c * eps * lambda_max``, a relative error of ``c * eps / ratio``;
 #: Demmel goes as ``lambda_min**-0.5``, so its error is half of that.  The
 #: bound has ``c ~ N``: at 1e-3 that is 8.9e-13 for N = 4.  Measured on
-#: random and nearly collinear pools (N <= 8, M <= 2048), ``c`` stays below
-#: 1.7, i.e. under 3.7e-13.  Subsets below the ratio, which include every
-#: rank-deficient one and every N > M, take the SVD route.
+#: random, nearly collinear and prescribed-spectrum pools (N <= 16), ``c``
+#: stays below 3, i.e. under 3.4e-13.  Subsets below the ratio, which
+#: include every rank-deficient one and every N > M, take the SVD route.
 _GRAM_MIN_RATIO = 1e-3
 
 #: Byte budget of one complex64 chunk of element rows of all users, of one
-#: gathered block of Gram matrices, or of one complex128 frequency block of
-#: the SVD fallback.
+#: block of Gram lower triangles with its reduction's work arrays, or of one
+#: complex128 frequency block of the SVD fallback.
 _BLOCK_BYTES = 4 * 2**20
 
 #: Byte budget of the complex128 copy of one frequency block of a chunk:
@@ -115,33 +115,122 @@ def _gram(pool) -> PoolGram:
     return stream_gram(lambda users, lo, hi: pool[users, lo:hi], pool.shape)
 
 
-def _spectrum_metrics(lam, num_elements: int, eta, snr: float):
-    """Capacity and Demmel from the spectra of ``H(f_k) H(f_k)^H``.
+def _tridiagonal(tri, n: int):
+    """Diagonal (n, ...) and |subdiagonal| (n-1, ...) of Hermitian blocks,
+    reduced by Householder reflections in the lower triangles ``tri`` (held
+    column by column, batch-last, and overwritten): reflection k maps the
+    block S below column k to ``S - v w^H - w v^H``, ``p = tau S v``,
+    ``w = p - (tau/2)(v^H p) v``."""
+    start = [j * n - j * (j - 1) // 2 for j in range(n + 1)]
+    e = np.empty((n - 1,) + tri.shape[1:])
+    for k in range(n - 2):
+        v = tri[start[k] + 1 : start[k + 1]]  # x, then v in place
+        e[k] = alpha = np.linalg.norm(v, axis=0)
+        x0 = np.abs(v[0])
+        tau = 1.0 / np.where(alpha > 0.0, alpha * (alpha + x0), np.inf)
+        v[0] += alpha * np.where(x0 > 0.0, v[0] / x0, 1.0)
+        columns = [tri[start[j] : start[j + 1]] for j in range(k + 1, n)]
+        p = np.zeros_like(v)
+        for j, column in enumerate(columns):  # S v from S's lower triangle
+            p[j:] += column * v[j]
+            p[j] += np.sum(column[1:].conj() * v[j + 1 :], axis=0)
+        p *= tau
+        p -= (0.5 * tau * np.sum((v.conj() * p).real, axis=0)) * v  # w
+        for j, column in enumerate(columns):
+            column -= v[j:] * p[j].conj()
+            column -= p[j:] * v[j].conj()
+    if n > 1:
+        e[-1] = np.abs(tri[start[n - 2] + 1])
+    return tri.real[start[:-1]], e
 
-    ``lam`` has shape (..., K, N), ascending along the last axis (Gram
-    eigenvalues or squared singular values); ``eta`` broadcasts against the
-    leading axes.  Returns the frequency averages ``(capacity, demmel)``.
-    """
-    lam = np.maximum(lam, 0.0)  # rounding leaves null eigenvalues near 0
-    gain = snr / (num_elements * np.asarray(eta, dtype=float))
-    capacity = np.mean(
-        np.sum(np.log2(1.0 + gain[..., None, None] * lam), axis=-1), axis=-1
+
+def _sturm(d, e2, x):
+    """Lowest pivot q of ``T - xI = L diag(q) L^T`` and a bracket of the gap.
+
+    T has diagonal ``d`` (n, ...) and squared subdiagonal ``e2``.  With
+    ``s1 = sum_j 1/(lambda_j - x) = -sum q'/q``, ``s2 = d s1 / dx`` and all
+    pivots positive, ``lambda_1 - x`` is at least Laguerre's step
+    ``n / (s1 + sqrt((n-1)(n s2 - s1**2)))`` and at most ``s1 / s2``."""
+    n = len(d)
+    lowest, inverse = np.inf, 0.0
+    r = u = s1 = s2 = 0.0
+    for i in range(n):
+        t = e2[i - 1] * inverse if i else 0.0
+        q = d[i] - x - t
+        inverse = 1.0 / q
+        u = t * (u - 2.0 * r * r) * inverse
+        r = (t * r - 1.0) * inverse
+        s1, s2 = s1 - r, s2 + (r * r - u)
+        lowest = np.minimum(lowest, q)
+    root = np.sqrt(np.maximum((n - 1) * (n * s2 - s1 * s1), 0.0))
+    return lowest, n / (s1 + root), s1 / s2
+
+
+def _smallest_eigenvalue(d, e2, x):
+    """Smallest eigenvalue of tridiagonals (``d``, ``e2``) from ``x`` below it.
+
+    Laguerre steps, exact at an n-fold root, run until :func:`_sturm`'s
+    bracket is within 4 eps or a pivot turns non-positive (a step past the
+    root by rounding).  They are linear at a root of lower multiplicity:
+    blocks still open after 10 steps bisect their bracket by pivot sign."""
+    tol = 4.0 * np.finfo(float).eps
+    moving = np.ones(x.shape, dtype=bool)
+    for _ in range(10):
+        lowest, step, bound = _sturm(d, e2, x)
+        moving &= lowest > 0.0
+        hi = x + bound
+        x = np.where(moving, x + step, x)
+        moving &= bound - step > tol * np.abs(hi)
+        if not moving.any():
+            return x
+    lo, hi, d, e2 = x[moving], hi[moving], d[:, moving], e2[:, moving]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = _sturm(d, e2, mid)[0] > 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    x[moving] = lo
+    return x
+
+
+def _block_metrics(gram, sets, gain):
+    """Mean capacity, mean Demmel and least eigenvalue ratio of user sets.
+
+    ``sets`` (T, n) index the (K, P, P) ``gram``; ``gain`` (T,) is
+    ``snr / (M eta)``.  Each block, scaled by the power of two that puts its
+    trace in [0.5, 1), becomes a tridiagonal T: capacity sums the log2 of
+    the LDL^T pivots of ``I + gain T``, Demmel is ``sqrt(trace/lambda_min)``.
+    Gershgorin bounds start both eigenvalue searches; the upper one serves
+    as ``lambda_max`` where it already gives a ratio >= ``_GRAM_MIN_RATIO``."""
+    n = sets.shape[1]
+    cols, rows = np.triu_indices(n)  # (row, column) of the lower triangle
+    tri = gram.transpose(1, 2, 0)[sets[:, rows].T, sets[:, cols].T]
+    trace, exponent = np.frexp(tri.real[rows == cols].sum(axis=0))
+    tri *= np.ldexp(1.0, -exponent)
+    d, e = _tridiagonal(tri, n)
+    del tri
+    c, e2 = np.ldexp(gain[:, None], exponent), e * e
+    pivot = 1.0 + c * d[0]
+    capacity = np.log2(pivot)
+    for i in range(1, n):
+        pivot = 1.0 + c * (d[i] - c * e2[i - 1] / pivot)
+        capacity += np.log2(pivot)
+    reach = 2.0 * np.max(e, axis=0, initial=0.0)  # bounds each Gershgorin radius
+    lam_min = _smallest_eigenvalue(d, e2, np.maximum(np.min(d, axis=0) - reach, 0.0))
+    upper = np.max(d, axis=0) + reach
+    ratio = lam_min / upper
+    open_ = ~(ratio >= _GRAM_MIN_RATIO)
+    ratio[open_] = lam_min[open_] / -_smallest_eigenvalue(
+        -d[:, open_], e2[:, open_], -upper[open_]
     )
-    demmel = np.mean(np.sqrt(np.sum(lam, axis=-1) / lam[..., 0]), axis=-1)
-    return capacity, demmel
-
-
-def _rank_deficient(sigma: np.ndarray, shape) -> np.ndarray:
-    """Per-frequency numerical rank deficiency from singular values (K,)."""
-    tol = sigma[:, 0] * max(shape[0], shape[1]) * np.finfo(float).eps
-    return sigma[:, -1] <= tol
+    demmel = np.sqrt(trace / lam_min)
+    return np.mean(capacity, axis=1), np.mean(demmel, axis=1), np.min(ratio, axis=1)
 
 
 def _subset_metrics(pool: PoolGram, subsets: np.ndarray, snr_db: float):
     """Capacity and Demmel of each user subset of a pool.
 
     ``subsets`` is an int array (T, N) of pool users.  Both metrics come
-    from the eigenvalues of the subset's block of the pool's Gram tensor.
+    from the subset's block of the pool's Gram tensor (:func:`_block_metrics`).
     A subset whose smallest ``lambda_min / lambda_max`` over frequency is
     below ``_GRAM_MIN_RATIO`` takes its Demmel value from the singular
     values of its (N, M) matrices instead, ``inf`` when one is rank
@@ -161,16 +250,13 @@ def _subset_metrics(pool: PoolGram, subsets: np.ndarray, snr_db: float):
     capacity = np.empty(len(subsets))
     demmel = np.empty(len(subsets))
     ill = []
-    step = max(1, _BLOCK_BYTES // (16 * k * n * n))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a block's triangles take half of _BLOCK_BYTES, its work arrays the rest
+    step = max(1, _BLOCK_BYTES // (16 * k * n * (n + 1)))
+    with np.errstate(all="ignore"):
         for t0 in range(0, len(subsets), step):
-            s = subsets[t0 : t0 + step]
-            lam = np.linalg.eigvalsh(gram[:, s[:, :, None], s[:, None, :]])
-            lam = np.moveaxis(lam, 0, 1)  # (trials, K, N)
-            capacity[t0 : t0 + step], demmel[t0 : t0 + step] = _spectrum_metrics(
-                lam, m, eta[t0 : t0 + step], snr
+            capacity[t0 : t0 + step], demmel[t0 : t0 + step], ratio = _block_metrics(
+                gram, subsets[t0 : t0 + step], snr / (m * eta[t0 : t0 + step])
             )
-            ratio = np.min(lam[..., 0] / lam[..., -1], axis=1)
             # a nan ratio (an all-zero matrix) also takes the SVD route
             ill.extend(t0 + np.flatnonzero(~(ratio >= _GRAM_MIN_RATIO)))
     block = max(1, _BLOCK_BYTES // (16 * n * m))
@@ -185,10 +271,12 @@ def _subset_metrics(pool: PoolGram, subsets: np.ndarray, snr_db: float):
                 for k0 in range(0, k, block)
             ]
         )
-        if np.any(_rank_deficient(sigma, (n, m))):
+        # numerically rank deficient at some frequency
+        if np.any(sigma[:, -1] <= sigma[:, 0] * max(n, m) * np.finfo(float).eps):
             demmel[t] = float("inf")
         else:
-            demmel[t] = _spectrum_metrics(sigma[:, ::-1] ** 2, m, eta[t], snr)[1]
+            lam = sigma[:, ::-1] ** 2
+            demmel[t] = np.mean(np.sqrt(np.sum(lam, axis=1) / lam[:, 0]))
     return capacity, demmel
 
 
@@ -208,9 +296,10 @@ def entropy_capacity(values, snr_db: float = 15.0) -> float:
 
     with ``eta = mean(|H|**2)`` over all entries and ``lambda_ik`` the
     eigenvalues of the (users x users) Gram matrix ``H H^H`` at frequency
-    k, i.e. the squared singular values of H.  Capacity needs no SVD
-    fallback: an eigenvalue error of ``eps * lambda_max`` moves each term by
-    at most about ``N * snr * eps``, however ill-conditioned H is.
+    k, summed as the log2 of the LDL^T pivots of a tridiagonal similar to
+    ``I + snr H H^H / (M eta)``.  No SVD fallback is needed: a backward
+    error of ``eps * lambda_max`` moves each term by at most about
+    ``N * snr * eps``, however ill-conditioned H is.
 
     Parameters
     ----------
@@ -228,13 +317,13 @@ def demmel_condition(values) -> float:
     """Frequency-averaged Demmel condition number (linear).
 
     ``mean_k ||H(f_k)||_F / sigma_min(f_k)``, computed as
-    ``sqrt(sum_i lambda_ik / lambda_min,k)`` from the eigenvalues of the
-    Gram matrix ``H H^H``.  When ``lambda_min / lambda_max`` drops below
-    ``_GRAM_MIN_RATIO`` (1e-3) at some frequency, the Gram route would lose
-    more than 1e-12 relative accuracy, and the singular values of H are used
-    instead.  Frequencies whose matrix is then numerically rank deficient
-    (``sigma_min <= sigma_max * max(N, M) * eps``) make the average
-    infinite; that is returned as ``inf`` with a warning.
+    ``sqrt(trace G_k / lambda_min,k)``, ``G_k = H H^H``, with ``lambda_min``
+    from Laguerre steps on a tridiagonal.  When ``lambda_min / lambda_max``
+    drops below ``_GRAM_MIN_RATIO`` (1e-3) at some frequency, the Gram route
+    would lose more than 1e-12 relative accuracy, and the singular values of
+    H are used instead.  Frequencies whose matrix is then numerically rank
+    deficient (``sigma_min <= sigma_max * max(N, M) * eps``) make the
+    average infinite; that is returned as ``inf`` with a warning.
     """
     _, demmel = _subset_metrics(*_all_users(values), 0.0)
     if demmel[0] == np.inf:
@@ -256,18 +345,16 @@ def multiuser_trials(
     order) and evaluates both metrics on the stacked matrix.  Both metrics
     depend only on the set of users drawn, so each distinct set is
     evaluated once, with its users in ascending order, and every trial that
-    drew it gets the same bits.  Each set takes its eigenvalues from its
-    (N, N) block of the pool's Gram tensor, batched across sets.  Sets whose
+    drew it gets the same bits.  Each set's (N, N) blocks of the pool's
+    Gram tensor are reduced to tridiagonals, batched across sets.  Sets whose
     ``lambda_min / lambda_max`` falls below ``_GRAM_MIN_RATIO`` (1e-3) take
     their Demmel value from an SVD, as :func:`demmel_condition` does.
 
     Parameters
     ----------
     pool : ndarray, shape (P, M, K), or PoolGram
-        Per-user channel responses, all finite; complex64 (as
-        :func:`xlmimo.serialization.read_channel` returns it) or
-        complex128.  A :class:`PoolGram` (from :func:`stream_gram`) is used
-        as it is.
+        Per-user channel responses, all finite; complex64 or complex128.
+        A :class:`PoolGram` (from :func:`stream_gram`) is used as it is.
     num_ues : int
         Users per trial, 1 <= num_ues <= P.
     num_trials : int

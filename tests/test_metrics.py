@@ -190,6 +190,75 @@ def count_svd_calls(monkeypatch):
     return calls
 
 
+def prescribed_channel(spectrum, m, k, seed):
+    """(N, M, K) channel whose Gram at every frequency has ``spectrum``.
+
+    ``H = U diag(sqrt(spectrum)) V^H`` with, per frequency, a random unitary
+    U (N, N) and random orthonormal columns V (M, N).
+    """
+    rng = np.random.default_rng(seed)
+    n = len(spectrum)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u = np.linalg.qr(gaussian(k, n, n))[0]
+    v = np.linalg.qr(gaussian(k, m, n))[0]
+    h = (u * np.sqrt(spectrum)) @ v.conj().swapaxes(-1, -2)
+    return np.moveaxis(h, 0, 2)
+
+
+SPECTRUM_KINDS = (
+    "spread", "equal", "double-min", "near-double-min", "double-max",
+    "near-double-max", "ratio-above", "ratio-below",
+)
+SPECTRUM_SIZES = (1, 2, 3, 8, 16)
+
+
+def prescribed_spectrum(kind, positions, low_exponent, scale_exponent):
+    """Ascending spectrum of ``len(positions)`` eigenvalues of one kind.
+
+    Eigenvalues sit at ``low ** positions`` between ``low`` and 1, with
+    ``low = 10**low_exponent``, except for the ratio kinds, whose ``low`` is
+    1e-3 * (1 +- 1e-6), on either side of ``_GRAM_MIN_RATIO``.  A double
+    pair is equal and a near-double pair 1e-9 apart, relatively.  The whole
+    spectrum is then scaled by ``10**scale_exponent``.
+    """
+    low = {"ratio-above": 1e-3 * (1 + 1e-6), "ratio-below": 1e-3 * (1 - 1e-6)}.get(
+        kind, 10.0**low_exponent
+    )
+    spectrum = np.sort(low ** np.asarray(positions, dtype=float))
+    spectrum[0], spectrum[-1] = low, 1.0
+    if kind == "equal":
+        spectrum[:] = 1.0
+    elif len(spectrum) > 1 and kind.endswith("double-min"):
+        spectrum[1] = spectrum[0] * (1.0 if kind == "double-min" else 1.0 + 1e-9)
+    elif len(spectrum) > 1 and kind.endswith("double-max"):
+        spectrum[-2] = 1.0 if kind == "double-max" else 1.0 - 1e-9
+    return spectrum * 10.0**scale_exponent
+
+
+@st.composite
+def prescribed_spectra(draw):
+    """(kind, spectrum) of every kind and size, scaled by up to 10**+-30."""
+    kind = draw(st.sampled_from(SPECTRUM_KINDS))
+    n = draw(st.sampled_from(SPECTRUM_SIZES))
+    positions = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    low, scale = draw(st.floats(-2.9, 0.0)), draw(st.floats(-30.0, 30.0))
+    return kind, prescribed_spectrum(kind, positions, low, scale)
+
+
+def assert_prescribed_matches_svd(kind, spectrum, m, k, seed):
+    """Both routes at 1e-12 of the SVD, and the SVD only below the ratio."""
+    n = len(spectrum)
+    h = prescribed_channel(spectrum, m, k, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_svd_calls(patch)
+        assert_direct_matches_svd(h)
+        assert_matches_svd(h, n, 2, seed)
+    assert (calls != []) == (kind == "ratio-below" and n > 1)
+
+
 class TestGramRoute:
     """Gram-eigenvalue metrics against an SVD route written out in the test."""
 
@@ -319,6 +388,70 @@ class TestGramRoute:
         gram = stream_gram(lambda users, lo, hi: pool[users, lo:hi], pool.shape).gram
         diagonal = np.diagonal(gram, axis1=1, axis2=2)
         assert np.all(diagonal.real == 16 * float(top) ** 2)
+
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        prescribed_spectra(),
+        st.integers(0, 8),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_prescribed_spectra(self, case, extra_elements, k, seed):
+        kind, spectrum = case
+        assert_prescribed_matches_svd(
+            kind, spectrum, len(spectrum) + extra_elements, k, seed
+        )
+
+    @pytest.mark.parametrize("n", SPECTRUM_SIZES)
+    @pytest.mark.parametrize("kind", SPECTRUM_KINDS)
+    def test_every_spectrum_kind(self, kind, n):
+        spectrum = prescribed_spectrum(kind, np.linspace(0.0, 1.0, n), -2.5, 3.0)
+        assert_prescribed_matches_svd(kind, spectrum, n + 2, 2, n)
+
+    def test_all_zero_set_gives_nan_capacity(self):
+        pool = random_channel(np.random.default_rng(29), n=4, m=8, k=3)
+        pool[[1, 3]] = 0.0
+        capacity, demmel = metrics._subset_metrics(
+            metrics._gram(pool), np.array([[1, 3], [0, 1]]), 15.0
+        )
+        assert np.isnan(capacity[0]) and demmel[0] == np.inf
+        assert np.isfinite(capacity[1]) and demmel[1] == np.inf
+        with pytest.raises(NumericError, match="all-zero"):
+            multiuser_trials(pool[[1, 3]], 2, 3, np.random.default_rng(0))
+        with pytest.raises(NumericError, match="all-zero"):
+            entropy_capacity(pool[[1, 3]])
+
+    def test_no_route_calls_an_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        rng = np.random.default_rng(33)
+        pool = random_channel(rng, n=6, m=16, k=3)
+        pool[3] = pool[0] + 1e-5 * pool[2]  # an ill-conditioned set
+        pool[5] = pool[1]  # and a rank-deficient one
+        for n in (1, 2, 3, 6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # rank-deficient pools warn
+                assert_matches_svd(pool, n, 12, n)
+                assert_direct_matches_svd(pool[:n])
+
+    def test_trials_peak_memory(self):
+        # a case3-sized Gram: 12 users, 2001 frequencies, 24 trials of 4;
+        # the batched-eigvalsh route this replaced peaked 5.13 MB above it
+        rng = np.random.default_rng(34)
+        a = random_channel(rng, n=2001, m=12, k=16)
+        pool = metrics.PoolGram(a @ a.conj().swapaxes(-1, -2), (12, 16, 2001), None)
+        del a
+        tracemalloc.start()
+        try:
+            multiuser_trials(pool, 4, 24, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.13e6
 
 
 class TestDistinctSets:
